@@ -9,6 +9,7 @@ turns into deterministic run directories.
 
 from .errors import (
     CapExceededError,
+    ClampLeakError,
     ConfigError,
     DivergenceError,
     EmptyEventError,
@@ -61,6 +62,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CapExceededError",
+    "ClampLeakError",
     "ConfigError",
     "DivergenceError",
     "EmptyEventError",

@@ -33,6 +33,10 @@ class UnreachableEventError(LatentLabError):
     """Every trajectory of a shaped decision process is clamped."""
 
 
+class ClampLeakError(LatentLabError):
+    """A clamped trajectory of a shaped decision process kept probability."""
+
+
 class DivergenceError(LatentLabError):
     """Iterative optimizer decreased its objective for too many steps."""
 

@@ -24,19 +24,6 @@ def log_sum_exp(values) -> float:
     return float(logsumexp(arr))
 
 
-def log_normalize(log_weights) -> np.ndarray:
-    """Probabilities proportional to exp(log_weights).
-
-    Requires at least one finite entry; -inf entries map to probability 0.
-    """
-    arr = np.asarray(log_weights, dtype=np.float64)
-    total = log_sum_exp(arr)
-    if total == -np.inf:
-        raise ValueError("cannot normalize: all log weights are -inf")
-    with np.errstate(under="ignore"):
-        return np.exp(arr - total)
-
-
 def safe_log(p: float) -> float:
     """log(p) with log(0) = -inf instead of a domain error."""
     if p < 0.0:
@@ -61,14 +48,3 @@ def entropy(p) -> float:
     mask = p > 0.0
     return -float(np.sum(p[mask] * np.log(p[mask])))
 
-
-def kl_divergence(p, q) -> float:
-    """KL(p || q) over aligned supports; +inf if p charges a q-null outcome."""
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if p.shape != q.shape:
-        raise ValueError(f"shape mismatch: {p.shape} vs {q.shape}")
-    mask = p > 0.0
-    if np.any(q[mask] == 0.0):
-        return np.inf
-    return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q[mask]))))

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import io
 import json
-import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 import scipy.sparse as sp
@@ -186,96 +185,57 @@ def feature_map_from_descriptor(task: GenerativeTask, desc: dict) -> FeatureMap:
 class AutoregressiveView:
     """Exact token-by-token conditionals of a joint model at one prompt.
 
-    Nodes are trajectory prefixes; each stores the available next tokens in
-    ascending id order with their conditional log probabilities.  The
-    product of conditionals along any complete trajectory reconstructs the
-    joint log probability, and sampling walks the tree by inverse CDF, so a
-    fixed generator state always yields the same trajectory.
+    Per-node arrays over the task's trie: `mass` is the log probability of
+    each prefix, `logp` the conditional log probability of the edge into
+    each node (child mass minus parent mass, -inf below a zero-mass
+    prefix), and `cum` (a list) the running sum of conditionals along each
+    sibling run.  Chaining conditionals along a trajectory rebuilds its
+    joint log probability; sampling walks the trie by inverse CDF with one
+    `rng.random()` per node, so a fixed generator state fixes the draw.
     """
 
     def __init__(self, task: GenerativeTask, x_idx: int, joint_log_probs: np.ndarray):
         self.task = task
         self.x_idx = x_idx
-        self._leaves = task.tokens_to_zy
+        self.trie = task.trie
+        self.mass = self.trie.upward(joint_log_probs)
+        self.logp = self.trie.child_minus_parent(self.mass)
+        with np.errstate(under="ignore"):
+            self.cum = self.trie.run_cumsum(np.exp(self.logp)).tolist()
 
-        # Scalar log-space accumulation: this runs once per (sequence,
-        # position) and per tree node, so it avoids array-call overhead.
-        mass: dict[tuple[int, ...], dict[int, float]] = {}
-        for seq, lp in zip(task.joint_sequences, joint_log_probs):
-            if lp == -np.inf:
-                continue
-            lp = float(lp)
-            for j, a in enumerate(seq):
-                children = mass.setdefault(seq[:j], {})
-                prev = children.get(a)
-                if prev is None:
-                    children[a] = lp
-                else:
-                    hi, lo = (prev, lp) if prev >= lp else (lp, prev)
-                    children[a] = hi + math.log1p(math.exp(lo - hi))
-
-        self._actions: dict[tuple[int, ...], np.ndarray] = {}
-        self._logp: dict[tuple[int, ...], np.ndarray] = {}
-        self._cum: dict[tuple[int, ...], np.ndarray] = {}
-        for prefix, children in mass.items():
-            acts = np.array(sorted(children), dtype=np.int64)
-            child_mass = np.array([children[a] for a in acts])
-            peak = float(child_mass.max())
-            node_mass = peak + math.log(float(np.exp(child_mass - peak).sum()))
-            logp = child_mass - node_mass
-            self._actions[prefix] = acts
-            self._logp[prefix] = logp
-            with np.errstate(under="ignore"):
-                self._cum[prefix] = np.cumsum(np.exp(logp))
-
-    def prefixes(self) -> Iterable[tuple[int, ...]]:
-        return self._actions.keys()
+    def prefixes(self) -> list[tuple[int, ...]]:
+        """Every internal node's prefix, in node order."""
+        return [self.trie.prefixes[n] for n in self.trie.internal]
 
     def conditional(self, prefix: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
         """(actions, conditional log probs) available after `prefix`."""
-        if prefix not in self._actions:
+        node = self.trie.index.get(prefix)
+        if node is None or self.trie.node_seq[node] >= 0 or self.mass[node] == -np.inf:
             raise OutOfSpaceError(f"prefix {prefix} has no continuation mass")
-        return self._actions[prefix], self._logp[prefix]
-
-    def token_logprob(self, prefix: tuple[int, ...], action: int) -> float:
-        acts, logp = self.conditional(prefix)
-        pos = np.searchsorted(acts, action)
-        if pos >= len(acts) or acts[pos] != action:
-            return -np.inf
-        return float(logp[pos])
-
-    def seq_logprob(self, tokens: tuple[int, ...]) -> float:
-        total = 0.0
-        for j, a in enumerate(tokens):
-            lp = self.token_logprob(tokens[:j], a)
-            if lp == -np.inf:
-                return -np.inf
-            total += lp
-        return total
-
-    def is_complete(self, tokens: tuple[int, ...]) -> bool:
-        return tokens in self._leaves
-
-    def _walk(self, pick) -> tuple[int, int]:
-        prefix: tuple[int, ...] = ()
-        while not self.is_complete(prefix):
-            acts, logp = self.conditional(prefix)
-            prefix = prefix + (int(acts[pick(prefix, logp)]),)
-        return self._leaves[prefix]
+        run = self.trie.children(node)
+        return self.trie.token[run], self.logp[run]
 
     def sample(self, rng: np.random.Generator) -> tuple[int, int]:
-        """One exact (z_idx, y_idx) draw via inverse CDF at every node."""
-
-        def pick(prefix, logp):
-            cum = self._cum[prefix]
-            return min(int(np.searchsorted(cum, rng.random(), side="right")),
-                       len(cum) - 1)
-
-        return self._walk(pick)
+        """One exact (z_idx, y_idx) draw via inverse CDF at every node; a
+        draw at or above a run's last running sum (a rounding artefact)
+        takes the last child with positive mass."""
+        lo, hi, seq = self.trie.walk
+        node = 0
+        while lo[node] < hi[node]:
+            child = bisect_right(self.cum, rng.random(), lo[node], hi[node])
+            if child == hi[node]:
+                live = np.flatnonzero(self.logp[lo[node]:hi[node]] > -np.inf)
+                child = lo[node] + int(live[-1])
+            node = child
+        return self.task.zy_unindex(seq[node])
 
     def greedy(self) -> tuple[int, int]:
         """Token-by-token argmax decode; ties break to the lowest token id."""
-        return self._walk(lambda prefix, logp: int(np.argmax(logp)))
+        lo, hi, seq = self.trie.walk
+        node = 0
+        while lo[node] < hi[node]:
+            node = lo[node] + int(np.argmax(self.logp[lo[node]:hi[node]]))
+        return self.task.zy_unindex(seq[node])
 
 
 @dataclass

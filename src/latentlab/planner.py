@@ -12,15 +12,16 @@ posterior over (rationale, response) pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import logsumexp
 
-from .errors import HorizonViolationError, UnreachableEventError
+from .errors import ClampLeakError, HorizonViolationError, UnreachableEventError
 from .graph import JointModel
 from .logspace import LOG_CLAMP, safe_log
 from .tasks import EventSpec, event_zy_support, materialize_event
+from .trie import Trie
 
 Prefix = tuple[int, ...]
 
@@ -29,18 +30,14 @@ Prefix = tuple[int, ...]
 class ShapedMdp:
     """Deterministic tree MDP over a prefix-free trajectory set.
 
-    `nodes[prefix]` lists the available next tokens in ascending order and
-    `rewards[prefix]` aligns with it.  `leaves` maps complete trajectories
-    to an arbitrary payload (the planner reports distributions over
-    payloads).  Appending an action either reaches another node or a leaf.
+    `reward[n]` pays for the edge into node `n` of `trie` (the root's entry
+    is unused).  Leaves are complete trajectories, numbered in the trie's
+    sequence order.
     """
 
+    trie: Trie
+    reward: np.ndarray
     beta: float
-    horizon: int
-    nodes: dict[Prefix, np.ndarray]
-    rewards: dict[Prefix, np.ndarray]
-    leaves: dict[Prefix, object]
-    root: Prefix = ()
 
     def __post_init__(self):
         if self.beta <= 0:
@@ -53,64 +50,23 @@ class ShapedMdp:
         reward_fn: Callable[[Prefix, int], float],
         beta: float,
         horizon: int | None = None,
-        payloads: Sequence[object] | None = None,
     ) -> "ShapedMdp":
         """Build the prefix tree of `seqs` with rewards from `reward_fn`.
 
         `reward_fn` is invoked once per (prefix, action) edge, visiting
-        prefixes in sorted order, so generator-backed reward functions are
-        reproducible.  Sequences must be distinct and prefix-free.
+        prefixes in sorted order and actions in ascending order, so
+        generator-backed reward functions are reproducible.  Sequences must
+        be distinct and prefix-free, and no longer than `horizon` if given.
         """
-        seqs = [tuple(s) for s in seqs]
-        if len(set(seqs)) != len(seqs):
-            raise ValueError("duplicate trajectories")
-        max_len = max((len(s) for s in seqs), default=0)
-        horizon = max_len if horizon is None else horizon
-        too_long = [s for s in seqs if len(s) > horizon]
+        trie = Trie(seqs)
+        too_long = horizon is not None and sum(len(s) > horizon for s in trie.sequences)
         if too_long:
-            raise HorizonViolationError(
-                f"{len(too_long)} trajectories exceed horizon {horizon}"
-            )
-        leaf_set = set(seqs)
-        children: dict[Prefix, set[int]] = {}
-        for s in seqs:
-            if len(s) == 0:
-                raise ValueError("empty trajectory")
-            for j in range(len(s)):
-                prefix = s[:j]
-                if prefix in leaf_set:
-                    raise ValueError(
-                        f"trajectory {prefix} is a prefix of {s}; set is not prefix-free"
-                    )
-                children.setdefault(prefix, set()).add(s[j])
-
-        nodes: dict[Prefix, np.ndarray] = {}
-        rewards: dict[Prefix, np.ndarray] = {}
-        for prefix in sorted(children):
-            acts = np.array(sorted(children[prefix]), dtype=np.int64)
-            nodes[prefix] = acts
-            rewards[prefix] = np.array(
-                [reward_fn(prefix, int(a)) for a in acts], dtype=np.float64
-            )
-        if payloads is None:
-            payload_map: dict[Prefix, object] = {s: None for s in seqs}
-        else:
-            payload_map = dict(zip(seqs, payloads))
-        return cls(
-            beta=beta,
-            horizon=horizon,
-            nodes=nodes,
-            rewards=rewards,
-            leaves=payload_map,
-        )
-
-    def is_leaf(self, prefix: Prefix) -> bool:
-        return prefix in self.leaves
-
-    def edges(self) -> Iterable[tuple[Prefix, int, float]]:
-        for prefix, acts in self.nodes.items():
-            for a, r in zip(acts, self.rewards[prefix]):
-                yield prefix, int(a), float(r)
+            raise HorizonViolationError(f"{too_long} trajectories exceed horizon {horizon}")
+        reward = np.zeros(trie.n_nodes)
+        for prefix, node in sorted((trie.prefixes[n], n) for n in trie.internal):
+            for child in trie.children(node):
+                reward[child] = reward_fn(prefix, int(trie.token[child]))
+        return cls(trie=trie, reward=reward, beta=beta)
 
 
 def random_shaped_mdp(
@@ -126,76 +82,51 @@ def random_shaped_mdp(
     seqs: list[Prefix] = [()]
     for _ in range(horizon):
         seqs = [s + (a,) for s in seqs for a in range(n_actions)]
-    table: dict[tuple[Prefix, int], float] = {}
 
     def reward_fn(prefix: Prefix, action: int) -> float:
-        key = (prefix, action)
-        if key not in table:
-            table[key] = float(rng.normal(0.0, reward_scale))
-        return table[key]
+        # from_sequences asks once per edge, so each edge gets one fresh draw
+        return float(rng.normal(0.0, reward_scale))
 
     return ShapedMdp.from_sequences(seqs, reward_fn, beta, horizon=horizon)
 
 
 @dataclass
 class SoftPlan:
-    """Backward-induction output: q, soft values, and the softmax policy."""
+    """Backward-induction output, per node of the MDP's trie: `q[n]` is the
+    soft value of the edge into `n`, `v[n]` the soft value of `n` (0 at
+    leaves), and `log_policy[n]` the log probability of that edge."""
 
     mdp: ShapedMdp
-    q: dict[Prefix, np.ndarray]
-    v: dict[Prefix, float]
-    log_policy: dict[Prefix, np.ndarray]
+    q: np.ndarray
+    v: np.ndarray
+    log_policy: np.ndarray
 
     def root_value(self) -> float:
-        return self.v[self.mdp.root]
+        return float(self.v[0])
 
 
 def soft_value_iteration(mdp: ShapedMdp) -> SoftPlan:
     """One exact backward pass; leaves have value 0 by definition."""
-    v: dict[Prefix, float] = {leaf: 0.0 for leaf in mdp.leaves}
-    q: dict[Prefix, np.ndarray] = {}
-    log_policy: dict[Prefix, np.ndarray] = {}
-    beta = mdp.beta
-    for prefix in sorted(mdp.nodes, key=len, reverse=True):
-        acts = mdp.nodes[prefix]
-        child_v = np.array([v[prefix + (int(a),)] for a in acts])
-        q_here = mdp.rewards[prefix] + child_v
-        v_here = beta * float(logsumexp(q_here / beta))
-        q[prefix] = q_here
-        v[prefix] = v_here
-        log_policy[prefix] = (q_here - v_here) / beta
+    trie = mdp.trie
+    v = trie.upward(np.zeros(len(trie.sequences)), mdp.reward, mdp.beta)
+    q = mdp.reward + v
+    log_policy = trie.child_minus_parent(q, v) / mdp.beta
     return SoftPlan(mdp=mdp, q=q, v=v, log_policy=log_policy)
-
-
-def _suffix_walk(plan: SoftPlan, from_prefix: Prefix):
-    """Yield (suffix, log prob) for completions of `from_prefix`, in
-    lexicographic action order."""
-    mdp = plan.mdp
-    stack: list[tuple[Prefix, tuple[int, ...], float]] = [(from_prefix, (), 0.0)]
-    while stack:
-        prefix, suffix, lp = stack.pop()
-        if mdp.is_leaf(prefix):
-            yield suffix, lp
-            continue
-        acts = mdp.nodes[prefix]
-        logp = plan.log_policy[prefix]
-        for a, alp in zip(acts[::-1], logp[::-1]):
-            stack.append((prefix + (int(a),), suffix + (int(a),), lp + float(alp)))
 
 
 def trajectory_distribution(
     plan: SoftPlan, from_prefix: Prefix = ()
 ) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """Suffix distribution induced by the soft-optimal policy from a state."""
-    if not plan.mdp.is_leaf(from_prefix) and from_prefix not in plan.mdp.nodes:
+    """Suffix distribution induced by the soft-optimal policy from a state,
+    in lexicographic suffix order."""
+    trie, n = plan.mdp.trie, len(from_prefix)
+    if from_prefix not in trie.index:
         raise KeyError(f"state {from_prefix} is not in the tree")
-    suffixes: list[tuple[int, ...]] = []
-    logps: list[float] = []
-    for suffix, lp in _suffix_walk(plan, from_prefix):
-        suffixes.append(suffix)
-        logps.append(lp)
+    path_logp = trie.downward(plan.log_policy, trie.index[from_prefix])
+    leaves = sorted((s[n:], k) for k, s in enumerate(trie.sequences) if s[:n] == from_prefix)
     with np.errstate(under="ignore"):
-        return suffixes, np.exp(np.array(logps))
+        probs = np.exp(path_logp[trie.leaf_node[[k for _, k in leaves]]])
+    return [suffix for suffix, _ in leaves], probs
 
 
 def softmax_total_rewards(
@@ -207,19 +138,19 @@ def softmax_total_rewards(
     with no value recursion; the planner's trajectory distribution must
     match this to floating-point accuracy.
     """
+    trie = mdp.trie
     suffixes: list[tuple[int, ...]] = []
     totals: list[float] = []
-    stack: list[tuple[Prefix, tuple[int, ...], float]] = [(from_prefix, (), 0.0)]
+    stack = [(trie.index[from_prefix], (), 0.0)]
     while stack:
-        prefix, suffix, acc = stack.pop()
-        if mdp.is_leaf(prefix):
+        node, suffix, acc = stack.pop()
+        children = trie.children(node)
+        if not children:
             suffixes.append(suffix)
             totals.append(acc)
             continue
-        acts = mdp.nodes[prefix]
-        rews = mdp.rewards[prefix]
-        for a, r in zip(acts[::-1], rews[::-1]):
-            stack.append((prefix + (int(a),), suffix + (int(a),), acc + float(r)))
+        for c in reversed(children):
+            stack.append((c, suffix + (int(trie.token[c]),), acc + float(mdp.reward[c])))
     scaled = np.array(totals) / mdp.beta
     with np.errstate(under="ignore"):
         probs = np.exp(scaled - logsumexp(scaled))
@@ -227,33 +158,33 @@ def softmax_total_rewards(
 
 
 def regularized_return(
-    mdp: ShapedMdp, log_policy: dict[Prefix, np.ndarray], from_prefix: Prefix = ()
+    mdp: ShapedMdp, log_policy: np.ndarray, from_prefix: Prefix = ()
 ) -> float:
-    """Exact E[sum r - beta * log pi] of an arbitrary policy from a state."""
-    if mdp.is_leaf(from_prefix):
-        return 0.0
-    acts = mdp.nodes[from_prefix]
-    rews = mdp.rewards[from_prefix]
-    logp = log_policy[from_prefix]
-    with np.errstate(under="ignore"):
-        probs = np.exp(logp)
-    total = 0.0
-    for p, lp, a, r in zip(probs, logp, acts, rews):
-        if p == 0.0:
-            continue
-        child = regularized_return(mdp, log_policy, from_prefix + (int(a),))
-        total += p * (float(r) - mdp.beta * float(lp) + child)
-    return total
+    """Exact E[sum r - beta * log pi] of an arbitrary policy from a state;
+    `log_policy` is per node, as in `SoftPlan.log_policy`."""
+    trie = mdp.trie
+
+    def value(node: int) -> float:
+        total = 0.0
+        for c in trie.children(node):
+            lp = float(log_policy[c])
+            p = np.exp(lp)
+            if p == 0.0:
+                continue
+            total += p * (float(mdp.reward[c]) - mdp.beta * lp + value(c))
+        return total
+
+    return value(trie.index[from_prefix])
 
 
-def random_policy(
-    mdp: ShapedMdp, rng: np.random.Generator
-) -> dict[Prefix, np.ndarray]:
-    """Independent random action distribution at every internal node."""
-    out: dict[Prefix, np.ndarray] = {}
-    for prefix in sorted(mdp.nodes, key=lambda p: (len(p), p)):
-        probs = rng.dirichlet(np.ones(len(mdp.nodes[prefix])))
-        out[prefix] = np.log(np.maximum(probs, 1e-300))
+def random_policy(mdp: ShapedMdp, rng: np.random.Generator) -> np.ndarray:
+    """Independent random action distribution at every internal node,
+    drawn in node (level) order."""
+    out = np.zeros(mdp.trie.n_nodes)
+    for node in mdp.trie.internal:
+        children = mdp.trie.children(node)
+        probs = rng.dirichlet(np.ones(len(children)))
+        out[children] = np.log(np.maximum(probs, 1e-300))
     return out
 
 
@@ -281,78 +212,48 @@ def shape_rewards(
     """
     task = jm.task
     view = jm.seq.conditional_tables(x_idx)
-    allowed = set(event_zy_support(task, event))
     _, _, o_idx = materialize_event(task, event)
     obs = [task.obs_values[i] for i in o_idx]
 
-    bonus: dict[Prefix, float] = {}
-    payloads: list[tuple[int, int]] = []
-    any_reachable = False
-    for zi in range(task.n_latents):
-        for yi in range(task.n_responses):
-            seq = task.joint_tokens(zi, yi)
-            payloads.append((zi, yi))
-            if (zi, yi) in allowed:
-                mass = sum(task.evaluator(x_idx, zi, yi, o) for o in obs)
-                term = safe_log(mass)
-                term = LOG_CLAMP if term == -np.inf else term
-            else:
-                term = LOG_CLAMP
-            if term > LOG_CLAMP:
-                any_reachable = True
-            bonus[seq] = -term if terminal_sign_fault else term
-    if not any_reachable:
+    bonus = np.full(task.n_joint, LOG_CLAMP)
+    for zi, yi in event_zy_support(task, event):
+        term = safe_log(sum(task.evaluator(x_idx, zi, yi, o) for o in obs))
+        bonus[task.zy_index(zi, yi)] = max(term, LOG_CLAMP)
+    if not np.any(bonus > LOG_CLAMP):
         raise UnreachableEventError(
             f"event {event.describe()} clamps every trajectory at prompt {x_idx}"
         )
-
-    def reward_fn(prefix: Prefix, action: int) -> float:
-        r = view.token_logprob(prefix, action)
-        full = prefix + (action,)
-        if full in bonus:
-            r += bonus[full]
-        return r
-
-    seqs = list(task.joint_sequences)
-    return ShapedMdp.from_sequences(
-        seqs, reward_fn, beta, horizon=task.horizon, payloads=payloads
-    )
+    reward = view.logp.copy()
+    reward[task.trie.leaf_node] += -bonus if terminal_sign_fault else bonus
+    return ShapedMdp(trie=task.trie, reward=reward, beta=beta)
 
 
 def plan_posterior(
     plan: SoftPlan, task, x_idx: int, event: EventSpec
 ) -> tuple[list[tuple[int, int]], np.ndarray]:
-    """Planner distribution over the event's (z, y) support.
+    """Planner distribution over the event's (z, y) support, for a plan of
+    `shape_rewards` on `task` (whose leaf k is joint index k).
 
     Clamped trajectories (outside the event rectangle, or inside it with
     zero evaluator mass on the event's observations) must carry essentially
-    no probability; that is asserted, then the distribution is renormalized
-    over the event support.
+    no probability, else `ClampLeakError`; the distribution is then
+    renormalized over the event support.
     """
     support = event_zy_support(task, event)
-    index = {pair: i for i, pair in enumerate(support)}
     _, _, o_idx = materialize_event(task, event)
     obs = [task.obs_values[i] for i in o_idx]
+    trie = plan.mdp.trie
+    with np.errstate(under="ignore"):
+        traj_probs = np.exp(trie.downward(plan.log_policy)[trie.leaf_node])
 
-    def is_clamped(pair: tuple[int, int] | None) -> bool:
-        if pair is None or pair not in index:
-            return True
-        zi, yi = pair
-        return sum(task.evaluator(x_idx, zi, yi, o) for o in obs) == 0.0
-
-    probs = np.zeros(len(support))
-    clamped_mass = 0.0
-    suffixes, traj_probs = trajectory_distribution(plan)
-    for suffix, p in zip(suffixes, traj_probs):
-        payload = plan.mdp.leaves[suffix]
-        pos = index.get(payload)
-        if pos is not None:
-            probs[pos] += p
-        if is_clamped(payload):
-            clamped_mass = max(clamped_mass, float(p))
-    assert clamped_mass <= 1e-300, (
-        f"clamped trajectory keeps probability {clamped_mass:g}"
-    )
+    ks = np.array([task.zy_index(zi, yi) for zi, yi in support])
+    clamped = np.ones(task.n_joint, dtype=bool)
+    clamped[ks] = [sum(task.evaluator(x_idx, zi, yi, o) for o in obs) == 0.0
+                   for zi, yi in support]
+    clamped_mass = float(traj_probs[clamped].max(initial=0.0))
+    if clamped_mass > 1e-300:
+        raise ClampLeakError(f"clamped trajectory keeps probability {clamped_mass:g}")
+    probs = traj_probs[ks]
     total = probs.sum()
     if total <= 0.0:
         raise UnreachableEventError("no event trajectory carries mass")

@@ -28,6 +28,7 @@ from .errors import (
     RecordFormatError,
 )
 from .rng import stream
+from .trie import Trie
 
 ENUMERATION_CAP = 10**6
 
@@ -159,12 +160,9 @@ class GenerativeTask:
         )
 
     @cached_property
-    def tokens_to_zy(self) -> dict[tuple[int, ...], tuple[int, int]]:
-        out: dict[tuple[int, ...], tuple[int, int]] = {}
-        for zi in range(self.n_latents):
-            for yi in range(self.n_responses):
-                out[self.joint_tokens(zi, yi)] = (zi, yi)
-        return out
+    def trie(self) -> Trie:
+        """Prefix tree of `joint_sequences`; leaf k is joint index k."""
+        return Trie(self.joint_sequences)
 
     # -- evaluator --------------------------------------------------------
 

@@ -320,32 +320,6 @@ def record_from_tsv(text: str) -> list[RunRow]:
     return rows
 
 
-def greedy_accuracy(model: LogitModel, task: GenerativeTask) -> float:
-    """Fraction of prompts whose greedy decode emits the reference response."""
-    if task.truth is None:
-        return math.nan
-    hits = sum(
-        1
-        for x in range(task.n_prompts)
-        if model.greedy_joint(x)[1] == task.truth[x][1]
-    )
-    return hits / task.n_prompts
-
-
-def sampled_accuracy(
-    model: LogitModel, task: GenerativeTask, *, seed: int, iteration: int
-) -> float:
-    """Single-draw response accuracy, one seeded sample per prompt."""
-    if task.truth is None:
-        return math.nan
-    hits = 0
-    for x in range(task.n_prompts):
-        rng = stream(seed, "acc-sample", x, iteration)
-        if model.sample_joint(x, rng)[1] == task.truth[x][1]:
-            hits += 1
-    return hits / task.n_prompts
-
-
 AccFn = Callable[[LogitModel, GenerativeTask, int, int], tuple[float, float]]
 
 

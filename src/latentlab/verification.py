@@ -22,6 +22,7 @@ from typing import Callable
 import numpy as np
 from scipy.stats import chisquare
 
+from . import trie as trie_kernel
 from .errors import (
     CapExceededError,
     ConfigError,
@@ -114,7 +115,14 @@ SEED = 20260817
 
 # checks that support it consult this to demonstrate they catch mutations
 _ACTIVE_FAULT: str | None = None
-FAULT_NAMES = ("shaping-sign",)
+FAULT_NAMES = ("shaping-sign", "trie-upward")
+_SEGMENT_SUM = trie_kernel._segment_sum
+
+
+def _misaligned_segment_sum(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The trie's run sum with every run boundary one child late: the
+    'trie-upward' fault, swapped in by `run_checks`."""
+    return np.add.reduceat(values, np.minimum(starts + 1, len(values) - 1))
 
 
 @dataclass(frozen=True)
@@ -507,15 +515,16 @@ def check_models_autoregressive_consistency() -> CheckResult:
             for seq in task.joint_sequences:
                 for pos in range(len(seq)):
                     children.setdefault(seq[:pos], set()).add(seq[pos])
+            index = view.trie.index
             for kk, seq in enumerate(task.joint_sequences):
                 total = 0.0
                 for pos in range(len(seq)):
-                    total += view.token_logprob(seq[:pos], seq[pos])
+                    total += float(view.logp[index[seq[:pos + 1]]])
                 if abs(total - float(log_joint[kk])) > 1e-10:
                     return _fail(f"{name} x={x}: chain deviates "
                                  f"{abs(total - float(log_joint[kk])):.3e}")
             for prefix, acts in children.items():
-                mass = sum(math.exp(view.token_logprob(prefix, a)) for a in acts)
+                mass = sum(math.exp(view.logp[index[prefix + (a,)]]) for a in acts)
                 if abs(mass - 1.0) > 1e-10:
                     return _fail(f"{name} x={x}: conditional at {prefix} "
                                  f"sums to {mass!r}")
@@ -809,20 +818,21 @@ def check_planner_closed_forms() -> CheckResult:
     # beta=1, rewards (0, ln 3): value ln 4, policy (1/4, 3/4)
     if abs(plan.root_value() - 1.3862943611198906) > 1e-12:
         return _fail(f"one-step value {plan.root_value()!r} != ln 4")
-    policy = np.exp(plan.log_policy[()])
+    root = mdp.trie.children(0)
+    policy = np.exp(plan.log_policy[root])
     if float(np.max(np.abs(policy - np.array([0.25, 0.75])))) > 1e-12:
         return _fail(f"one-step policy {policy}")
     half = soft_value_iteration(ShapedMdp.from_sequences([(0,), (1,)], reward_fn, beta=0.5))
     # beta=1/2: value (1/2) ln(1 + 9), policy (0.1, 0.9)
     if abs(half.root_value() - 0.5 * math.log(10.0)) > 1e-12:
         return _fail(f"beta=0.5 value {half.root_value()!r}")
-    if float(np.max(np.abs(np.exp(half.log_policy[()]) - np.array([0.1, 0.9])))) > 1e-12:
+    if float(np.max(np.abs(np.exp(half.log_policy[root]) - np.array([0.1, 0.9])))) > 1e-12:
         return _fail("beta=0.5 policy off (0.1, 0.9)")
     cold = soft_value_iteration(ShapedMdp.from_sequences([(0,), (1,)], reward_fn, beta=1e-3))
     if abs(cold.root_value() - math.log(3.0)) > 1e-2:
         return _fail(f"beta->0 value {cold.root_value()!r} far from max reward")
     hot = soft_value_iteration(ShapedMdp.from_sequences([(0,), (1,)], reward_fn, beta=1e6))
-    if float(np.max(np.abs(np.exp(hot.log_policy[()]) - 0.5))) > 1e-6:
+    if float(np.max(np.abs(np.exp(hot.log_policy[root]) - 0.5))) > 1e-6:
         return _fail("beta->inf policy is not uniform")
     return _ok("one-step values, policies, and both temperature limits agree")
 
@@ -837,7 +847,7 @@ def check_planner_trajectory_softmax() -> CheckResult:
                                 n_actions=int(rng.integers(2, 5)), beta=beta,
                                 reward_scale=2.0)
         plan = soft_value_iteration(mdp)
-        interior = (int(mdp.nodes[()][0]),)
+        interior = mdp.trie.prefixes[1]
         for start in ((), interior):
             got_seq, got = trajectory_distribution(plan, start)
             ref_seq, ref = softmax_total_rewards(mdp, start)
@@ -856,25 +866,26 @@ def check_planner_bellman_consistency() -> CheckResult:
     rng = stream(SEED, "bellman")
     mdp = random_shaped_mdp(rng, horizon=4, n_actions=3, beta=0.7, reward_scale=1.5)
     plan = soft_value_iteration(mdp)
-    for prefix, acts in mdp.nodes.items():
-        child = np.array([plan.v[prefix + (int(a),)] for a in acts])
-        q = mdp.rewards[prefix] + child
-        if float(np.max(np.abs(q - plan.q[prefix]))) > 1e-12:
+    trie = mdp.trie
+    for node in trie.internal:
+        prefix, acts = trie.prefixes[node], trie.children(node)
+        q = mdp.reward[acts] + plan.v[acts]
+        if float(np.max(np.abs(q - plan.q[acts]))) > 1e-12:
             return _fail(f"q mismatch at {prefix}")
         scaled = q / mdp.beta
         peak = float(scaled.max())
         v = mdp.beta * (peak + math.log(sum(math.exp(float(s) - peak) for s in scaled)))
-        if abs(v - plan.v[prefix]) > 1e-10:
-            return _fail(f"value mismatch at {prefix}: {abs(v - plan.v[prefix]):.3e}")
-        pol = np.exp(plan.log_policy[prefix])
+        if abs(v - plan.v[node]) > 1e-10:
+            return _fail(f"value mismatch at {prefix}: {abs(v - plan.v[node]):.3e}")
+        pol = np.exp(plan.log_policy[acts])
         if abs(float(pol.sum()) - 1.0) > 1e-12:
             return _fail(f"policy at {prefix} sums to {pol.sum()!r}")
-        if float(np.max(np.abs(plan.log_policy[prefix] - (q - plan.v[prefix]) / mdp.beta))) > 1e-12:
+        if float(np.max(np.abs(plan.log_policy[acts] - (q - plan.v[node]) / mdp.beta))) > 1e-12:
             return _fail(f"policy logits at {prefix} are not (q - v) / beta")
-    for leaf in mdp.leaves:
+    for seq, leaf in zip(trie.sequences, trie.leaf_node):
         if plan.v[leaf] != 0.0:
-            return _fail(f"leaf {leaf} has nonzero value")
-    return _ok(f"all {len(mdp.nodes)} backups verified by hand")
+            return _fail(f"leaf {seq} has nonzero value")
+    return _ok(f"all {len(trie.internal)} backups verified by hand")
 
 
 def check_planner_policy_optimality() -> CheckResult:
@@ -937,9 +948,7 @@ def check_planner_shaping_telescoping() -> CheckResult:
                     seq = task.joint_tokens(zi, yi)
                     total = 0.0
                     for pos in range(len(seq)):
-                        acts = mdp.nodes[seq[:pos]]
-                        ai = int(np.searchsorted(acts, seq[pos]))
-                        total += float(mdp.rewards[seq[:pos]][ai])
+                        total += float(mdp.reward[mdp.trie.index[seq[:pos + 1]]])
                     mass = sum(task.evaluator(x, zi, yi, o) for o in obs)
                     term = math.log(mass) if mass > 0.0 else LOG_CLAMP
                     expected = model.joint_logprob(x, zi, yi) + term
@@ -1781,8 +1790,10 @@ def run_checks(
         raise ConfigError(
             f"unknown fault {inject_fault!r}; available: {', '.join(FAULT_NAMES)}")
     names = [n for n in CHECKS if pattern is None or fnmatch.fnmatch(n, pattern)]
-    previous = _ACTIVE_FAULT
+    previous = _ACTIVE_FAULT, trie_kernel._segment_sum
     _ACTIVE_FAULT = inject_fault
+    trie_kernel._segment_sum = (
+        _misaligned_segment_sum if inject_fault == "trie-upward" else _SEGMENT_SUM)
     results: list[tuple[str, CheckResult]] = []
     try:
         for name in names:
@@ -1792,7 +1803,7 @@ def run_checks(
                 results.append(
                     (name, CheckResult(False, f"raised {type(exc).__name__}: {exc}")))
     finally:
-        _ACTIVE_FAULT = previous
+        _ACTIVE_FAULT, trie_kernel._segment_sum = previous
     return results
 
 
@@ -1827,7 +1838,7 @@ def acceptance_01() -> AcceptanceResult:
         plan = soft_value_iteration(mdp)
         starts = [()]
         if horizon > 1:
-            starts.append((int(mdp.nodes[()][int(rng.integers(n_actions))]),))
+            starts.append(mdp.trie.prefixes[1 + int(rng.integers(n_actions))])
         for start in starts:
             got_seq, got = trajectory_distribution(plan, start)
             ref_seq, ref = softmax_total_rewards(mdp, start)

@@ -38,7 +38,8 @@ def test_conditional_tables_factorize(tag_model, tag_task):
     table = tag_model.joint_log_probs(2)
     for j in range(tag_task.n_joint):
         seq = tag_task.joint_sequences[j]
-        assert view.seq_logprob(seq) == pytest.approx(table[j], abs=1e-10)
+        nodes = [view.trie.index[seq[: pos + 1]] for pos in range(len(seq))]
+        assert view.logp[nodes].sum() == pytest.approx(table[j], abs=1e-10)
 
 
 def test_with_theta_is_functional(tag_model):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from latentlab.errors import ClampLeakError, HorizonViolationError
 from latentlab.graph import JointModel
 from latentlab.models import uniform_model
 from latentlab.planner import (
+    ShapedMdp,
     plan_posterior,
     random_policy,
     random_shaped_mdp,
@@ -24,7 +26,8 @@ def mdp():
 
 def test_policy_rows_normalize(mdp):
     plan = soft_value_iteration(mdp)
-    for prefix, logp in plan.log_policy.items():
+    for node in mdp.trie.internal:
+        logp = plan.log_policy[mdp.trie.children(node)]
         assert np.exp(logp).sum() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -38,7 +41,7 @@ def test_trajectory_matches_reward_softmax(mdp):
 
 def test_trajectory_matches_from_interior(mdp):
     plan = soft_value_iteration(mdp)
-    start = (int(mdp.nodes[()][0]),)
+    start = mdp.trie.prefixes[1]
     suff_a, p_a = trajectory_distribution(plan, start)
     suff_b, p_b = softmax_total_rewards(mdp, start)
     assert suff_a == suff_b
@@ -99,6 +102,16 @@ def test_shaping_terminal_fault_breaks_match():
     assert 0.5 * np.abs(p_good - p_bad).sum() > 1e-3
 
 
+def test_clamp_leak_raises_typed_error():
+    # on a binary task the flipped bonus moves all mass onto clamped pairs
+    binary = make_reward_tag_task(3, 5, seed=2)
+    jm = JointModel(uniform_model(binary))
+    ev = success_event()
+    bad = shape_rewards(jm, 0, ev, terminal_sign_fault=True)
+    with pytest.raises(ClampLeakError):
+        plan_posterior(soft_value_iteration(bad), binary, 0, ev)
+
+
 def test_rejects_bad_tree_args():
     with pytest.raises(ValueError):
         random_shaped_mdp(stream(0, "x"), horizon=0, n_actions=2, beta=1.0)
@@ -107,3 +120,12 @@ def test_rejects_bad_tree_args():
             random_shaped_mdp(stream(0, "y"), horizon=2, n_actions=2, beta=1.0)
         )
         trajectory_distribution(plan, (9, 9, 9))
+
+    def zero(prefix, action):
+        return 0.0
+
+    with pytest.raises(HorizonViolationError):
+        ShapedMdp.from_sequences([(0, 1), (1,)], zero, beta=1.0, horizon=1)
+    for bad in ([(0,), (0,)], [(0,), (0, 1)], [(), (1,)], []):
+        with pytest.raises(ValueError):
+            ShapedMdp.from_sequences(bad, zero, beta=1.0)

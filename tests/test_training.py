@@ -12,12 +12,12 @@ from latentlab.training import (
     PreferencePair,
     RunRecord,
     RunRow,
+    _default_acc,
     build_tagged_corpus,
     conditional_decode,
     dpo_fit,
     em_iterate,
     filter_sft_update,
-    greedy_accuracy,
     latent_dpo_loss_and_grad,
     mstep,
     record_from_tsv,
@@ -28,7 +28,6 @@ from latentlab.training import (
     run_filter_sft,
     run_pref_loop,
     run_restem,
-    sampled_accuracy,
 )
 
 EXACT = EStepSpec("exact")
@@ -104,8 +103,7 @@ def test_record_tsv_bad_header():
 
 
 def test_accuracy_range(tag_task, tag_model):
-    g = greedy_accuracy(tag_model, tag_task)
-    s = sampled_accuracy(tag_model, tag_task, seed=0, iteration=0)
+    g, s = _default_acc(tag_model, tag_task, 0, 0)
     assert 0.0 <= g <= 1.0
     assert 0.0 <= s <= 1.0
 

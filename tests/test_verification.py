@@ -27,9 +27,22 @@ def test_fault_injection_flips_checks():
 
 
 def test_fault_restored_after_injection():
-    run_checks("planner.shaping_correspondence", inject_fault="shaping-sign")
-    again = run_checks("planner.shaping_correspondence")
+    run_checks("planner.shap*", inject_fault="shaping-sign")
+    again = run_checks("planner.shap*")
+    assert len(again) == 2
     assert all(r.ok for _, r in again)
+
+
+def test_trie_upward_fault_flips_kernel_checks():
+    names = ("models.autoregressive_consistency", "planner.trajectory_softmax",
+             "planner.bellman_consistency")
+    faulted = [res for name in names
+               for res in run_checks(name, inject_fault="trie-upward")]
+    assert len(faulted) == 3
+    assert not any(r.ok for _, r in faulted)
+    restored = [res for name in names for res in run_checks(name)]
+    assert len(restored) == 3
+    assert all(r.ok for _, r in restored)
 
 
 def test_unknown_fault_rejected():
