@@ -9,6 +9,7 @@ turns into deterministic run directories.
 
 from .errors import (
     CapExceededError,
+    CertificateError,
     ClampLeakError,
     ConfigError,
     DivergenceError,
@@ -62,6 +63,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CapExceededError",
+    "CertificateError",
     "ClampLeakError",
     "ConfigError",
     "DivergenceError",

@@ -37,6 +37,10 @@ class ClampLeakError(LatentLabError):
     """A clamped trajectory of a shaped decision process kept probability."""
 
 
+class CertificateError(LatentLabError, AssertionError):
+    """An asserted convergence certificate of a training run failed."""
+
+
 class DivergenceError(LatentLabError):
     """Iterative optimizer decreased its objective for too many steps."""
 

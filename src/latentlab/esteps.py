@@ -23,10 +23,10 @@ import numpy as np
 
 from .errors import ConfigError, DivergenceError, UnreachableEventError
 from .graph import JointModel
-from .logspace import log_sum_exp, safe_log
+from .logspace import log_sum_exp
 from .models import LogitModel
 from .planner import plan_posterior, shape_rewards, soft_value_iteration
-from .tasks import EventSpec, event_zy_support, materialize_event
+from .tasks import EventSpec, compile_event
 
 Pair = tuple[int, int]
 
@@ -167,24 +167,13 @@ def estep_rejection(
     if budget <= 0:
         raise ConfigError(f"rejection budget must be positive, got {budget}")
     task = jm.task
-    support = event_zy_support(task, event)
-    index = {pair: i for i, pair in enumerate(support)}
-    _, _, o_idx = materialize_event(task, event)
-    obs = [task.obs_values[i] for i in o_idx]
-
-    view = jm.seq.conditional_tables(x_idx)
-    weights = np.zeros(len(support))
-    hits = 0
-    for _ in range(budget):
-        pair = view.sample(rng)
-        pos = index.get(pair)
-        if pos is None:
-            continue
-        zi, yi = pair
-        mass = sum(task.evaluator(x_idx, zi, yi, o) for o in obs)
-        if mass > 0.0:
-            weights[pos] += mass
-            hits += 1
+    compiled = compile_event(task, event)
+    support = list(compiled.pairs)
+    drawn = jm.seq.conditional_tables(x_idx).draws(rng, budget)
+    mass = compiled.mass(x_idx)[drawn]
+    # bincount adds in draw order, as a running sum per pair would
+    weights = np.bincount(drawn, mass, task.n_joint)[compiled.pair_joint]
+    hits = int(np.count_nonzero(mass))
 
     flags: tuple[str, ...] = ()
     if task.evaluator_kind == "soft":
@@ -268,22 +257,13 @@ def _event_reward_vector(
     (rather than clamped to an effective -inf) so gradient magnitudes stay
     usable.  Raises if no pair carries positive event mass.
     """
-    task = jm.task
-    allowed = set(event_zy_support(task, event))
-    _, _, o_idx = materialize_event(task, event)
-    obs = [task.obs_values[i] for i in o_idx]
-
-    bonus = np.full(task.n_joint, floor)
-    reachable = False
-    for zi, yi in allowed:
-        mass = sum(task.evaluator(x_idx, zi, yi, o) for o in obs)
-        if mass > 0.0:
-            bonus[task.zy_index(zi, yi)] = max(safe_log(mass), floor)
-            reachable = True
-    if not reachable:
+    mass = compile_event(jm.task, event).mass(x_idx)
+    if not np.any(mass > 0.0):
         raise UnreachableEventError(
             f"event {event.describe()} has zero evaluator mass at prompt {x_idx}"
         )
+    with np.errstate(divide="ignore"):
+        bonus = np.maximum(np.log(mass), floor)
     return jm.seq.joint_log_probs(x_idx) + bonus
 
 
@@ -407,10 +387,7 @@ def estep_policy_gradient(
     probs = probs / probs.sum()
     tv = tv_to_exact(jm, x_idx, event, support, probs) if compare_exact else None
     soft_value = cfg.beta * log_sum_exp(rewards / cfg.beta)
-    event_pairs = set(event_zy_support(task, event))
-    off_event = float(
-        sum(p_ for pair, p_ in zip(support, probs) if pair not in event_pairs)
-    )
+    off_event = float(probs[~compile_event(task, event).inside].sum())
     return EStepResult(
         backend="policy_gradient",
         support=support,

@@ -2,15 +2,14 @@
 event-restricted log likelihood.
 
 The graph factorizes as P(z, y, o | x) = P(z, y | x, theta) * P(o | x, z, y)
-with the second factor fixed by the task evaluator.  The central scalar is
-the log probability of an event (a restriction of the three spaces); its
-exact posterior, evidence lower bound, and parameter gradient are all
-available by enumeration.
+with the second factor fixed by the task's observation table.  The central
+scalar is the log probability of an event (a restriction of the three
+spaces); its exact posterior, evidence lower bound, and parameter gradient
+are all available by enumeration.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +17,7 @@ import numpy as np
 from .errors import UnnormalizedVariationalError, ZeroMassEventError
 from .logspace import entropy, log_sum_exp, safe_log
 from .models import LogitModel
-from .tasks import EventSpec, GenerativeTask, enumerate_event
+from .tasks import EventSpec, GenerativeTask, compile_event
 
 
 @dataclass
@@ -61,47 +60,6 @@ class ElboReport:
         return self.log_likelihood - self.value
 
 
-class _EventTable:
-    """Per-event index cache: triples, flat (z, y) indices, evaluator logs."""
-
-    def __init__(self, task: GenerativeTask, event: EventSpec):
-        self.event = event
-        self.triples = enumerate_event(task, event)
-        self.zy_idx = np.fromiter(
-            (task.zy_index(z, y) for z, y, _ in self.triples),
-            dtype=np.int64,
-            count=len(self.triples),
-        )
-        self._task = task
-        self._log_eval: dict[int, np.ndarray] = {}
-
-    def log_eval(self, x_idx: int) -> np.ndarray:
-        cached = self._log_eval.get(x_idx)
-        if cached is None:
-            cached = np.array(
-                [
-                    safe_log(self._task.evaluator(x_idx, z, y, o))
-                    for z, y, o in self.triples
-                ]
-            )
-            self._log_eval[x_idx] = cached
-        return cached
-
-
-# Keyed by task so tables survive across the models built each iteration.
-_EVENT_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _event_table(task: GenerativeTask, event: EventSpec) -> _EventTable:
-    tables = _EVENT_TABLES.setdefault(task, [])
-    for table in tables:
-        if table.event is event:
-            return table
-    table = _EventTable(task, event)
-    tables.append(table)
-    return table
-
-
 class JointModel:
     """A sequence model coupled with a task's observation factor."""
 
@@ -120,16 +78,14 @@ class JointModel:
     def triple_prob(self, x_idx: int, z_idx: int, y_idx: int, o: int) -> float:
         return float(np.exp(self.triple_logprob(x_idx, z_idx, y_idx, o)))
 
-    def event_table(self, event: EventSpec) -> _EventTable:
-        return _event_table(self.task, event)
-
     def _event_terms(
         self, x_idx: int, event: EventSpec
-    ) -> tuple[list[tuple[int, int, int]], np.ndarray]:
-        table = self.event_table(event)
+    ) -> tuple[tuple[tuple[int, int, int], ...], np.ndarray]:
+        compiled = compile_event(self.task, event)
         lp_zy = self.seq.joint_log_probs(x_idx)
-        terms = lp_zy[table.zy_idx] + table.log_eval(x_idx)
-        return table.triples, terms
+        with np.errstate(divide="ignore"):
+            log_eval = np.log(compiled.triple_probs(x_idx))
+        return compiled.triples, lp_zy[compiled.triple_joint] + log_eval
 
     def event_logprob(self, x_idx: int, event: EventSpec) -> float:
         """log P(event | x, theta); -inf signals a zero-mass (not invalid) event."""
@@ -146,7 +102,7 @@ class JointModel:
             )
         with np.errstate(under="ignore"):
             probs = np.exp(terms - total)
-        return PosteriorTable(support=triples, probs=probs, log_normalizer=total)
+        return PosteriorTable(support=list(triples), probs=probs, log_normalizer=total)
 
     def elbo(self, x_idx: int, event: EventSpec, q: np.ndarray) -> ElboReport:
         """Evidence lower bound E_q[log P(z, y, o | x)] + H(q).

@@ -8,7 +8,6 @@ that report plain probabilities.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import logsumexp
 
 # Additive stand-in for log(0) inside shaped rewards and closed-form weight
 # updates.  exp(LOG_CLAMP) underflows to exactly 0.0 in float64, so clamped
@@ -16,12 +15,35 @@ from scipy.special import logsumexp
 LOG_CLAMP = -1.0e6
 
 
+def logsumexp(a) -> np.float64:
+    """log(sum(exp(a))) over every element of a real array.
+
+    The same arithmetic as ``scipy.special.logsumexp(a)``, so the same bits,
+    without its array-API dispatch, which cost about ten times the
+    arithmetic on the short vectors used here: the maximal elements are
+    taken out of the shifted sum and added back through ``log1p``, and a
+    non-finite result falls back to the direct ``log(sum(exp(a)))``.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    if a.size == 0:
+        return np.float64(-np.inf)
+    a_max = a.max()
+    if np.isfinite(a_max):
+        top = a == a_max
+        count = np.float64(np.count_nonzero(top))
+        rest = np.exp(np.where(top, -np.inf, a) - a_max).sum()
+        if rest != 0:
+            rest = rest / count
+        out = np.log1p(rest) + np.log(count) + a_max
+        if np.isfinite(out):
+            return out
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return np.log(np.exp(a).sum())
+
+
 def log_sum_exp(values) -> float:
     """Stable log(sum(exp(values))); -inf for an empty or all -inf input."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size == 0:
-        return -np.inf
-    return float(logsumexp(arr))
+    return float(logsumexp(values))
 
 
 def safe_log(p: float) -> float:

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import logsumexp
 
 from .errors import FeatureMapMismatchError, OutOfSpaceError, RecordFormatError
+from .logspace import logsumexp
 from .tasks import GenerativeTask
 
 BOS = -1  # left-padding marker inside n-gram windows, never a real token
@@ -228,6 +228,28 @@ class AutoregressiveView:
                 child = lo[node] + int(live[-1])
             node = child
         return self.task.zy_unindex(seq[node])
+
+    def draws(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """Joint indices of `n` successive `sample` draws, leaving `rng` where
+        they would.  When every leaf has the same depth D, the draws take
+        their n * D uniforms in one block and walk the trie together, one
+        level at a time, with the same comparisons as `bisect_right`."""
+        trie = self.trie
+        if trie.leaf_depth is None:
+            return np.fromiter(
+                (self.task.zy_index(*self.sample(rng)) for _ in range(n)), np.int64, n
+            )
+        u = rng.random((n, trie.leaf_depth))
+        cum = np.array(self.cum + [np.inf])  # child slot -1 reads +inf
+        node = np.zeros(n, dtype=np.int64)
+        for d in range(trie.leaf_depth):
+            lo = trie.child_lo[node]
+            child = lo + (cum[trie.child_slots[node]] <= u[:, d, None]).sum(axis=1)
+            for i in np.flatnonzero(child == trie.child_hi[node]):
+                live = np.flatnonzero(self.logp[lo[i]:child[i]] > -np.inf)
+                child[i] = lo[i] + live[-1]
+            node = child
+        return trie.node_seq[node]
 
     def greedy(self) -> tuple[int, int]:
         """Token-by-token argmax decode; ties break to the lowest token id."""

@@ -15,12 +15,11 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ClampLeakError, HorizonViolationError, UnreachableEventError
 from .graph import JointModel
-from .logspace import LOG_CLAMP, safe_log
-from .tasks import EventSpec, event_zy_support, materialize_event
+from .logspace import LOG_CLAMP, logsumexp
+from .tasks import EventSpec, compile_event
 from .trie import Trie
 
 Prefix = tuple[int, ...]
@@ -212,13 +211,8 @@ def shape_rewards(
     """
     task = jm.task
     view = jm.seq.conditional_tables(x_idx)
-    _, _, o_idx = materialize_event(task, event)
-    obs = [task.obs_values[i] for i in o_idx]
-
-    bonus = np.full(task.n_joint, LOG_CLAMP)
-    for zi, yi in event_zy_support(task, event):
-        term = safe_log(sum(task.evaluator(x_idx, zi, yi, o) for o in obs))
-        bonus[task.zy_index(zi, yi)] = max(term, LOG_CLAMP)
+    with np.errstate(divide="ignore"):
+        bonus = np.maximum(np.log(compile_event(task, event).mass(x_idx)), LOG_CLAMP)
     if not np.any(bonus > LOG_CLAMP):
         raise UnreachableEventError(
             f"event {event.describe()} clamps every trajectory at prompt {x_idx}"
@@ -239,22 +233,17 @@ def plan_posterior(
     no probability, else `ClampLeakError`; the distribution is then
     renormalized over the event support.
     """
-    support = event_zy_support(task, event)
-    _, _, o_idx = materialize_event(task, event)
-    obs = [task.obs_values[i] for i in o_idx]
+    compiled = compile_event(task, event)
     trie = plan.mdp.trie
     with np.errstate(under="ignore"):
         traj_probs = np.exp(trie.downward(plan.log_policy)[trie.leaf_node])
 
-    ks = np.array([task.zy_index(zi, yi) for zi, yi in support])
-    clamped = np.ones(task.n_joint, dtype=bool)
-    clamped[ks] = [sum(task.evaluator(x_idx, zi, yi, o) for o in obs) == 0.0
-                   for zi, yi in support]
+    clamped = compiled.mass(x_idx) == 0.0
     clamped_mass = float(traj_probs[clamped].max(initial=0.0))
     if clamped_mass > 1e-300:
         raise ClampLeakError(f"clamped trajectory keeps probability {clamped_mass:g}")
-    probs = traj_probs[ks]
+    probs = traj_probs[compiled.pair_joint]
     total = probs.sum()
     if total <= 0.0:
         raise UnreachableEventError("no event trajectory carries mass")
-    return support, probs / total
+    return list(compiled.pairs), probs / total

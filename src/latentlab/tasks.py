@@ -4,7 +4,9 @@ A task bundles prompts, a latent (rationale) space, a response space, a
 binary observation space, and an evaluator giving P(o | x, z, y).  Spaces
 are small enough to enumerate exactly, which is what makes every
 downstream quantity (partition functions, posteriors, KL divergences)
-checkable against brute force.
+checkable against brute force.  The evaluator is compiled once per task
+into the table `obs_probs`, and each event once per value into a
+`CompiledEvent` over it; everything downstream reads those arrays.
 
 Token conventions: every latent and response is a token sequence that ends
 with the task's eos token and contains no earlier eos, so the concatenation
@@ -92,6 +94,7 @@ class GenerativeTask:
     seed: int = 0
     params: dict | None = None
     truth: dict[int, tuple[int, int]] | None = field(default=None, repr=False)
+    compiled_events: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.rho = np.asarray(self.rho, dtype=np.float64)
@@ -166,26 +169,43 @@ class GenerativeTask:
 
     # -- evaluator --------------------------------------------------------
 
+    @cached_property
+    def obs_probs(self) -> np.ndarray:
+        """Read-only [prompts, joint, obs] table of P(obs_values[o] | x, z, y),
+        joint index `zy_index(z, y)`; one evaluator call per entry, made on
+        first use."""
+        table = np.array(
+            [[self.evaluator(x, z, y, o) for z in range(self.n_latents)
+              for y in range(self.n_responses) for o in self.obs_values]
+             for x in range(self.n_prompts)],
+            dtype=np.float64,
+        ).reshape(self.n_prompts, self.n_joint, len(self.obs_values))
+        table.flags.writeable = False
+        return table
+
     def evaluator_prob(self, x_idx: int, z_idx: int, y_idx: int, o: int) -> float:
         self.check_indices(x_idx, z_idx, y_idx)
         if o not in self.obs_values:
             raise OutOfSpaceError(f"observation value {o} not in {self.obs_values}")
-        return float(self.evaluator(x_idx, z_idx, y_idx, o))
+        row = _prompt_obs(self, x_idx)
+        return float(row[self.zy_index(z_idx, y_idx), self.obs_values.index(o)])
 
     def success_prob(self, x_idx: int, z_idx: int, y_idx: int) -> float:
         """P(o = 1 | x, z, y); the task-level notion of a correct answer."""
-        return float(self.evaluator(x_idx, z_idx, y_idx, 1))
+        return self.evaluator_prob(x_idx, z_idx, y_idx, 1)
+
+
+def _prompt_obs(task: GenerativeTask, x_idx: int) -> np.ndarray:
+    """[joint, obs] slice of `task.obs_probs` at one prompt; every read of the
+    table goes through here."""
+    if not 0 <= x_idx < task.n_prompts:
+        raise OutOfSpaceError(f"prompt index {x_idx} outside [0, {task.n_prompts})")
+    return task.obs_probs[x_idx]
 
 
 def evaluator_normalization_gap(task: GenerativeTask) -> float:
     """Max |sum_o P(o|x,z,y) - 1| over all triples; 0 for a valid task."""
-    worst = 0.0
-    for x in range(task.n_prompts):
-        for z in range(task.n_latents):
-            for y in range(task.n_responses):
-                total = sum(task.evaluator(x, z, y, o) for o in task.obs_values)
-                worst = max(worst, abs(total - 1.0))
-    return worst
+    return float(np.abs(task.obs_probs.sum(axis=-1) - 1.0).max())
 
 
 # -- events ---------------------------------------------------------------
@@ -261,32 +281,80 @@ def materialize_event(
     return z_idx, y_idx, o_idx
 
 
-def enumerate_event(
-    task: GenerativeTask, event: EventSpec
-) -> list[tuple[int, int, int]]:
-    """All (z_idx, y_idx, o_value) triples in the event.
+@dataclass(frozen=True, eq=False)
+class CompiledEvent:
+    """One event of one task as index arrays over the task's `obs_probs`.
+
+    `triples` are the event's (z_idx, y_idx, o_value) in enumeration order
+    and `pairs` its distinct (z_idx, y_idx) in the same order;
+    `triple_joint`, `triple_obs` and `pair_joint` index them into the
+    table, `obs` holds the event's observation indices and `inside` marks
+    the joint outcomes of its (z, y) rectangle.
+    """
+
+    task: GenerativeTask = field(repr=False)
+    triples: tuple[tuple[int, int, int], ...]
+    pairs: tuple[tuple[int, int], ...]
+    triple_joint: np.ndarray
+    triple_obs: np.ndarray
+    pair_joint: np.ndarray
+    obs: tuple[int, ...]
+    inside: np.ndarray
+
+    def mass(self, x_idx: int) -> np.ndarray:
+        """P(o in the event's observations | x, z, y) for every joint
+        outcome; 0 outside the (z, y) rectangle."""
+        row = _prompt_obs(self.task, x_idx)[:, self.obs].sum(axis=-1)
+        return np.where(self.inside, row, 0.0)
+
+    def triple_probs(self, x_idx: int) -> np.ndarray:
+        """P(o | x, z, y) for every triple, in enumeration order."""
+        return _prompt_obs(self.task, x_idx)[self.triple_joint, self.triple_obs]
+
+
+def compile_event(task: GenerativeTask, event: EventSpec) -> CompiledEvent:
+    """The task's compiled form of `event`, cached by its materialized value.
 
     Order is lexicographic in (latent tokens, response tokens, o); factory
     tasks store their spaces token-sorted, so this coincides with index
     order.
     """
-    z_idx, y_idx, o_idx = materialize_event(task, event)
-    z_sorted = sorted(z_idx, key=lambda i: task.latents[i].ids)
-    y_sorted = sorted(y_idx, key=lambda i: task.responses[i].ids)
-    return [
-        (zi, yi, task.obs_values[oi])
-        for zi in z_sorted
-        for yi in y_sorted
-        for oi in o_idx
-    ]
+    key = materialize_event(task, event)
+    compiled = task.compiled_events.get(key)
+    if compiled is None:
+        z_idx, y_idx, o_idx = key
+        y_sorted = sorted(y_idx, key=lambda i: task.responses[i].ids)
+        pairs = tuple(
+            (zi, yi)
+            for zi in sorted(z_idx, key=lambda i: task.latents[i].ids)
+            for yi in y_sorted
+        )
+        pair_joint = np.array([task.zy_index(zi, yi) for zi, yi in pairs], dtype=np.int64)
+        inside = np.zeros(task.n_joint, dtype=bool)
+        inside[pair_joint] = True
+        compiled = task.compiled_events[key] = CompiledEvent(
+            task=task,
+            triples=tuple((zi, yi, task.obs_values[oi]) for zi, yi in pairs for oi in o_idx),
+            pairs=pairs,
+            triple_joint=np.repeat(pair_joint, len(o_idx)),
+            triple_obs=np.tile(o_idx, len(pairs)),
+            pair_joint=pair_joint,
+            obs=o_idx,
+            inside=inside,
+        )
+    return compiled
+
+
+def enumerate_event(
+    task: GenerativeTask, event: EventSpec
+) -> list[tuple[int, int, int]]:
+    """All (z_idx, y_idx, o_value) triples in the event, in enumeration order."""
+    return list(compile_event(task, event).triples)
 
 
 def event_zy_support(task: GenerativeTask, event: EventSpec) -> list[tuple[int, int]]:
     """Distinct (z_idx, y_idx) pairs of the event, in enumeration order."""
-    z_idx, y_idx, _ = materialize_event(task, event)
-    z_sorted = sorted(z_idx, key=lambda i: task.latents[i].ids)
-    y_sorted = sorted(y_idx, key=lambda i: task.responses[i].ids)
-    return [(zi, yi) for zi in z_sorted for yi in y_sorted]
+    return list(compile_event(task, event).pairs)
 
 
 def explicit_event(task: GenerativeTask, event: EventSpec) -> EventSpec:

@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import (
+    CertificateError,
     ConfigError,
     SurrogateDecreaseError,
     TaskMismatchError,
@@ -37,7 +37,7 @@ from .esteps import (
     tv_to_exact,
 )
 from .graph import JointModel
-from .logspace import LOG_CLAMP
+from .logspace import LOG_CLAMP, logsumexp
 from .models import LogitModel, kl_between
 from .rng import stream
 from .tasks import (
@@ -45,6 +45,7 @@ from .tasks import (
     GOOD_TAG,
     EventSpec,
     GenerativeTask,
+    compile_event,
     success_event,
 )
 
@@ -477,7 +478,7 @@ def run_em(
             "holds": bool(lhs <= rhs + 1e-9),
         }
         if exact_route and not lhs <= rhs + 1e-9:
-            raise AssertionError(
+            raise CertificateError(
                 f"telescoping certificate failed: min kl {lhs:.12g} "
                 f"> mean gain {rhs:.12g}"
             )
@@ -506,7 +507,7 @@ def run_em(
             "holds": bool(best_gap <= budget + 1e-6),
         }
         if probe_ok and not best_gap <= budget + 1e-6:
-            raise AssertionError(
+            raise CertificateError(
                 f"reference-gap certificate failed under a passing concavity "
                 f"probe: gap {best_gap:.12g} > budget {budget:.12g}"
             )
@@ -554,8 +555,13 @@ def reference_optimum(
 # -- filtered fine-tuning ---------------------------------------------------------
 
 
-def _verified(task: GenerativeTask, x_idx: int, zi: int, yi: int) -> bool:
-    return task.evaluator(x_idx, zi, yi, 1) == 1.0
+def _success(task: GenerativeTask, x_idx: int) -> np.ndarray:
+    """P(o = 1 | x, z, y) for every joint outcome at one prompt."""
+    return compile_event(task, success_event()).mass(x_idx)
+
+
+def _pairs(task: GenerativeTask, ks: np.ndarray) -> list[Pair]:
+    return [task.zy_unindex(int(k)) for k in ks]
 
 
 def _weights_tv(
@@ -605,37 +611,25 @@ def filter_sft_update(
     acceptance: dict[int, float] = {}
     skipped: list[int] = []
     for x_idx in range(task.n_prompts):
+        verified = _success(task, x_idx) == 1.0
         if exact_weights:
-            p = model.joint_probs(x_idx)
-            support = [
-                (zi, yi)
-                for zi in range(task.n_latents)
-                for yi in range(task.n_responses)
-                if _verified(task, x_idx, zi, yi)
-            ]
-            weights = np.array(
-                [p[task.zy_index(zi, yi)] for zi, yi in support]
-            )
+            ks = np.flatnonzero(verified)
+            weights = model.joint_probs(x_idx)[ks]
             total = float(weights.sum())
             acceptance[x_idx] = total
         else:
             rng = stream(seed, "filter", x_idx, iteration)
-            view = model.conditional_tables(x_idx)
-            counts: dict[Pair, int] = {}
-            kept = 0
-            for _ in range(budget):
-                pair = view.sample(rng)
-                if _verified(task, x_idx, *pair):
-                    counts[pair] = counts.get(pair, 0) + 1
-                    kept += 1
-            support = sorted(counts)
-            weights = np.array([counts[pair] for pair in support], dtype=np.float64)
+            drawn = model.conditional_tables(x_idx).draws(rng, budget)
+            kept = drawn[verified[drawn]]
+            counts = np.bincount(kept, minlength=task.n_joint)
+            ks = np.flatnonzero(counts)
+            weights = counts[ks].astype(np.float64)
             total = float(weights.sum())
-            acceptance[x_idx] = kept / budget
+            acceptance[x_idx] = len(kept) / budget
         if total <= 0.0:
             skipped.append(x_idx)
             continue
-        posteriors[x_idx] = (support, weights / total)
+        posteriors[x_idx] = (_pairs(task, ks), weights / total)
     new_model = mstep(model, posteriors, mstep_spec, rho=task.rho)
     report = {
         "mode": "exact" if exact_weights else "sampled",
@@ -703,30 +697,17 @@ def restem_update(
     degenerate: list[int] = []
     skipped: list[int] = []
     for x_idx in range(task.n_prompts):
+        success = _success(task, x_idx)
         if exact_expectation:
-            p = model.joint_probs(x_idx)
-            support = [
-                (zi, yi)
-                for zi in range(task.n_latents)
-                for yi in range(task.n_responses)
-            ]
-            weights = np.array(
-                [
-                    p[task.zy_index(zi, yi)] * task.evaluator(x_idx, zi, yi, 1)
-                    for zi, yi in support
-                ]
-            )
+            ks = np.arange(task.n_joint)
+            weights = model.joint_probs(x_idx) * success
         else:
             rng = stream(seed, "restem", x_idx, iteration)
-            view = model.conditional_tables(x_idx)
-            sums: dict[Pair, float] = {}
-            for _ in range(budget):
-                pair = view.sample(rng)
-                w = task.evaluator(x_idx, *pair, 1)
-                if w > 0.0:
-                    sums[pair] = sums.get(pair, 0.0) + w
-            support = sorted(sums)
-            weights = np.array([sums[pair] for pair in support])
+            drawn = model.conditional_tables(x_idx).draws(rng, budget)
+            # bincount adds in draw order, as a running sum per pair would
+            sums = np.bincount(drawn, success[drawn], task.n_joint)
+            ks = np.flatnonzero(sums > 0.0)
+            weights = sums[ks]
         total = float(weights.sum())
         if total <= 0.0:
             skipped.append(x_idx)
@@ -734,7 +715,7 @@ def restem_update(
         probs = weights / total
         if probs.size and float(probs.max()) > 0.999:
             degenerate.append(x_idx)
-        posteriors[x_idx] = (support, probs)
+        posteriors[x_idx] = (_pairs(task, ks), probs)
     new_model = mstep(model, posteriors, mstep_spec, rho=task.rho)
     report = {
         "mode": "exact" if exact_expectation else "sampled",
@@ -1007,8 +988,9 @@ def _pick_pair(
     Ties break deterministically: highest (then lexicographically smallest)
     for the preferred side, lowest (then smallest) for the rejected side.
     """
-    verified = [c for c in candidates if _verified(task, x_idx, *c)]
-    unverified = [c for c in candidates if not _verified(task, x_idx, *c)]
+    ok = _success(task, x_idx) == 1.0
+    verified = [c for c in candidates if ok[task.zy_index(*c)]]
+    unverified = [c for c in candidates if not ok[task.zy_index(*c)]]
     if not verified or not unverified:
         return None
     best = min(verified, key=lambda c: (-lp[task.zy_index(*c)], c))

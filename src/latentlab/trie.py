@@ -77,6 +77,14 @@ class Trie:
         self._by_rank = [np.flatnonzero(rank == k) + 1 for k in range(1, rank.max() + 1)]
         # plain lists for the per-token walks of sampling and greedy decoding
         self.walk = (self.child_lo.tolist(), self.child_hi.tolist(), self.node_seq.tolist())
+        # depth shared by every leaf (None if they differ), and each node's
+        # children padded with -1 to the widest run, for batched sampling walks
+        leaf_depth = depth[self.leaf_node]
+        self.leaf_depth = int(leaf_depth[0]) if (leaf_depth == leaf_depth[0]).all() else None
+        slot = np.arange(int((self.child_hi - self.child_lo).max()))
+        self.child_slots = np.where(
+            slot < (self.child_hi - self.child_lo)[:, None], self.child_lo[:, None] + slot, -1
+        )
 
     def children(self, node: int) -> range:
         return range(self.child_lo[node], self.child_hi[node])

@@ -22,6 +22,7 @@ from typing import Callable
 import numpy as np
 from scipy.stats import chisquare
 
+from . import tasks as task_tables
 from . import trie as trie_kernel
 from .errors import (
     CapExceededError,
@@ -115,14 +116,21 @@ SEED = 20260817
 
 # checks that support it consult this to demonstrate they catch mutations
 _ACTIVE_FAULT: str | None = None
-FAULT_NAMES = ("shaping-sign", "trie-upward")
+FAULT_NAMES = ("shaping-sign", "trie-upward", "obs-table")
 _SEGMENT_SUM = trie_kernel._segment_sum
+_PROMPT_OBS = task_tables._prompt_obs
 
 
 def _misaligned_segment_sum(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """The trie's run sum with every run boundary one child late: the
     'trie-upward' fault, swapped in by `run_checks`."""
     return np.add.reduceat(values, np.minimum(starts + 1, len(values) - 1))
+
+
+def _next_prompt_obs(task: GenerativeTask, x_idx: int) -> np.ndarray:
+    """The observation table read at prompt (x + 1) mod P: the 'obs-table'
+    fault, swapped in by `run_checks`."""
+    return task.obs_probs[(x_idx + 1) % task.n_prompts]
 
 
 @dataclass(frozen=True)
@@ -1790,10 +1798,12 @@ def run_checks(
         raise ConfigError(
             f"unknown fault {inject_fault!r}; available: {', '.join(FAULT_NAMES)}")
     names = [n for n in CHECKS if pattern is None or fnmatch.fnmatch(n, pattern)]
-    previous = _ACTIVE_FAULT, trie_kernel._segment_sum
+    previous = _ACTIVE_FAULT, trie_kernel._segment_sum, task_tables._prompt_obs
     _ACTIVE_FAULT = inject_fault
     trie_kernel._segment_sum = (
         _misaligned_segment_sum if inject_fault == "trie-upward" else _SEGMENT_SUM)
+    task_tables._prompt_obs = (
+        _next_prompt_obs if inject_fault == "obs-table" else _PROMPT_OBS)
     results: list[tuple[str, CheckResult]] = []
     try:
         for name in names:
@@ -1803,7 +1813,7 @@ def run_checks(
                 results.append(
                     (name, CheckResult(False, f"raised {type(exc).__name__}: {exc}")))
     finally:
-        _ACTIVE_FAULT, trie_kernel._segment_sum = previous
+        _ACTIVE_FAULT, trie_kernel._segment_sum, task_tables._prompt_obs = previous
     return results
 
 

@@ -1,0 +1,48 @@
+"""Structural guard: a task's evaluator is read through its compiled table.
+
+Only the table compile in `tasks.py` and the brute-force oracles in
+`verification.py` may call a task's evaluator; every other module reads
+`GenerativeTask.obs_probs` through a compiled event.
+"""
+
+import ast
+from pathlib import Path
+
+import latentlab
+
+PACKAGE = Path(latentlab.__file__).parent
+ALLOWED = {"tasks.py": {"obs_probs"}, "verification.py": None}
+
+
+def _evaluator_calls(tree: ast.AST):
+    """(enclosing function name, line) of every `<expr>.evaluator(...)` call."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "evaluator"):
+            found.append((func, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_the_table_compile_and_oracles_call_the_evaluator():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) > 10
+    offenders = []
+    for path in modules:
+        allowed = ALLOWED.get(path.name, set())
+        for func, line in _evaluator_calls(ast.parse(path.read_text())):
+            if allowed is not None and func not in allowed:
+                offenders.append(f"{path.name}:{line} in {func}")
+    assert not offenders, "evaluator called outside the table compile: " + ", ".join(offenders)
+
+
+def test_guard_sees_a_call():
+    tree = ast.parse("def f(task):\n    return task.evaluator(0, 0, 0, 1)\n")
+    assert _evaluator_calls(tree) == [("f", 2)]

@@ -94,6 +94,12 @@ def test_out_of_space_raises(tag_task):
         materialize_event(tag_task, EventSpec(latents=(99,)))
     with pytest.raises(OutOfSpaceError):
         materialize_event(tag_task, EventSpec(obs=(7,)))
+    # table reads must not wrap a negative prompt index
+    for x in (-1, tag_task.n_prompts):
+        with pytest.raises(OutOfSpaceError):
+            tag_task.success_prob(x, 0, 0)
+        with pytest.raises(OutOfSpaceError):
+            tag_task.evaluator_prob(x, 0, 0, 1)
 
 
 def test_cap_enforced():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from latentlab.errors import ConfigError, UnseenTagError
+from latentlab import training
+from latentlab.errors import CertificateError, ConfigError, UnseenTagError
 from latentlab.esteps import EStepSpec
 from latentlab.graph import JointModel
 from latentlab.models import uniform_model
@@ -51,6 +52,14 @@ def test_em_objective_monotone(tag_task, tag_model):
     objs = [row.objective for row in record.rows]
     assert all(b >= a - 1e-12 for a, b in zip(objs, objs[1:]))
     assert record.certificates["telescoping"]["holds"]
+
+
+@pytest.mark.parametrize("kl, certificate", [(1e9, "telescoping"), (-1e9, "reference-gap")])
+def test_failed_certificate_raises_typed_error(tag_task, tag_model, monkeypatch, kl, certificate):
+    monkeypatch.setattr(training, "_averaged_kl", lambda new, old, rho: kl)
+    with pytest.raises(CertificateError, match=certificate):
+        run_em(tag_model, tag_task, success_event(), EXACT, CLOSED,
+               iterations=2, seed=0, reference=uniform_model(tag_task))
 
 
 def test_em_fixed_point(tag_task, tag_model):

@@ -41,11 +41,17 @@ token_sets = (
     .flatmap(st.permutations)
 )
 
+# every sequence of one length, so every leaf sits at the same depth
+level_sets = st.integers(1, 4).flatmap(
+    lambda d: st.sets(st.lists(st.integers(0, 3), min_size=d, max_size=d).map(tuple),
+                      min_size=1, max_size=12)
+).map(sorted).flatmap(st.permutations)
+
 
 @st.composite
-def weighted_sets(draw):
+def weighted_sets(draw, sets=token_sets):
     """A prefix-free set in random order with normalized leaf log probs."""
-    seqs = draw(token_sets)
+    seqs = draw(sets)
     raw = draw(st.lists(st.one_of(st.just(-math.inf), st.floats(-30.0, 5.0)),
                         min_size=len(seqs), max_size=len(seqs))
                .filter(lambda v: max(v) > -math.inf))
@@ -55,7 +61,8 @@ def weighted_sets(draw):
 
 def _view(seqs, log_probs):
     # the two things a view reads from its task: the trie and joint index -> pair
-    task = SimpleNamespace(trie=Trie(seqs), zy_unindex=lambda k: (k, 0))
+    task = SimpleNamespace(trie=Trie(seqs), zy_unindex=lambda k: (k, 0),
+                           zy_index=lambda z, y: z)
     return AutoregressiveView(task, 0, log_probs)
 
 
@@ -133,8 +140,29 @@ def test_sampler_matches_inverse_cdf_oracle(case, seed):
     assert log_probs[view.greedy()[0]] > -math.inf
 
 
+@EXAMPLES
+@given(st.one_of(weighted_sets(), weighted_sets(level_sets)), st.integers(0, 2**32 - 1))
+def test_draws_are_successive_samples(case, seed):
+    seqs, log_probs = case
+    view = _view(seqs, log_probs)
+    rng, sample_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    drawn = view.draws(rng, 50)
+    assert drawn.dtype == np.int64
+    assert drawn.tolist() == [view.sample(sample_rng)[0] for _ in range(50)]
+    assert rng.bit_generator.state == sample_rng.bit_generator.state
+
+
 def test_draw_past_last_running_sum_takes_last_live_child():
     # cum at the root is [1.0, 1.0]; a draw of 1.0 overshoots it and must not
     # land on the zero-mass second child
     view = _view([(0,), (1,)], np.array([0.0, -math.inf]))
     assert view.sample(SimpleNamespace(random=lambda: 1.0)) == (0, 0)
+
+
+def test_draws_break_ties_and_overshoots_like_sample():
+    # running sums at the root are [0.5, 1.0, 1.0]: a draw equal to the first
+    # goes to the second child, and a draw past the last takes the last live one
+    view = _view([(0,), (1,), (2,)], np.array([math.log(0.5), math.log(0.5), -math.inf]))
+    for u in (view.cum[1], 1.0):
+        fixed = SimpleNamespace(random=lambda shape=None: u if shape is None else np.full(shape, u))
+        assert view.draws(fixed, 2).tolist() == [view.sample(fixed)[0]] * 2 == [1, 1]

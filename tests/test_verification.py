@@ -45,6 +45,18 @@ def test_trie_upward_fault_flips_kernel_checks():
     assert all(r.ok for _, r in restored)
 
 
+def test_obs_table_fault_flips_table_checks():
+    names = ("graph.factorization", "graph.posterior_oracle",
+             "planner.shaping_telescoping")
+    faulted = [res for name in names
+               for res in run_checks(name, inject_fault="obs-table")]
+    assert len(faulted) == 3
+    assert not any(r.ok for _, r in faulted)
+    restored = [res for name in names for res in run_checks(name)]
+    assert len(restored) == 3
+    assert all(r.ok for _, r in restored)
+
+
 def test_unknown_fault_rejected():
     with pytest.raises(ConfigError):
         run_checks(inject_fault="no-such-fault")
