@@ -2,7 +2,8 @@
 
 Each engine answers the same question at one prompt: given the current
 sequence model and an event, what is (or approximately is) the conditional
-distribution over (z, y) pairs inside the event?  Four routes are provided:
+distribution over (z, y) outcomes inside the event?  Four routes are
+provided:
 
 * ``exact``            enumeration of the posterior table,
 * ``planning``         soft value iteration on shaped token rewards,
@@ -11,7 +12,8 @@ distribution over (z, y) pairs inside the event?  Four routes are provided:
 
 All engines return an `EStepResult` whose `support`/`probs` pair feeds the
 parameter update directly, plus diagnostics (total variation against the
-exact posterior, sample counts, engine-specific extras).
+exact posterior, sample counts, engine-specific extras).  A support holds
+joint indices `task.zy_index(z, y)`, never (z, y) tuples.
 """
 
 from __future__ import annotations
@@ -23,26 +25,24 @@ import numpy as np
 
 from .errors import ConfigError, DivergenceError, UnreachableEventError
 from .graph import JointModel
-from .logspace import log_sum_exp
+from .logspace import log_sum_exp, total_variation
 from .models import LogitModel
 from .planner import plan_posterior, shape_rewards, soft_value_iteration
 from .tasks import EventSpec, compile_event
-
-Pair = tuple[int, int]
 
 
 @dataclass
 class EStepResult:
     """One engine's answer at one prompt.
 
-    `support` and `probs` align; probs sum to 1 unless the engine came back
-    empty-handed (flagged ``zero_acceptance``, in which case both are empty
-    and the caller must skip the prompt).  `tv_error` is the total variation
+    `support` (int64 joint indices) and `probs` align; probs sum to 1
+    unless the engine came back empty-handed (flagged ``zero_acceptance``,
+    in which case both are empty and the caller must skip the prompt).  `tv_error` is the total variation
     distance to the exact posterior marginal, `None` when undefined.
     """
 
     backend: str
-    support: list[Pair]
+    support: np.ndarray
     probs: np.ndarray
     tv_error: float | None = None
     samples_used: int = 0
@@ -55,7 +55,7 @@ class EStepResult:
         self.probs = np.asarray(self.probs, dtype=np.float64)
         if self.probs.shape != (len(self.support),):
             raise ValueError(
-                f"{len(self.support)} support pairs but probs shape {self.probs.shape}"
+                f"{len(self.support)} support outcomes but probs shape {self.probs.shape}"
             )
         if "zero_acceptance" in self.flags:
             if len(self.support) != 0:
@@ -76,33 +76,20 @@ class EStepSpec:
     params: dict = field(default_factory=dict)
 
 
-def _exact_marginal(
-    jm: JointModel, x_idx: int, event: EventSpec
-) -> tuple[list[Pair], np.ndarray]:
-    posterior = jm.exact_posterior(x_idx, event)
-    return posterior.zy_marginal()
-
-
 def tv_to_exact(
     jm: JointModel,
     x_idx: int,
     event: EventSpec,
-    support: list[Pair],
+    support: np.ndarray,
     probs: np.ndarray,
 ) -> float:
     """Total variation between a candidate distribution and the posterior.
 
-    Supports need not coincide; mass is compared over the union of pairs.
+    The candidate is joint indices with aligned weights; repeated indices
+    add, and mass outside the event counts against the candidate.
     """
-    exact_pairs, exact_probs = _exact_marginal(jm, x_idx, event)
-    reference = dict(zip(exact_pairs, exact_probs))
-    candidate: dict[Pair, float] = {}
-    for pair, p in zip(support, probs):
-        candidate[pair] = candidate.get(pair, 0.0) + float(p)
-    keys = set(reference) | set(candidate)
-    return 0.5 * sum(
-        abs(candidate.get(k, 0.0) - reference.get(k, 0.0)) for k in keys
-    )
+    candidate = np.bincount(support, probs, jm.task.n_joint)
+    return total_variation(candidate, jm.exact_posterior(x_idx, event).joint_marginal())
 
 
 # -- exact enumeration -----------------------------------------------------
@@ -110,9 +97,9 @@ def tv_to_exact(
 
 def estep_exact(jm: JointModel, x_idx: int, event: EventSpec) -> EStepResult:
     """Posterior over (z, y) by direct enumeration of the event."""
-    pairs, probs = _exact_marginal(jm, x_idx, event)
+    support, probs = jm.exact_posterior(x_idx, event).zy_marginal()
     return EStepResult(
-        backend="exact", support=pairs, probs=probs, tv_error=0.0
+        backend="exact", support=support, probs=probs, tv_error=0.0
     )
 
 
@@ -168,11 +155,11 @@ def estep_rejection(
         raise ConfigError(f"rejection budget must be positive, got {budget}")
     task = jm.task
     compiled = compile_event(task, event)
-    support = list(compiled.pairs)
+    support = compiled.pair_joint
     drawn = jm.seq.conditional_tables(x_idx).draws(rng, budget)
     mass = compiled.mass(x_idx)[drawn]
-    # bincount adds in draw order, as a running sum per pair would
-    weights = np.bincount(drawn, mass, task.n_joint)[compiled.pair_joint]
+    # bincount adds in draw order, as a running sum per outcome would
+    weights = np.bincount(drawn, mass, task.n_joint)[support]
     hits = int(np.count_nonzero(mass))
 
     flags: tuple[str, ...] = ()
@@ -182,7 +169,7 @@ def estep_rejection(
     if total == 0.0:
         return EStepResult(
             backend="rejection",
-            support=[],
+            support=np.zeros(0, dtype=np.int64),
             probs=np.zeros(0),
             tv_error=None,
             samples_used=budget,
@@ -251,11 +238,11 @@ class PolicyGradConfig:
 def _event_reward_vector(
     jm: JointModel, x_idx: int, event: EventSpec, floor: float
 ) -> np.ndarray:
-    """Total reward per (z, y) pair: reference log prob plus floored bonus.
+    """Total reward per joint outcome: reference log prob plus floored bonus.
 
     The bonus is the log evaluator mass of the event's observations, floored
     (rather than clamped to an effective -inf) so gradient magnitudes stay
-    usable.  Raises if no pair carries positive event mass.
+    usable.  Raises if no outcome carries positive event mass.
     """
     mass = compile_event(jm.task, event).mass(x_idx)
     if not np.any(mass > 0.0):
@@ -305,7 +292,7 @@ def estep_policy_gradient(
     raises `DivergenceError` after `divergence_patience` consecutive drops
     of the exactly-evaluated objective.
 
-    The returned support is the full (z, y) space: conditioning by reward
+    The returned support is every joint index: conditioning by reward
     shaping leaves a sliver of mass outside the event, and hiding it would
     misreport what the sampler actually does.
     """
@@ -382,7 +369,7 @@ def estep_policy_gradient(
             value = new_value
             iterations_run += 1
 
-    support = [task.zy_unindex(i) for i in range(task.n_joint)]
+    support = np.arange(task.n_joint)
     probs = policy.joint_probs(x_idx)
     probs = probs / probs.sum()
     tv = tv_to_exact(jm, x_idx, event, support, probs) if compare_exact else None

@@ -10,14 +10,14 @@ are all available by enumeration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import UnnormalizedVariationalError, ZeroMassEventError
 from .logspace import entropy, log_sum_exp, safe_log
 from .models import LogitModel
-from .tasks import EventSpec, GenerativeTask, compile_event
+from .tasks import CompiledEvent, EventSpec, GenerativeTask, compile_event
 
 
 @dataclass
@@ -26,28 +26,27 @@ class PosteriorTable:
 
     `support` lists (z_idx, y_idx, o) in event enumeration order; `probs`
     aligns with it and sums to 1.  `log_normalizer` is the event log
-    probability that normalized the table.
+    probability that normalized the table, and `compiled` the compiled
+    event whose triples it lists.
     """
 
     support: list[tuple[int, int, int]]
     probs: np.ndarray
     log_normalizer: float
+    compiled: CompiledEvent = field(repr=False)
 
-    def zy_support(self) -> list[tuple[int, int]]:
-        """Distinct (z_idx, y_idx) pairs in first-appearance order."""
-        seen: dict[tuple[int, int], None] = {}
-        for z, y, _ in self.support:
-            seen.setdefault((z, y), None)
-        return list(seen)
+    def joint_marginal(self) -> np.ndarray:
+        """Marginal over every joint outcome, observations summed out in
+        enumeration order; 0 outside the event."""
+        return np.bincount(
+            self.compiled.triple_joint, self.probs, self.compiled.task.n_joint
+        )
 
-    def zy_marginal(self) -> tuple[list[tuple[int, int]], np.ndarray]:
-        """Marginal over (z, y) pairs, observations summed out."""
-        pairs = self.zy_support()
-        index = {pair: i for i, pair in enumerate(pairs)}
-        out = np.zeros(len(pairs))
-        for (z, y, _), p in zip(self.support, self.probs):
-            out[index[(z, y)]] += p
-        return pairs, out
+    def zy_marginal(self) -> tuple[np.ndarray, np.ndarray]:
+        """The event's (z, y) outcomes as joint indices, in enumeration
+        order, and their marginal probabilities."""
+        support = self.compiled.pair_joint
+        return support, self.joint_marginal()[support]
 
 
 @dataclass
@@ -80,12 +79,12 @@ class JointModel:
 
     def _event_terms(
         self, x_idx: int, event: EventSpec
-    ) -> tuple[tuple[tuple[int, int, int], ...], np.ndarray]:
+    ) -> tuple[CompiledEvent, np.ndarray]:
         compiled = compile_event(self.task, event)
         lp_zy = self.seq.joint_log_probs(x_idx)
         with np.errstate(divide="ignore"):
             log_eval = np.log(compiled.triple_probs(x_idx))
-        return compiled.triples, lp_zy[compiled.triple_joint] + log_eval
+        return compiled, lp_zy[compiled.triple_joint] + log_eval
 
     def event_logprob(self, x_idx: int, event: EventSpec) -> float:
         """log P(event | x, theta); -inf signals a zero-mass (not invalid) event."""
@@ -94,7 +93,7 @@ class JointModel:
 
     def exact_posterior(self, x_idx: int, event: EventSpec) -> PosteriorTable:
         """Q(z, y, o) proportional to P(z, y, o | x) restricted to the event."""
-        triples, terms = self._event_terms(x_idx, event)
+        compiled, terms = self._event_terms(x_idx, event)
         total = log_sum_exp(terms)
         if total == -np.inf:
             raise ZeroMassEventError(
@@ -102,7 +101,10 @@ class JointModel:
             )
         with np.errstate(under="ignore"):
             probs = np.exp(terms - total)
-        return PosteriorTable(support=list(triples), probs=probs, log_normalizer=total)
+        return PosteriorTable(
+            support=list(compiled.triples), probs=probs, log_normalizer=total,
+            compiled=compiled,
+        )
 
     def elbo(self, x_idx: int, event: EventSpec, q: np.ndarray) -> ElboReport:
         """Evidence lower bound E_q[log P(z, y, o | x)] + H(q).
@@ -110,11 +112,11 @@ class JointModel:
         `q` aligns with the event enumeration.  Equals the event log
         probability exactly when q is the exact posterior; never exceeds it.
         """
-        triples, terms = self._event_terms(x_idx, event)
+        _, terms = self._event_terms(x_idx, event)
         q = np.asarray(q, dtype=np.float64)
-        if q.shape != (len(triples),):
+        if q.shape != terms.shape:
             raise UnnormalizedVariationalError(
-                f"variational weights have shape {q.shape}, event has {len(triples)} triples"
+                f"variational weights have shape {q.shape}, event has {len(terms)} triples"
             )
         if np.any(q < -1e-12) or abs(q.sum() - 1.0) > 1e-9:
             raise UnnormalizedVariationalError(
@@ -126,11 +128,7 @@ class JointModel:
 
     def grad_event_logprob(self, x_idx: int, event: EventSpec) -> np.ndarray:
         """d/dtheta log P(event | x): posterior minus model feature means."""
-        posterior = self.exact_posterior(x_idx, event)
-        pairs, q_zy = posterior.zy_marginal()
-        q_vec = np.zeros(self.task.n_joint)
-        for (z, y), p in zip(pairs, q_zy):
-            q_vec[self.task.zy_index(z, y)] += p
+        q_vec = self.exact_posterior(x_idx, event).joint_marginal()
         p_vec = self.seq.joint_probs(x_idx)
         return self.seq.features.adjoint(x_idx, q_vec - p_vec)
 

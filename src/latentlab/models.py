@@ -378,11 +378,6 @@ def kl_identity_form(a: LogitModel, b: LogitModel, x_idx: int) -> float:
 _CHECKPOINT_MAGIC = "latentlab-checkpoint v1"
 
 
-def save_checkpoint(model: LogitModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        write_checkpoint(model, fh)
-
-
 def write_checkpoint(model: LogitModel, fh: io.TextIOBase) -> None:
     """Plain-text weights: 17 significant digits round-trip float64 exactly."""
     fh.write(f"{_CHECKPOINT_MAGIC}\n")
@@ -391,11 +386,6 @@ def write_checkpoint(model: LogitModel, fh: io.TextIOBase) -> None:
     fh.write(f"dim {model.features.dim}\n")
     for w in model.theta:
         fh.write(f"{w:.17g}\n")
-
-
-def load_checkpoint(task: GenerativeTask, path) -> LogitModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return read_checkpoint(task, fh)
 
 
 def read_checkpoint(task: GenerativeTask, fh: io.TextIOBase) -> LogitModel:

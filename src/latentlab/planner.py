@@ -224,9 +224,10 @@ def shape_rewards(
 
 def plan_posterior(
     plan: SoftPlan, task, x_idx: int, event: EventSpec
-) -> tuple[list[tuple[int, int]], np.ndarray]:
-    """Planner distribution over the event's (z, y) support, for a plan of
-    `shape_rewards` on `task` (whose leaf k is joint index k).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Planner distribution over the event's (z, y) outcomes, as joint
+    indices and probabilities, for a plan of `shape_rewards` on `task`
+    (whose leaf k is joint index k).
 
     Clamped trajectories (outside the event rectangle, or inside it with
     zero evaluator mass on the event's observations) must carry essentially
@@ -246,4 +247,4 @@ def plan_posterior(
     total = probs.sum()
     if total <= 0.0:
         raise UnreachableEventError("no event trajectory carries mass")
-    return list(compiled.pairs), probs / total
+    return compiled.pair_joint, probs / total

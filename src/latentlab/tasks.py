@@ -289,7 +289,8 @@ class CompiledEvent:
     and `pairs` its distinct (z_idx, y_idx) in the same order;
     `triple_joint`, `triple_obs` and `pair_joint` index them into the
     table, `obs` holds the event's observation indices and `inside` marks
-    the joint outcomes of its (z, y) rectangle.
+    the joint outcomes of its (z, y) rectangle.  The arrays are read-only:
+    engines hand `pair_joint` out as a support without copying it.
     """
 
     task: GenerativeTask = field(repr=False)
@@ -332,12 +333,16 @@ def compile_event(task: GenerativeTask, event: EventSpec) -> CompiledEvent:
         pair_joint = np.array([task.zy_index(zi, yi) for zi, yi in pairs], dtype=np.int64)
         inside = np.zeros(task.n_joint, dtype=bool)
         inside[pair_joint] = True
+        triple_joint = np.repeat(pair_joint, len(o_idx))
+        triple_obs = np.tile(o_idx, len(pairs))
+        for array in (triple_joint, triple_obs, pair_joint, inside):
+            array.flags.writeable = False
         compiled = task.compiled_events[key] = CompiledEvent(
             task=task,
             triples=tuple((zi, yi, task.obs_values[oi]) for zi, yi in pairs for oi in o_idx),
             pairs=pairs,
-            triple_joint=np.repeat(pair_joint, len(o_idx)),
-            triple_obs=np.tile(o_idx, len(pairs)),
+            triple_joint=triple_joint,
+            triple_obs=triple_obs,
             pair_joint=pair_joint,
             obs=o_idx,
             inside=inside,

@@ -49,8 +49,8 @@ from .tasks import (
     success_event,
 )
 
-Pair = tuple[int, int]
-Weighted = tuple[list[Pair], np.ndarray]
+# one prompt's weighting: int64 joint indices and aligned float64 weights
+Weights = tuple[np.ndarray, np.ndarray]
 
 
 # -- M-step ------------------------------------------------------------------
@@ -58,7 +58,7 @@ Weighted = tuple[list[Pair], np.ndarray]
 
 @dataclass
 class MStepSpec:
-    """How to turn per-prompt weights over (z, y) pairs into new parameters.
+    """How to turn per-prompt weights over joint outcomes into new parameters.
 
     ``closed_form`` writes log-weights straight into tabular logits;
     ``gradient_ascent`` line-searches the weighted-likelihood surrogate and
@@ -80,29 +80,27 @@ class MStepSpec:
             raise ConfigError(f"mstep rate must be positive, got {self.rate}")
 
 
-def _weight_vector(task: GenerativeTask, weighted: Weighted) -> np.ndarray:
-    support, probs = weighted
-    q = np.zeros(task.n_joint)
-    for (zi, yi), p in zip(support, probs):
-        q[task.zy_index(zi, yi)] += p
-    return q
-
-
 def mstep(
     model: LogitModel,
-    posteriors: dict[int, Weighted],
+    posteriors: dict[int, Weights],
     spec: MStepSpec,
     rho: np.ndarray | None = None,
 ) -> LogitModel:
     """Maximize the weighted log likelihood of per-prompt (z, y) weights.
 
-    Prompts absent from `posteriors` keep their current parameters (tabular)
-    or simply contribute no term (shared features).
+    Each prompt's weights are `(support, probs)`: joint indices and aligned
+    weights, repeated indices adding.  Prompts absent from `posteriors` keep
+    their current parameters (tabular) or simply contribute no term (shared
+    features).
     """
     if not posteriors:
         return model
     task = model.task
     rho = np.asarray(task.rho if rho is None else rho, dtype=np.float64)
+    q_vecs = {
+        x: np.bincount(support, probs, task.n_joint)
+        for x, (support, probs) in posteriors.items()
+    }
     kind = spec.kind
     if kind == "weighted_mle_from_samples":
         kind = "closed_form" if model.features.supports_closed_form else "gradient_ascent"
@@ -113,16 +111,13 @@ def mstep(
                 "closed_form update needs per-prompt tabular features"
             )
         theta = model.theta.copy()
-        for x_idx, weighted in posteriors.items():
-            q = _weight_vector(task, weighted)
+        for x_idx, q in q_vecs.items():
             logits = np.full(task.n_joint, LOG_CLAMP)
             pos = q > 0.0
             logits[pos] = np.log(q[pos])
             off = model.features.offset(x_idx)
             theta[off : off + task.n_joint] = logits
         return model.with_theta(theta)
-
-    q_vecs = {x: _weight_vector(task, w) for x, w in posteriors.items()}
 
     def surrogate(theta: np.ndarray) -> float:
         total = 0.0
@@ -208,7 +203,7 @@ def em_iterate(
     ``all_prompts_skipped`` flag.
     """
     jm = JointModel(model)
-    posteriors: dict[int, Weighted] = {}
+    posteriors: dict[int, Weights] = {}
     tvs: list[float] = []
     flags: set[str] = set()
     skipped: list[int] = []
@@ -443,9 +438,11 @@ def run_em(
     iteration; it is asserted only for exact E-steps with closed-form
     M-steps, where each update is an exact coordinate maximizer, and is
     reported informationally otherwise.  The second compares the best
-    objective gap against a divergence-to-reference budget; it is asserted
-    only when a first-order concavity probe along the reference direction
-    passes at every iterate, because the underlying argument needs concavity
+    objective gap of the updated iterates theta_1 ... theta_T (not the
+    initial model, which no 1/T bound covers) against the budget
+    KL(theta_0 || reference) / T; it is asserted only when a first-order
+    concavity probe along the reference direction passes at every iterate
+    theta_0 ... theta_{T-1}, because the underlying argument needs concavity
     that arbitrary feature maps do not provide.
     """
     models = [model]
@@ -496,7 +493,7 @@ def run_em(
                 probe_ok = False
                 break
         best_gap = min(
-            ref_objective - row.objective for row in record.rows[:-1]
+            ref_objective - row.objective for row in record.rows[1:]
         )
         budget = _averaged_kl(models[0], reference, task.rho) / iterations
         record.certificates["reference_gap"] = {
@@ -560,10 +557,6 @@ def _success(task: GenerativeTask, x_idx: int) -> np.ndarray:
     return compile_event(task, success_event()).mass(x_idx)
 
 
-def _pairs(task: GenerativeTask, ks: np.ndarray) -> list[Pair]:
-    return [task.zy_unindex(int(k)) for k in ks]
-
-
 def _weights_tv(
     model: LogitModel,
     task: GenerativeTask,
@@ -607,7 +600,7 @@ def filter_sft_update(
             "filtered fine-tuning needs a binary pass/fail evaluator"
         )
     mstep_spec = mstep_spec or MStepSpec(kind="weighted_mle_from_samples")
-    posteriors: dict[int, Weighted] = {}
+    posteriors: dict[int, Weights] = {}
     acceptance: dict[int, float] = {}
     skipped: list[int] = []
     for x_idx in range(task.n_prompts):
@@ -629,7 +622,7 @@ def filter_sft_update(
         if total <= 0.0:
             skipped.append(x_idx)
             continue
-        posteriors[x_idx] = (_pairs(task, ks), weights / total)
+        posteriors[x_idx] = (ks, weights / total)
     new_model = mstep(model, posteriors, mstep_spec, rho=task.rho)
     report = {
         "mode": "exact" if exact_weights else "sampled",
@@ -693,7 +686,7 @@ def restem_update(
             "expectation-weighted self-training needs a soft evaluator"
         )
     mstep_spec = mstep_spec or MStepSpec(kind="weighted_mle_from_samples")
-    posteriors: dict[int, Weighted] = {}
+    posteriors: dict[int, Weights] = {}
     degenerate: list[int] = []
     skipped: list[int] = []
     for x_idx in range(task.n_prompts):
@@ -704,7 +697,7 @@ def restem_update(
         else:
             rng = stream(seed, "restem", x_idx, iteration)
             drawn = model.conditional_tables(x_idx).draws(rng, budget)
-            # bincount adds in draw order, as a running sum per pair would
+            # bincount adds in draw order, as a running sum per outcome would
             sums = np.bincount(drawn, success[drawn], task.n_joint)
             ks = np.flatnonzero(sums > 0.0)
             weights = sums[ks]
@@ -715,7 +708,7 @@ def restem_update(
         probs = weights / total
         if probs.size and float(probs.max()) > 0.999:
             degenerate.append(x_idx)
-        posteriors[x_idx] = (_pairs(task, ks), probs)
+        posteriors[x_idx] = (ks, probs)
     new_model = mstep(model, posteriors, mstep_spec, rho=task.rho)
     report = {
         "mode": "exact" if exact_expectation else "sampled",
@@ -800,18 +793,18 @@ def conditional_sft_update(
     corpus: list[tuple[int, int, int]],
     mstep_spec: MStepSpec | None = None,
 ) -> LogitModel:
-    """Weighted MLE on (tag, response) pairs from a tagged corpus."""
+    """Weighted MLE on (tag, response) pairs from a tagged corpus; each
+    prompt's weights are its item counts, normalized."""
     _require_tag_task(task)
     mstep_spec = mstep_spec or MStepSpec(kind="weighted_mle_from_samples")
-    counts: dict[int, dict[Pair, int]] = {}
-    for x_idx, tag, y_idx in corpus:
-        per = counts.setdefault(x_idx, {})
-        per[(tag, y_idx)] = per.get((tag, y_idx), 0) + 1
-    posteriors: dict[int, Weighted] = {}
-    for x_idx, per in counts.items():
-        support = sorted(per)
-        weights = np.array([per[pair] for pair in support], dtype=np.float64)
-        posteriors[x_idx] = (support, weights / weights.sum())
+    items = np.array(corpus, dtype=np.int64).reshape(-1, 3)
+    posteriors: dict[int, Weights] = {}
+    for x_idx in dict.fromkeys(items[:, 0].tolist()):
+        _, tags, ys = items[items[:, 0] == x_idx].T
+        counts = np.bincount(task.zy_index(tags, ys), minlength=task.n_joint)
+        ks = np.flatnonzero(counts)
+        weights = counts[ks].astype(np.float64)
+        posteriors[x_idx] = (ks, weights / weights.sum())
     return mstep(model, posteriors, mstep_spec, rho=task.rho)
 
 
@@ -827,10 +820,7 @@ def conditional_decode(
     Greedy (argmax, lowest index on ties) without an rng, categorical with
     one.  Raises `UnseenTagError` when the tag has zero conditional mass.
     """
-    p = model.joint_probs(x_idx)
-    row = np.array(
-        [p[task.zy_index(tag, yi)] for yi in range(task.n_responses)]
-    )
+    row = model.joint_probs(x_idx)[task.zy_index(tag, np.arange(task.n_responses))]
     total = row.sum()
     if total <= 0.0:
         raise UnseenTagError(f"tag {tag} carries no mass at prompt {x_idx}")
@@ -888,9 +878,11 @@ def run_cond_sft(
 
 @dataclass(frozen=True)
 class PreferencePair:
+    """Preferred and rejected completions at one prompt, as joint indices."""
+
     x_idx: int
-    pos: Pair
-    neg: Pair
+    pos: int
+    neg: int
 
 
 def latent_dpo_loss_and_grad(
@@ -924,8 +916,7 @@ def latent_dpo_loss_and_grad(
         lp_ref = reference.joint_log_probs(x_idx)
         weight = np.zeros(task.n_joint)
         for pref in group:
-            ip = task.zy_index(*pref.pos)
-            ineg = task.zy_index(*pref.neg)
+            ip, ineg = pref.pos, pref.neg
             involved = (lp_pol[ip], lp_pol[ineg], lp_ref[ip], lp_ref[ineg])
             if min(involved) <= LOG_CLAMP / 2:
                 raise ZeroProbabilityPairError(
@@ -980,22 +971,22 @@ def dpo_fit(
 def _pick_pair(
     task: GenerativeTask,
     x_idx: int,
-    candidates: list[Pair],
+    candidates: np.ndarray,
     lp: np.ndarray,
 ) -> PreferencePair | None:
-    """Best verified versus worst unverified candidate, or None if one-sided.
+    """Best verified versus worst unverified candidate joint index, or None
+    if one-sided.
 
-    Ties break deterministically: highest (then lexicographically smallest)
-    for the preferred side, lowest (then smallest) for the rejected side.
+    Ties break deterministically: highest (then smallest index) for the
+    preferred side, lowest (then smallest) for the rejected side.
     """
-    ok = _success(task, x_idx) == 1.0
-    verified = [c for c in candidates if ok[task.zy_index(*c)]]
-    unverified = [c for c in candidates if not ok[task.zy_index(*c)]]
-    if not verified or not unverified:
+    ok = _success(task, x_idx)[candidates] == 1.0
+    verified, unverified = candidates[ok], candidates[~ok]
+    if not verified.size or not unverified.size:
         return None
-    best = min(verified, key=lambda c: (-lp[task.zy_index(*c)], c))
-    worst = min(unverified, key=lambda c: (lp[task.zy_index(*c)], c))
-    return PreferencePair(x_idx=x_idx, pos=best, neg=worst)
+    best = verified[np.lexsort((verified, -lp[verified]))[0]]
+    worst = unverified[np.lexsort((unverified, lp[unverified]))[0]]
+    return PreferencePair(x_idx=x_idx, pos=int(best), neg=int(worst))
 
 
 def run_pref_loop(
@@ -1035,16 +1026,12 @@ def run_pref_loop(
         for x_idx in range(task.n_prompts):
             rng = stream(seed, "pref", sampler, x_idx, t)
             if sampler == "model":
-                view = current.conditional_tables(x_idx)
-                drawn = [view.sample(rng) for _ in range(candidates)]
+                drawn = current.conditional_tables(x_idx).draws(rng, candidates)
             else:
                 result = estep_policy_gradient(
                     jm, x_idx, event, cfg=pg_cfg, compare_exact=False
                 )
-                picks = rng.choice(
-                    task.n_joint, size=candidates, p=result.probs
-                )
-                drawn = [task.zy_unindex(int(k)) for k in picks]
+                drawn = rng.choice(task.n_joint, size=candidates, p=result.probs)
             pair = _pick_pair(task, x_idx, drawn, current.joint_log_probs(x_idx))
             if pair is not None:
                 pairs.append(pair)

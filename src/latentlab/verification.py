@@ -22,6 +22,7 @@ from typing import Callable
 import numpy as np
 from scipy.stats import chisquare
 
+from . import graph as graph_kernel
 from . import tasks as task_tables
 from . import trie as trie_kernel
 from .errors import (
@@ -116,9 +117,10 @@ SEED = 20260817
 
 # checks that support it consult this to demonstrate they catch mutations
 _ACTIVE_FAULT: str | None = None
-FAULT_NAMES = ("shaping-sign", "trie-upward", "obs-table")
+FAULT_NAMES = ("shaping-sign", "trie-upward", "obs-table", "joint-marginal")
 _SEGMENT_SUM = trie_kernel._segment_sum
 _PROMPT_OBS = task_tables._prompt_obs
+_JOINT_MARGINAL = graph_kernel.PosteriorTable.joint_marginal
 
 
 def _misaligned_segment_sum(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -131,6 +133,12 @@ def _next_prompt_obs(task: GenerativeTask, x_idx: int) -> np.ndarray:
     """The observation table read at prompt (x + 1) mod P: the 'obs-table'
     fault, swapped in by `run_checks`."""
     return task.obs_probs[(x_idx + 1) % task.n_prompts]
+
+
+def _rolled_joint_marginal(table: graph_kernel.PosteriorTable) -> np.ndarray:
+    """The exact joint marginal moved up by one joint index: the
+    'joint-marginal' fault, swapped in by `run_checks`."""
+    return np.roll(_JOINT_MARGINAL(table), 1)
 
 
 @dataclass(frozen=True)
@@ -280,7 +288,19 @@ def _union_tv(pairs_a, probs_a, pairs_b, probs_b) -> float:
 
 
 def _posterior_pairs(jm: JointModel, x_idx: int, event: EventSpec):
-    return jm.exact_posterior(x_idx, event).zy_marginal()
+    """Brute-force event posterior over (z, y) pairs: every triple's joint
+    probability times its evaluator mass, summed per pair and normalized."""
+    task = jm.task
+    mass: dict[tuple[int, int], float] = {}
+    for zi, yi, o in enumerate_event(task, event):
+        w = math.exp(jm.seq.joint_logprob(x_idx, zi, yi)) * task.evaluator(x_idx, zi, yi, o)
+        mass[(zi, yi)] = mass.get((zi, yi), 0.0) + w
+    total = sum(mass.values())
+    return list(mass), np.array([w / total for w in mass.values()])
+
+
+def _as_pairs(task: GenerativeTask, support) -> list[tuple[int, int]]:
+    return [task.zy_unindex(int(k)) for k in support]
 
 
 # -- tasks -----------------------------------------------------------------------
@@ -690,9 +710,9 @@ def check_graph_event_logprob_cases() -> CheckResult:
     hand = uniform_model(tag).with_theta(np.log(probs))
     ev = EventSpec(latents=(0,))
     table = JointModel(hand).exact_posterior(0, ev)
-    pairs, marg = table.zy_marginal()
-    if pairs != [(0, 0), (0, 1)]:
-        return _fail(f"frozen case support {pairs}")
+    support, marg = table.zy_marginal()
+    if _as_pairs(tag, support) != [(0, 0), (0, 1)]:
+        return _fail(f"frozen case support {support}")
     if float(np.max(np.abs(marg - np.array([0.4, 0.6])))) > 1e-12:
         return _fail(f"frozen case posterior {marg}")
     if abs(table.log_normalizer - math.log(0.5)) > 1e-12:
@@ -980,9 +1000,10 @@ def check_planner_shaped_posterior() -> CheckResult:
         for x in range(task.n_prompts):
             mdp = shape_rewards(jm, x, event, terminal_sign_fault=fault)
             plan = soft_value_iteration(mdp)
-            pairs, probs = plan_posterior(plan, task, x, event)
+            support, probs = plan_posterior(plan, task, x, event)
             exact_pairs, exact_probs = _posterior_pairs(jm, x, event)
-            worst = max(worst, _union_tv(pairs, probs, exact_pairs, exact_probs))
+            worst = max(worst, _union_tv(_as_pairs(task, support), probs,
+                                         exact_pairs, exact_probs))
     if worst > 1e-8:
         return _fail(f"planned posterior deviates {worst:.3e} > 1e-8")
     # the temperature is load-bearing; on an event with several live pairs
@@ -991,10 +1012,11 @@ def check_planner_shaped_posterior() -> CheckResult:
     model = random_model(inst.task, stream(SEED, "shapebeta"), scale=1.0)
     jm = JointModel(model)
     hot = shape_rewards(jm, 0, inst.events[0], beta=2.0)
-    pairs, probs = plan_posterior(soft_value_iteration(hot), inst.task, 0,
-                                  inst.events[0])
+    support, probs = plan_posterior(soft_value_iteration(hot), inst.task, 0,
+                                    inst.events[0])
     exact_pairs, exact_probs = _posterior_pairs(jm, 0, inst.events[0])
-    flattened = _union_tv(pairs, probs, exact_pairs, exact_probs)
+    flattened = _union_tv(_as_pairs(inst.task, support), probs,
+                          exact_pairs, exact_probs)
     if flattened <= 1e-3:
         return _fail(f"beta=2 changed the posterior by only {flattened:.3e}")
     binary = instance_by_name("carry-d1-b3")
@@ -1037,7 +1059,7 @@ def check_esteps_backend_agreement() -> CheckResult:
     jm = JointModel(random_model(inst.task, stream(SEED, "agree-disp"), scale=0.9))
     direct = estep_planning(jm, 0, inst.events[0])
     via_spec = run_estep(jm, 0, inst.events[0], EStepSpec("planning"))
-    if (via_spec.support != direct.support
+    if (not np.array_equal(via_spec.support, direct.support)
             or float(np.max(np.abs(via_spec.probs - direct.probs))) > 1e-15):
         return _fail("dispatcher changed the planning result")
     if via_spec.wall_time_s <= 0.0:
@@ -1188,15 +1210,15 @@ def check_training_mstep_routes() -> CheckResult:
     """Closed-form, gradient, and resolver updates agree where they overlap."""
     task = instance_by_name("tag-3-8").task
     model = random_model(task, stream(SEED, "mstep"), scale=0.8)
-    point = mstep(model, {0: ([(1, 2)], np.array([1.0]))}, MStepSpec("closed_form"))
+    point = mstep(model, {0: (np.array([task.zy_index(1, 2)]), np.array([1.0]))},
+                  MStepSpec("closed_form"))
     if point.joint_probs(0)[task.zy_index(1, 2)] != 1.0:
         return _fail("point-mass update is not a point mass")
     off = model.features.offset(1)
     if not np.array_equal(point.theta[off:off + task.n_joint],
                           model.theta[off:off + task.n_joint]):
         return _fail("update touched a prompt without weights")
-    support = [(zi, yi) for zi in range(task.n_latents)
-               for yi in range(task.n_responses)]
+    support = np.arange(task.n_joint)
     rng = stream(SEED, "mstep-q")
     posteriors = {x: (support, rng.dirichlet(np.ones(task.n_joint)))
                   for x in range(task.n_prompts)}
@@ -1373,7 +1395,8 @@ def check_training_filter_properties() -> CheckResult:
     if rep["mode"] != "sampled":
         return _fail("sampled run reported as exact")
     for x, (support, probs) in rep["weights"].items():
-        if any(task.success_prob(x, zi, yi) != 1.0 for zi, yi in support):
+        if any(task.success_prob(x, zi, yi) != 1.0
+               for zi, yi in _as_pairs(task, support)):
             return _fail(f"unverified pair kept at x={x}")
         if abs(float(np.sum(probs)) - 1.0) > 1e-12:
             return _fail(f"weights at x={x} sum to {np.sum(probs)!r}")
@@ -1408,7 +1431,7 @@ def check_training_restem_properties() -> CheckResult:
     for x, (support, probs) in rep["weights"].items():
         p = model.joint_probs(x)
         hand = np.array([p[task.zy_index(zi, yi)] * task.success_prob(x, zi, yi)
-                         for zi, yi in support])
+                         for zi, yi in _as_pairs(task, support)])
         hand = hand / hand.sum()
         if float(np.max(np.abs(hand - probs))) > 1e-12:
             return _fail(f"weights at x={x} deviate from hand arithmetic")
@@ -1416,7 +1439,8 @@ def check_training_restem_properties() -> CheckResult:
     # point mass, the regime the degenerate flag exists for
     truth_model = mstep(
         uniform_model(task),
-        {x: ([task.truth[x]], np.array([1.0])) for x in range(task.n_prompts)},
+        {x: (np.array([task.zy_index(*task.truth[x])]), np.array([1.0]))
+         for x in range(task.n_prompts)},
         MStepSpec("closed_form"))
     _, rep2 = restem_update(truth_model, task, budget=1, seed=43, iteration=1,
                             exact_expectation=True)
@@ -1424,7 +1448,8 @@ def check_training_restem_properties() -> CheckResult:
         return _fail(f"point-mass model flagged only {rep2['degenerate']}")
     _, rep3 = restem_update(model, task, budget=50, seed=43, iteration=2)
     for x, (support, probs) in rep3["weights"].items():
-        if any(task.success_prob(x, zi, yi) <= 0.0 for zi, yi in support):
+        if any(task.success_prob(x, zi, yi) <= 0.0
+               for zi, yi in _as_pairs(task, support)):
             return _fail(f"zero-success pair weighted at x={x}")
     binary = instance_by_name("tag-3-8").task
     if not _expect_raises(TaskMismatchError, restem_update,
@@ -1476,7 +1501,7 @@ def _dpo_identity_report() -> tuple[bool, str]:
     for x in range(task.n_prompts):
         good = task.truth[x]
         bad = (GOOD_TAG, (good[1] + 1) % task.n_responses)
-        pairs.append(PreferencePair(x, good, bad))
+        pairs.append(PreferencePair(x, task.zy_index(*good), task.zy_index(*bad)))
 
     mirror = ref.with_theta(ref.theta)
     loss, _ = latent_dpo_loss_and_grad(mirror, ref, pairs)
@@ -1487,8 +1512,8 @@ def _dpo_identity_report() -> tuple[bool, str]:
     shifted = ref.theta.copy()
     for pair in pairs:
         off = ref.features.offset(pair.x_idx)
-        shifted[off + task.zy_index(*pair.pos)] += 0.5
-        shifted[off + task.zy_index(*pair.neg)] -= 0.5
+        shifted[off + pair.pos] += 0.5
+        shifted[off + pair.neg] -= 0.5
     unit = ref.with_theta(shifted)
     # every margin is exactly 1: softplus(-1) frozen
     loss1, _ = latent_dpo_loss_and_grad(unit, ref, pairs)
@@ -1524,7 +1549,7 @@ def _dpo_identity_report() -> tuple[bool, str]:
         return False, f"per-prompt shifts moved the loss by {abs(loss_shifted - base):.3e}"
 
     clamped = policy.theta.copy()
-    clamped[policy.features.offset(0) + task.zy_index(*pairs[0].pos)] = LOG_CLAMP
+    clamped[policy.features.offset(0) + pairs[0].pos] = LOG_CLAMP
     if not _expect_raises(ZeroProbabilityPairError, latent_dpo_loss_and_grad,
                           policy.with_theta(clamped), ref, pairs):
         return False, "clamped completion in a pair did not raise"
@@ -1548,7 +1573,7 @@ def check_training_dpo_fit() -> CheckResult:
     for x in range(task.n_prompts):
         good = task.truth[x]
         bad = (GOOD_TAG, (good[1] + 2) % task.n_responses)
-        pairs.append(PreferencePair(x, good, bad))
+        pairs.append(PreferencePair(x, task.zy_index(*good), task.zy_index(*bad)))
     policy, history = dpo_fit(ref, pairs, steps=60)
     rises = [b - a for a, b in zip(history, history[1:]) if b > a + 1e-12]
     if rises:
@@ -1559,7 +1584,7 @@ def check_training_dpo_fit() -> CheckResult:
     def margin(m: LogitModel, pair: PreferencePair) -> float:
         lp = m.joint_log_probs(pair.x_idx)
         lr = ref.joint_log_probs(pair.x_idx)
-        ip, ineg = task.zy_index(*pair.pos), task.zy_index(*pair.neg)
+        ip, ineg = pair.pos, pair.neg
         return (lp[ip] - lr[ip]) - (lp[ineg] - lr[ineg])
 
     if not all(margin(policy, pair) > 0.0 for pair in pairs):
@@ -1573,7 +1598,7 @@ def check_training_pref_loop() -> CheckResult:
     inst = instance_by_name("tag-4-5")
     task = inst.task
     point = mstep(uniform_model(task),
-                  {x: ([task.truth[x]], np.array([1.0]))
+                  {x: (np.array([task.zy_index(*task.truth[x])]), np.array([1.0]))
                    for x in range(task.n_prompts)},
                   MStepSpec("closed_form"))
     final, record = run_pref_loop(point, task, iterations=1, candidates=8,
@@ -1798,12 +1823,16 @@ def run_checks(
         raise ConfigError(
             f"unknown fault {inject_fault!r}; available: {', '.join(FAULT_NAMES)}")
     names = [n for n in CHECKS if pattern is None or fnmatch.fnmatch(n, pattern)]
-    previous = _ACTIVE_FAULT, trie_kernel._segment_sum, task_tables._prompt_obs
+    table = graph_kernel.PosteriorTable
+    previous = (_ACTIVE_FAULT, trie_kernel._segment_sum, task_tables._prompt_obs,
+                table.joint_marginal)
     _ACTIVE_FAULT = inject_fault
     trie_kernel._segment_sum = (
         _misaligned_segment_sum if inject_fault == "trie-upward" else _SEGMENT_SUM)
     task_tables._prompt_obs = (
         _next_prompt_obs if inject_fault == "obs-table" else _PROMPT_OBS)
+    table.joint_marginal = (
+        _rolled_joint_marginal if inject_fault == "joint-marginal" else _JOINT_MARGINAL)
     results: list[tuple[str, CheckResult]] = []
     try:
         for name in names:
@@ -1813,7 +1842,8 @@ def run_checks(
                 results.append(
                     (name, CheckResult(False, f"raised {type(exc).__name__}: {exc}")))
     finally:
-        _ACTIVE_FAULT, trie_kernel._segment_sum, task_tables._prompt_obs = previous
+        (_ACTIVE_FAULT, trie_kernel._segment_sum, task_tables._prompt_obs,
+         table.joint_marginal) = previous
     return results
 
 

@@ -3,14 +3,23 @@
 Random non-empty subsets of the latent, response and observation spaces of
 small factory tasks are compiled once per value.  Their triples, pairs and
 index arrays are compared with a nested-loop enumeration sorted by token
-ids, and their per-prompt event mass with direct evaluator calls.
+ids, and their per-prompt event mass with direct evaluator calls.  Under
+random models, the joint-index marginal, total variation and closed-form
+M-step built on them are compared with the same computations in (z, y)
+pair form.
 """
 
-from hypothesis import given, settings
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from latentlab.esteps import tv_to_exact
 from latentlab.graph import JointModel
-from latentlab.models import uniform_model
+from latentlab.logspace import LOG_CLAMP
+from latentlab.models import random_model, uniform_model
 from latentlab.tasks import (
     EventSpec,
     compile_event,
@@ -19,6 +28,8 @@ from latentlab.tasks import (
     make_reward_tag_task,
     success_event,
 )
+from latentlab.training import MStepSpec, mstep
+from latentlab.verification import _posterior_pairs, _union_tv
 
 TASKS = (
     make_reward_tag_task(3, 4, seed=1),
@@ -82,3 +93,80 @@ def test_event_cache_is_keyed_by_value():
     for _ in range(1000):
         jm.event_logprob(0, success_event())
     assert len(task.compiled_events) == 1
+
+
+def test_compiled_arrays_are_read_only():
+    compiled = compile_event(TASKS[0], success_event())
+    for array in (compiled.triple_joint, compiled.triple_obs,
+                  compiled.pair_joint, compiled.inside):
+        with pytest.raises(ValueError):
+            array[0] = array[0]
+
+
+@st.composite
+def modelled_events(draw):
+    """A random tabular model, a prompt and an event of positive mass."""
+    task, _, event, *_ = draw(events())
+    seed = draw(st.integers(0, 2**32 - 1))
+    x = draw(st.integers(0, task.n_prompts - 1))
+    jm = JointModel(random_model(task, np.random.default_rng(seed), scale=1.0))
+    assume(jm.event_logprob(x, event) > -math.inf)
+    return jm, x, event
+
+
+@settings(max_examples=60, deadline=None)
+@given(modelled_events())
+def test_joint_marginal_matches_pair_oracle(case):
+    jm, x, event = case
+    task = jm.task
+    pairs, pair_probs = _posterior_pairs(jm, x, event)
+    expected = dict(zip(pairs, pair_probs))
+    table = jm.exact_posterior(x, event)
+    dense = table.joint_marginal()
+    for k in range(task.n_joint):
+        assert dense[k] == pytest.approx(expected.get(task.zy_unindex(k), 0.0),
+                                         rel=1e-12, abs=1e-15)
+    support, probs = table.zy_marginal()
+    assert [task.zy_unindex(int(k)) for k in support] == pairs
+    assert np.array_equal(probs, dense[support])
+
+
+@st.composite
+def candidates(draw):
+    """A modelled event plus a candidate weighting over joint indices,
+    repeated indices allowed."""
+    jm, x, event = draw(modelled_events())
+    n = draw(st.integers(1, 12))
+    support = np.array(draw(st.lists(st.integers(0, jm.task.n_joint - 1),
+                                     min_size=n, max_size=n)), dtype=np.int64)
+    raw = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
+    return jm, x, event, support, raw / raw.sum()
+
+
+@settings(max_examples=60, deadline=None)
+@given(candidates())
+def test_tv_to_exact_matches_union_tv(case):
+    jm, x, event, support, probs = case
+    task = jm.task
+    exact_support, exact_probs = jm.exact_posterior(x, event).zy_marginal()
+    as_pairs = [task.zy_unindex(int(k)) for k in support]
+    exact_pairs = [task.zy_unindex(int(k)) for k in exact_support]
+    expected = _union_tv(as_pairs, probs, exact_pairs, exact_probs)
+    assert abs(tv_to_exact(jm, x, event, support, probs) - expected) <= 1e-15
+
+
+@settings(max_examples=60, deadline=None)
+@given(candidates())
+def test_closed_form_mstep_matches_pair_accumulation(case):
+    jm, x, _, support, probs = case
+    task, model = jm.task, jm.seq
+    q = np.zeros(task.n_joint)
+    for (z, y), p in zip((task.zy_unindex(int(k)) for k in support), probs):
+        q[task.zy_index(z, y)] += p
+    logits = np.full(task.n_joint, LOG_CLAMP)
+    logits[q > 0.0] = np.log(q[q > 0.0])
+    theta = model.theta.copy()
+    off = model.features.offset(x)
+    theta[off:off + task.n_joint] = logits
+    updated = mstep(model, {x: (support, probs)}, MStepSpec("closed_form"))
+    assert np.array_equal(updated.theta, theta)

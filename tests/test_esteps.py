@@ -58,7 +58,7 @@ def test_rejection_zero_acceptance(jm):
         res = estep_rejection(jm, 0, success_event(), budget=1, rng=rng)
         if res.empty:
             hits += 1
-            assert res.support == [] and len(res.probs) == 0
+            assert res.support.size == 0 and len(res.probs) == 0
     assert hits > 0
 
 

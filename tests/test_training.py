@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latentlab import training
 from latentlab.errors import CertificateError, ConfigError, UnseenTagError
 from latentlab.esteps import EStepSpec
 from latentlab.graph import JointModel
-from latentlab.models import uniform_model
+from latentlab.models import random_model, uniform_model
 from latentlab.rng import stream
 from latentlab.tasks import make_reward_tag_task, success_event
 from latentlab.training import (
@@ -52,6 +54,25 @@ def test_em_objective_monotone(tag_task, tag_model):
     objs = [row.objective for row in record.rows]
     assert all(b >= a - 1e-12 for a, b in zip(objs, objs[1:]))
     assert record.certificates["telescoping"]["holds"]
+
+
+@pytest.mark.parametrize("evaluator", ["binary", "soft"])
+def test_reference_gap_bounds_the_updated_iterate_at_one_iteration(evaluator):
+    # at T = 1 the 1/T bound covers theta_1; the initial model's gap to a
+    # weak (5-step) reference exceeds the budget and must not be the one
+    # certified
+    event = success_event()
+    for seed in range(6):
+        task = make_reward_tag_task(3, 4, seed=seed, evaluator=evaluator)
+        model = random_model(task, np.random.default_rng(seed), scale=0.5)
+        ref = reference_optimum(model, task, event, steps=5)
+        _, record = run_em(model, task, event, EXACT, CLOSED,
+                           iterations=1, seed=seed, reference=ref)
+        cert = record.certificates["reference_gap"]
+        ref_objective = JointModel(ref).averaged_event_logprob(event)
+        assert ref_objective - record.rows[0].objective > cert["kl_budget"]
+        assert cert["best_gap"] == ref_objective - record.rows[1].objective
+        assert cert["asserted"] and cert["holds"]
 
 
 @pytest.mark.parametrize("kl, certificate", [(1e9, "telescoping"), (-1e9, "reference-gap")])
@@ -198,7 +219,7 @@ def test_conditional_decode_unseen_tag(tag_task):
     post = jm.exact_posterior(0, success_event())
     # clamp all tag-1 joints at every prompt via closed-form mstep
     weights = {
-        x: ([ (0, y) for y in range(tag_task.n_responses)],
+        x: ([tag_task.zy_index(0, y) for y in range(tag_task.n_responses)],
             [1.0 / tag_task.n_responses] * tag_task.n_responses)
         for x in range(tag_task.n_prompts)
     }
@@ -208,7 +229,8 @@ def test_conditional_decode_unseen_tag(tag_task):
 
 
 def test_dpo_loss_at_reference_is_log2(tag_task, tag_model):
-    pairs = [PreferencePair(0, (1, tag_task.truth[0][1]), (0, 0))]
+    pairs = [PreferencePair(0, tag_task.zy_index(1, tag_task.truth[0][1]),
+                            tag_task.zy_index(0, 0))]
     value, grad = latent_dpo_loss_and_grad(tag_model, tag_model, pairs)
     assert value == pytest.approx(np.log(2.0), abs=1e-12)
     assert grad.shape == tag_model.theta.shape
@@ -217,12 +239,36 @@ def test_dpo_loss_at_reference_is_log2(tag_task, tag_model):
 def test_dpo_fit_decreases_loss(tag_task, tag_model):
     truth_y = tag_task.truth[0][1]
     pairs = [
-        PreferencePair(0, (1, truth_y), (0, (truth_y + 1) % tag_task.n_responses)),
-        PreferencePair(1, (1, tag_task.truth[1][1]), (0, 0)),
+        PreferencePair(0, tag_task.zy_index(1, truth_y),
+                       tag_task.zy_index(0, (truth_y + 1) % tag_task.n_responses)),
+        PreferencePair(1, tag_task.zy_index(1, tag_task.truth[1][1]), tag_task.zy_index(0, 0)),
     ]
     _, history = dpo_fit(tag_model, pairs, steps=50)
     assert history[-1] < history[0]
     assert history[0] == pytest.approx(np.log(2.0), abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 9), st.sampled_from([-1.0, -2.0, -3.0])),
+                min_size=1, max_size=10))
+def test_pick_pair_matches_pair_form_tie_break(tag_task, draws):
+    # joint indices 0..9 are tag_task's (z, y) pairs; few distinct log
+    # probabilities force ties, which break to the smallest pair
+    task = tag_task
+    lp = np.full(task.n_joint, -4.0)
+    for k, value in draws:
+        lp[k] = value
+    candidates = [task.zy_unindex(k) for k, _ in draws]
+    ok = [task.success_prob(1, z, y) == 1.0 for z, y in candidates]
+    verified = [c for c, good in zip(candidates, ok) if good]
+    unverified = [c for c, good in zip(candidates, ok) if not good]
+    picked = training._pick_pair(task, 1, np.array([k for k, _ in draws]), lp)
+    if not verified or not unverified:
+        assert picked is None
+        return
+    best = min(verified, key=lambda c: (-lp[task.zy_index(*c)], c))
+    worst = min(unverified, key=lambda c: (lp[task.zy_index(*c)], c))
+    assert picked == PreferencePair(1, task.zy_index(*best), task.zy_index(*worst))
 
 
 def test_pref_loop_runs_both_samplers(tag_task, tag_uniform):

@@ -57,6 +57,17 @@ def test_obs_table_fault_flips_table_checks():
     assert all(r.ok for _, r in restored)
 
 
+def test_joint_marginal_fault_flips_marginal_checks():
+    names = ("esteps.backend_agreement", "graph.gradient_identity")
+    faulted = [res for name in names
+               for res in run_checks(name, inject_fault="joint-marginal")]
+    assert len(faulted) == 2
+    assert not any(r.ok for _, r in faulted)
+    restored = [res for name in names for res in run_checks(name)]
+    assert len(restored) == 2
+    assert all(r.ok for _, r in restored)
+
+
 def test_unknown_fault_rejected():
     with pytest.raises(ConfigError):
         run_checks(inject_fault="no-such-fault")
