@@ -15,7 +15,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import FeatureMapMismatchError, OutOfSpaceError, RecordFormatError
 from .logspace import logsumexp
@@ -117,6 +116,8 @@ class NgramFeatures(FeatureMap):
     ):
         if n < 1:
             raise ValueError("window width n must be >= 1")
+        # scipy.sparse doubles the package's import time; only n-gram features need it
+        import scipy.sparse as sp
         self.task = task
         self.n = n
         self.positional = positional
@@ -147,7 +148,7 @@ class NgramFeatures(FeatureMap):
             mat.sum_duplicates()
             self._mats[px] = mat
 
-    def _mat(self, x_idx: int) -> sp.csr_matrix:
+    def _mat(self, x_idx: int):
         return self._mats[x_idx if self.per_prompt else 0]
 
     def logits(self, x_idx: int, theta: np.ndarray) -> np.ndarray:
