@@ -14,6 +14,7 @@ from .errors import (
     ConfigError,
     DivergenceError,
     EmptyEventError,
+    EStepResultError,
     FeatureMapMismatchError,
     HorizonViolationError,
     LatentLabError,
@@ -68,6 +69,7 @@ __all__ = [
     "ConfigError",
     "DivergenceError",
     "EmptyEventError",
+    "EStepResultError",
     "EStepSpec",
     "EventSpec",
     "FeatureMapMismatchError",

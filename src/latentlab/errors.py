@@ -41,6 +41,11 @@ class CertificateError(LatentLabError, AssertionError):
     """An asserted convergence certificate of a training run failed."""
 
 
+class EStepResultError(LatentLabError, ValueError):
+    """An E-step engine returned a support and weights that do not align or
+    do not form a distribution."""
+
+
 class DivergenceError(LatentLabError):
     """Iterative optimizer decreased its objective for too many steps."""
 

@@ -23,7 +23,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, UnreachableEventError
+from .errors import (
+    ConfigError,
+    DivergenceError,
+    EStepResultError,
+    UnreachableEventError,
+)
 from .graph import JointModel
 from .logspace import log_sum_exp, total_variation
 from .models import LogitModel
@@ -54,14 +59,14 @@ class EStepResult:
     def __post_init__(self):
         self.probs = np.asarray(self.probs, dtype=np.float64)
         if self.probs.shape != (len(self.support),):
-            raise ValueError(
+            raise EStepResultError(
                 f"{len(self.support)} support outcomes but probs shape {self.probs.shape}"
             )
         if "zero_acceptance" in self.flags:
             if len(self.support) != 0:
-                raise ValueError("zero-acceptance results must have empty support")
+                raise EStepResultError("zero-acceptance results must have empty support")
         elif abs(float(self.probs.sum()) - 1.0) > 1e-9:
-            raise ValueError(f"probs sum to {self.probs.sum():.12g}, expected 1")
+            raise EStepResultError(f"probs sum to {self.probs.sum():.12g}, expected 1")
 
     @property
     def empty(self) -> bool:

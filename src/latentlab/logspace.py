@@ -41,6 +41,46 @@ def logsumexp(a) -> np.float64:
         return np.log(np.exp(a).sum())
 
 
+def logsumexp_rows(a) -> np.ndarray:
+    """`logsumexp` of every row of a 2-D array, with the same bits per row.
+
+    A reduction along the last axis of a C-contiguous array adds in the
+    order of the 1-D kernel; a fancy-indexed gather need not be laid out
+    that way, so the input is made contiguous first.  A row whose maximum
+    is not finite, or whose result is not, takes the direct formula.
+    """
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    if a.shape[-1] == 0:
+        return np.full(a.shape[0], -np.inf)
+    a_max = a.max(axis=-1)
+    top = a == a_max[:, None]
+    # a NaN row has no maximal element; the direct formula handles it below
+    count = np.maximum(np.count_nonzero(top, axis=-1), 1).astype(np.float64)
+    shift = np.where(np.isfinite(a_max), a_max, 0.0)
+    rest = np.exp(np.where(top, -np.inf, a) - shift[:, None]).sum(axis=-1)
+    out = np.log1p(rest / count) + np.log(count) + a_max
+    bad = ~np.isfinite(out)
+    if bad.any():
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            out[bad] = np.log(np.exp(a[bad]).sum(axis=-1))
+    return out
+
+
+def masked_row_sums(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """`values[x][mask[x]].sum()` for every row x, with the bits of that sum.
+
+    The selected entries, packed row after row, are summed one contiguous
+    row at a time: as one block when every row selects the same number of
+    entries, else one slice per row.
+    """
+    counts = np.count_nonzero(mask, axis=1)
+    packed = values[mask]
+    if (counts == counts[0]).all():
+        return packed.reshape(len(counts), counts[0]).sum(axis=1)
+    ends = np.cumsum(counts).tolist()
+    return np.array([packed[e - m : e].sum() for e, m in zip(ends, counts.tolist())])
+
+
 def log_sum_exp(values) -> float:
     """Stable log(sum(exp(values))); -inf for an empty or all -inf input."""
     return float(logsumexp(values))

@@ -12,12 +12,12 @@ from __future__ import annotations
 import io
 import json
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import FeatureMapMismatchError, OutOfSpaceError, RecordFormatError
-from .logspace import logsumexp
+from .logspace import logsumexp, logsumexp_rows, masked_row_sums
 from .tasks import GenerativeTask
 
 BOS = -1  # left-padding marker inside n-gram windows, never a real token
@@ -26,9 +26,10 @@ BOS = -1  # left-padding marker inside n-gram windows, never a real token
 class FeatureMap:
     """Linear featurization of (prompt, latent, response) triples.
 
-    Subclasses fix `dim` and provide per-prompt logit vectors and adjoint
-    products.  `weights` arguments are arbitrary signed vectors over the
-    joint space, so the same adjoint serves expectations and gradients.
+    Subclasses fix `dim` and provide logits and adjoint products, per
+    prompt and for all prompts at once.  `weights` arguments are arbitrary
+    signed vectors over the joint space, so the same adjoint serves
+    expectations and gradients.
     """
 
     task: GenerativeTask
@@ -41,6 +42,14 @@ class FeatureMap:
 
     def adjoint(self, x_idx: int, weights: np.ndarray) -> np.ndarray:
         """Phi_x^T w: feature-space image of a joint-space vector."""
+        raise NotImplementedError
+
+    def logits_all(self, theta: np.ndarray) -> np.ndarray:
+        """[prompts, joint] logits; row x equals `logits(x, theta)` bit for bit."""
+        raise NotImplementedError
+
+    def adjoint_all(self, weights: np.ndarray) -> np.ndarray:
+        """sum_x Phi_x^T W[x] for a [prompts, joint] weight matrix W."""
         raise NotImplementedError
 
     def feature_vector(self, x_idx: int, zy_idx: int) -> np.ndarray:
@@ -84,6 +93,12 @@ class TabularFeatures(FeatureMap):
         o = self.offset(x_idx)
         out[o : o + self.task.n_joint] = weights
         return out
+
+    def logits_all(self, theta: np.ndarray) -> np.ndarray:
+        return theta.reshape(self.task.n_prompts, self.task.n_joint)
+
+    def adjoint_all(self, weights: np.ndarray) -> np.ndarray:
+        return np.ravel(weights)
 
     def feature_vector(self, x_idx: int, zy_idx: int) -> np.ndarray:
         out = np.zeros(self.dim)
@@ -147,6 +162,13 @@ class NgramFeatures(FeatureMap):
             mat = sp.coo_matrix((data, (r, c)), shape=(n_joint, self.dim)).tocsr()
             mat.sum_duplicates()
             self._mats[px] = mat
+        # transposes built once: a CSR transpose per adjoint call cost more
+        # than the product itself
+        self._mats_t = {px: mat.T.tocsr() for px, mat in self._mats.items()}
+        self._stacked = sp.vstack(
+            [self._mat(x) for x in range(task.n_prompts)], format="csr"
+        )
+        self._stacked_t = self._stacked.T.tocsr()
 
     def _mat(self, x_idx: int):
         return self._mats[x_idx if self.per_prompt else 0]
@@ -155,7 +177,13 @@ class NgramFeatures(FeatureMap):
         return np.asarray(self._mat(x_idx) @ theta).ravel()
 
     def adjoint(self, x_idx: int, weights: np.ndarray) -> np.ndarray:
-        return np.asarray(self._mat(x_idx).T @ weights).ravel()
+        return np.asarray(self._mats_t[x_idx if self.per_prompt else 0] @ weights).ravel()
+
+    def logits_all(self, theta: np.ndarray) -> np.ndarray:
+        return (self._stacked @ theta).reshape(self.task.n_prompts, self.task.n_joint)
+
+    def adjoint_all(self, weights: np.ndarray) -> np.ndarray:
+        return self._stacked_t @ np.ravel(weights)
 
     def feature_vector(self, x_idx: int, zy_idx: int) -> np.ndarray:
         return np.asarray(self._mat(x_idx)[zy_idx].todense()).ravel()
@@ -261,20 +289,40 @@ class AutoregressiveView:
         return self.task.zy_unindex(seq[node])
 
 
+def _normalized_rows(logits: np.ndarray) -> np.ndarray:
+    """Each row of a [prompts, joint] logit matrix minus its log partition."""
+    return logits - logsumexp_rows(logits)[:, None]
+
+
 @dataclass
 class LogitModel:
     """Linear-softmax joint model P(z, y | x) = exp(f - A).
 
-    `theta` is copied on construction and treated as immutable; updates
-    produce new models via `with_theta`.
+    `theta` is copied on construction and read-only; updates produce new
+    models via `with_theta`.  Because a model cannot change, it keeps its
+    [prompts, joint] log-probability matrix and, in `memo`, a few scalars
+    derived from it (keyed by value, at most `MEMO_SIZE`).
     """
 
     features: FeatureMap
     theta: np.ndarray
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    MEMO_SIZE = 16
 
     def __post_init__(self):
         self.theta = np.array(self.theta, dtype=np.float64)
         self.features.check_theta(self.theta)
+        self.theta.flags.writeable = False
+        self._log_probs: np.ndarray | None = None
+
+    def remember(self, key, compute):
+        """`compute()`, evaluated once per key while the key stays in `memo`."""
+        if key not in self.memo:
+            if len(self.memo) >= self.MEMO_SIZE:
+                del self.memo[next(iter(self.memo))]
+            self.memo[key] = compute()
+        return self.memo[key]
 
     @property
     def task(self) -> GenerativeTask:
@@ -293,8 +341,19 @@ class LogitModel:
         return float(logsumexp(self.logits(x_idx)))
 
     def joint_log_probs(self, x_idx: int) -> np.ndarray:
+        """log P(z, y | x) at one prompt, computed on its own: the same bits
+        as row x of `log_probs_all()`."""
         logits = self.features.logits(x_idx, self.theta)
         return logits - logsumexp(logits)
+
+    def log_probs_all(self) -> np.ndarray:
+        """Read-only [prompts, joint] matrix of log P(z, y | x), computed on
+        first use."""
+        if self._log_probs is None:
+            lp = _normalized_rows(self.features.logits_all(self.theta))
+            lp.flags.writeable = False
+            self._log_probs = lp
+        return self._log_probs
 
     def joint_probs(self, x_idx: int) -> np.ndarray:
         with np.errstate(under="ignore"):
@@ -358,20 +417,13 @@ def kl_between(a: LogitModel, b: LogitModel, x_idx: int) -> float:
     return float(np.sum(p[mask] * diff[mask]))
 
 
-def kl_identity_form(a: LogitModel, b: LogitModel, x_idx: int) -> float:
-    """Same divergence via A_b - A_a + E_a[f_a - f_b].
-
-    Algebraically identical to `kl_between`; computed from partition
-    functions and logit expectations instead of probability ratios, so the
-    two implementations cross-check each other.
-    """
+def kl_rows(a: LogitModel, b: LogitModel) -> np.ndarray:
+    """`kl_between(a, b, x)` at every prompt x, with the same bits."""
     _require_same_task(a, b)
-    fa = a.logits(x_idx)
-    fb = b.logits(x_idx)
-    p = a.joint_probs(x_idx)
-    return float(
-        logsumexp(fb) - logsumexp(fa) + np.dot(p, fa - fb)
-    )
+    lp_a = a.log_probs_all()
+    with np.errstate(under="ignore"):
+        p = np.exp(lp_a)
+    return masked_row_sums(p * (lp_a - b.log_probs_all()), p > 0.0)
 
 
 # -- checkpoints ---------------------------------------------------------------

@@ -195,17 +195,21 @@ class GenerativeTask:
         return self.evaluator_prob(x_idx, z_idx, y_idx, 1)
 
 
+def _obs_table(task: GenerativeTask) -> np.ndarray:
+    """`task.obs_probs`; every read of the table goes through here."""
+    return task.obs_probs
+
+
 def _prompt_obs(task: GenerativeTask, x_idx: int) -> np.ndarray:
-    """[joint, obs] slice of `task.obs_probs` at one prompt; every read of the
-    table goes through here."""
+    """[joint, obs] slice of the observation table at one prompt."""
     if not 0 <= x_idx < task.n_prompts:
         raise OutOfSpaceError(f"prompt index {x_idx} outside [0, {task.n_prompts})")
-    return task.obs_probs[x_idx]
+    return _obs_table(task)[x_idx]
 
 
 def evaluator_normalization_gap(task: GenerativeTask) -> float:
     """Max |sum_o P(o|x,z,y) - 1| over all triples; 0 for a valid task."""
-    return float(np.abs(task.obs_probs.sum(axis=-1) - 1.0).max())
+    return float(np.abs(_obs_table(task).sum(axis=-1) - 1.0).max())
 
 
 # -- events ---------------------------------------------------------------
@@ -311,6 +315,12 @@ class CompiledEvent:
     def triple_probs(self, x_idx: int) -> np.ndarray:
         """P(o | x, z, y) for every triple, in enumeration order."""
         return _prompt_obs(self.task, x_idx)[self.triple_joint, self.triple_obs]
+
+    def triple_probs_all(self) -> np.ndarray:
+        """[prompts, triples]: `triple_probs(x)` for every prompt x."""
+        table = _obs_table(self.task)
+        flat = self.triple_joint * table.shape[2] + self.triple_obs
+        return table.reshape(len(table), -1).take(flat, axis=1)
 
 
 def compile_event(task: GenerativeTask, event: EventSpec) -> CompiledEvent:

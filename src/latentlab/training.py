@@ -37,8 +37,9 @@ from .esteps import (
     tv_to_exact,
 )
 from .graph import JointModel
-from .logspace import LOG_CLAMP, logsumexp
-from .models import LogitModel, kl_between
+# `bench/spans.py` counts `logsumexp` calls at this import site too
+from .logspace import LOG_CLAMP, logsumexp, logsumexp_rows  # noqa: F401
+from .models import LogitModel, kl_rows
 from .rng import stream
 from .tasks import (
     BAD_TAG,
@@ -119,21 +120,24 @@ def mstep(
             theta[off : off + task.n_joint] = logits
         return model.with_theta(theta)
 
+    # the weighted prompts as rows, in the order `posteriors` lists them
+    xs = np.fromiter(q_vecs, np.int64, len(q_vecs))
+    q = np.array(list(q_vecs.values()))
+    w = rho[xs]
+
     def surrogate(theta: np.ndarray) -> float:
-        total = 0.0
-        for x_idx, q in q_vecs.items():
-            logits = model.features.logits(x_idx, theta)
-            total += rho[x_idx] * (float(np.dot(q, logits)) - float(logsumexp(logits)))
-        return total
+        logits = model.features.logits_all(theta)[xs]
+        # a stack of 1 x J by J x 1 products is one dot product per row
+        dots = np.matmul(q[:, None, :], logits[:, :, None])[:, 0, 0]
+        return sum((w * (dots - logsumexp_rows(logits))).tolist(), 0.0)
 
     def gradient(theta: np.ndarray) -> np.ndarray:
-        g = np.zeros(model.features.dim)
-        for x_idx, q in q_vecs.items():
-            logits = model.features.logits(x_idx, theta)
-            with np.errstate(under="ignore"):
-                p = np.exp(logits - logsumexp(logits))
-            g += rho[x_idx] * model.features.adjoint(x_idx, q - p)
-        return g
+        logits = model.features.logits_all(theta)[xs]
+        with np.errstate(under="ignore"):
+            p = np.exp(logits - logsumexp_rows(logits)[:, None])
+        weights = np.zeros((task.n_prompts, task.n_joint))
+        weights[xs] = w[:, None] * (q - p)
+        return model.features.adjoint_all(weights)
 
     theta = model.theta.copy()
     start = value = surrogate(theta)
@@ -181,9 +185,9 @@ class IterationReport:
 
 
 def _averaged_kl(new: LogitModel, old: LogitModel, rho: np.ndarray) -> float:
-    return float(
-        sum(rho[x] * kl_between(new, old, x) for x in range(len(rho)))
-    )
+    """rho-weighted KL(new || old), evaluated once per (new, old, rho) value."""
+    key = ("kl", old.features, old.theta.tobytes(), rho.tobytes())
+    return new.remember(key, lambda: float(sum((rho * kl_rows(new, old)).tolist())))
 
 
 def em_iterate(

@@ -23,6 +23,7 @@ import numpy as np
 from scipy.stats import chisquare
 
 from . import graph as graph_kernel
+from . import models as model_kernel
 from . import tasks as task_tables
 from . import trie as trie_kernel
 from .errors import (
@@ -50,13 +51,12 @@ from .esteps import (
     run_estep,
 )
 from .graph import JointModel
-from .logspace import LOG_CLAMP, entropy, total_variation
+from .logspace import LOG_CLAMP, entropy, logsumexp, total_variation
 from .models import (
     LogitModel,
     NgramFeatures,
     TabularFeatures,
     kl_between,
-    kl_identity_form,
     random_model,
     read_checkpoint,
     uniform_model,
@@ -112,15 +112,18 @@ from .training import (
     run_pref_loop,
     run_restem,
 )
+from .training import _averaged_kl
 
 SEED = 20260817
 
 # checks that support it consult this to demonstrate they catch mutations
 _ACTIVE_FAULT: str | None = None
-FAULT_NAMES = ("shaping-sign", "trie-upward", "obs-table", "joint-marginal")
+FAULT_NAMES = (
+    "shaping-sign", "trie-upward", "obs-table", "joint-marginal", "batched-rows")
 _SEGMENT_SUM = trie_kernel._segment_sum
-_PROMPT_OBS = task_tables._prompt_obs
-_JOINT_MARGINAL = graph_kernel.PosteriorTable.joint_marginal
+_OBS_TABLE = task_tables._obs_table
+_JOINT_MARGINAL = graph_kernel._joint_marginal
+_NORMALIZED_ROWS = model_kernel._normalized_rows
 
 
 def _misaligned_segment_sum(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -129,16 +132,22 @@ def _misaligned_segment_sum(values: np.ndarray, starts: np.ndarray) -> np.ndarra
     return np.add.reduceat(values, np.minimum(starts + 1, len(values) - 1))
 
 
-def _next_prompt_obs(task: GenerativeTask, x_idx: int) -> np.ndarray:
-    """The observation table read at prompt (x + 1) mod P: the 'obs-table'
-    fault, swapped in by `run_checks`."""
-    return task.obs_probs[(x_idx + 1) % task.n_prompts]
+def _next_prompt_obs(task: GenerativeTask) -> np.ndarray:
+    """The observation table with prompt x reading prompt (x + 1) mod P: the
+    'obs-table' fault, swapped in by `run_checks`."""
+    return np.roll(task.obs_probs, -1, axis=0)
 
 
-def _rolled_joint_marginal(table: graph_kernel.PosteriorTable) -> np.ndarray:
+def _rolled_joint_marginal(compiled, probs: np.ndarray) -> np.ndarray:
     """The exact joint marginal moved up by one joint index: the
     'joint-marginal' fault, swapped in by `run_checks`."""
-    return np.roll(_JOINT_MARGINAL(table), 1)
+    return np.roll(_JOINT_MARGINAL(compiled, probs), 1, axis=-1)
+
+
+def _rolled_prompt_rows(logits: np.ndarray) -> np.ndarray:
+    """The [prompts, joint] log-probability matrix with its rows moved down
+    by one prompt: the 'batched-rows' fault, swapped in by `run_checks`."""
+    return np.roll(_NORMALIZED_ROWS(logits), 1, axis=0)
 
 
 @dataclass(frozen=True)
@@ -301,6 +310,36 @@ def _posterior_pairs(jm: JointModel, x_idx: int, event: EventSpec):
 
 def _as_pairs(task: GenerativeTask, support) -> list[tuple[int, int]]:
     return [task.zy_unindex(int(k)) for k in support]
+
+
+def kl_identity_form(a: LogitModel, b: LogitModel, x_idx: int) -> float:
+    """KL(P_a || P_b) at one prompt via A_b - A_a + E_a[f_a - f_b]: the
+    divergence from partition functions and logit expectations instead of
+    probability ratios, an oracle for `kl_between`."""
+    fa = a.logits(x_idx)
+    fb = b.logits(x_idx)
+    p = a.joint_probs(x_idx)
+    return float(logsumexp(fb) - logsumexp(fa) + np.dot(p, fa - fb))
+
+
+# prompt-by-prompt forms of the batched averages: oracles for
+# `JointModel.averaged_event_logprob`, `averaged_grad` and `_averaged_kl`
+
+
+def _looped_objective(jm: JointModel, event: EventSpec) -> float:
+    rho = jm.task.rho
+    return float(sum(rho[x] * jm.event_logprob(x, event) for x in range(len(rho))))
+
+
+def _looped_grad(jm: JointModel, event: EventSpec) -> np.ndarray:
+    grad = np.zeros(jm.seq.features.dim)
+    for x in range(jm.task.n_prompts):
+        grad += jm.task.rho[x] * jm.grad_event_logprob(x, event)
+    return grad
+
+
+def _looped_kl(new: LogitModel, old: LogitModel, rho: np.ndarray) -> float:
+    return float(sum(rho[x] * kl_between(new, old, x) for x in range(len(rho))))
 
 
 # -- tasks -----------------------------------------------------------------------
@@ -831,6 +870,43 @@ def check_graph_gradient_identity() -> CheckResult:
         if outside.size and float(np.max(np.abs(outside))) != 0.0:
             return _fail(f"gradient leaks outside the prompt block at x={x}")
     return _ok(f"norm-wise FD error {worst:.3e}, tabular blocks exact")
+
+
+def check_graph_batched_averages() -> CheckResult:
+    """All-prompt matrices agree with the prompt-by-prompt oracles.
+
+    Rows of `log_probs_all`, the averaged objective and the averaged KL
+    match bit for bit; the averaged gradient too for tabular features, and
+    within 1e-12 for n-gram features, whose stacked adjoint adds prompts in
+    another order.
+    """
+    cases = [
+        ("tag-4-5", None), ("tag-5-4-soft", None), ("carry-d1-b3", None),
+        ("automaton-2-3", (2, True, True)), ("carry-d1-b3", (1, False, False)),
+    ]
+    worst = 0.0
+    for k, (name, ngram) in enumerate(cases):
+        inst = instance_by_name(name)
+        task = inst.task
+        features = (NgramFeatures(task, ngram[0], positional=ngram[1], per_prompt=ngram[2])
+                    if ngram else TabularFeatures(task))
+        rng = stream(SEED, "batched", k)
+        a, b = (LogitModel(features, rng.normal(0.0, 0.9, features.dim)) for _ in "ab")
+        rows = a.log_probs_all()
+        for x in range(task.n_prompts):
+            if rows[x].tobytes() != a.joint_log_probs(x).tobytes():
+                return _fail(f"{name}: log_probs_all row {x} differs from joint_log_probs")
+        if _averaged_kl(a, b, task.rho) != _looped_kl(a, b, task.rho):
+            return _fail(f"{name}: averaged KL differs from the per-prompt sum")
+        for event in inst.events:
+            jm = JointModel(a)
+            if jm.averaged_event_logprob(event) != _looped_objective(jm, event):
+                return _fail(f"{name}: averaged objective differs from the per-prompt sum")
+            gap = float(np.max(np.abs(jm.averaged_grad(event) - _looped_grad(jm, event))))
+            if gap > (1e-12 if ngram else 0.0):
+                return _fail(f"{name}: averaged gradient deviates by {gap:.3e}")
+            worst = max(worst, gap)
+    return _ok(f"{len(cases)} models bit-exact; n-gram gradients within {worst:.1e}")
 
 
 # -- planner ---------------------------------------------------------------------
@@ -1778,6 +1854,7 @@ CHECKS: dict[str, Callable[[], CheckResult]] = {
     "graph.posterior_oracle": check_graph_posterior_oracle,
     "graph.elbo_bound": check_graph_elbo_bound,
     "graph.gradient_identity": check_graph_gradient_identity,
+    "graph.batched_averages": check_graph_batched_averages,
     "planner.closed_forms": check_planner_closed_forms,
     "planner.trajectory_softmax": check_planner_trajectory_softmax,
     "planner.bellman_consistency": check_planner_bellman_consistency,
@@ -1823,16 +1900,17 @@ def run_checks(
         raise ConfigError(
             f"unknown fault {inject_fault!r}; available: {', '.join(FAULT_NAMES)}")
     names = [n for n in CHECKS if pattern is None or fnmatch.fnmatch(n, pattern)]
-    table = graph_kernel.PosteriorTable
-    previous = (_ACTIVE_FAULT, trie_kernel._segment_sum, task_tables._prompt_obs,
-                table.joint_marginal)
+    previous = (_ACTIVE_FAULT, trie_kernel._segment_sum, task_tables._obs_table,
+                graph_kernel._joint_marginal, model_kernel._normalized_rows)
     _ACTIVE_FAULT = inject_fault
     trie_kernel._segment_sum = (
         _misaligned_segment_sum if inject_fault == "trie-upward" else _SEGMENT_SUM)
-    task_tables._prompt_obs = (
-        _next_prompt_obs if inject_fault == "obs-table" else _PROMPT_OBS)
-    table.joint_marginal = (
+    task_tables._obs_table = (
+        _next_prompt_obs if inject_fault == "obs-table" else _OBS_TABLE)
+    graph_kernel._joint_marginal = (
         _rolled_joint_marginal if inject_fault == "joint-marginal" else _JOINT_MARGINAL)
+    model_kernel._normalized_rows = (
+        _rolled_prompt_rows if inject_fault == "batched-rows" else _NORMALIZED_ROWS)
     results: list[tuple[str, CheckResult]] = []
     try:
         for name in names:
@@ -1842,8 +1920,8 @@ def run_checks(
                 results.append(
                     (name, CheckResult(False, f"raised {type(exc).__name__}: {exc}")))
     finally:
-        (_ACTIVE_FAULT, trie_kernel._segment_sum, task_tables._prompt_obs,
-         table.joint_marginal) = previous
+        (_ACTIVE_FAULT, trie_kernel._segment_sum, task_tables._obs_table,
+         graph_kernel._joint_marginal, model_kernel._normalized_rows) = previous
     return results
 
 

@@ -4,7 +4,9 @@ Only the table compile in `tasks.py` and the brute-force oracles in
 `verification.py` may call a task's evaluator; every other module reads
 `GenerativeTask.obs_probs` through a compiled event.  Between the E-step
 engines, the samplers and the M-step an outcome is its joint index, so the
-modules on that path never turn an index back into a (z, y) tuple.
+modules on that path never turn an index back into a (z, y) tuple.  The
+averages over prompts read a model's [prompts, joint] matrix, never one
+prompt at a time.
 """
 
 import ast
@@ -15,6 +17,10 @@ import latentlab
 PACKAGE = Path(latentlab.__file__).parent
 ALLOWED = {"tasks.py": {"obs_probs"}, "verification.py": None}
 JOINT_INDEX_MODULES = ("esteps.py", "graph.py", "planner.py", "training.py")
+BATCHED = {"graph.py": {"averaged_event_logprob", "averaged_grad"},
+           "training.py": {"_averaged_kl", "mstep"}}
+PER_PROMPT = {"joint_log_probs", "event_logprob", "grad_event_logprob", "kl_between",
+              "adjoint"}
 
 
 def _attribute_calls(tree: ast.AST, attr: str):
@@ -58,3 +64,45 @@ def test_joint_index_path_never_unindexes():
         for func, line in _attribute_calls(tree, "zy_unindex"):
             offenders.append(f"{name}:{line} in {func}")
     assert not offenders, "joint index turned into a (z, y) tuple: " + ", ".join(offenders)
+
+
+def _per_prompt_calls(tree: ast.AST, functions: set[str]):
+    """(function, callee, line) of every call of a per-prompt method or
+    function anywhere inside the named functions, nested ones included."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name in functions:
+            for call in ast.walk(node):
+                if not isinstance(call, ast.Call):
+                    continue
+                callee = getattr(call.func, "attr", getattr(call.func, "id", None))
+                if callee in PER_PROMPT:
+                    found.append((node.name, callee, call.lineno))
+    return found
+
+
+def test_batched_averages_make_no_per_prompt_calls():
+    offenders = []
+    for name, functions in BATCHED.items():
+        tree = ast.parse((PACKAGE / name).read_text())
+        defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+        assert functions <= defined
+        offenders += [f"{name}:{line} {func} calls {callee}"
+                      for func, callee, line in _per_prompt_calls(tree, functions)]
+    assert not offenders, "per-prompt call in a batched average: " + ", ".join(offenders)
+
+
+def test_per_prompt_guard_sees_loop_forms():
+    loops = (
+        "def averaged_grad(self, event):\n"
+        "    for x in range(n):\n"
+        "        grad += rho[x] * self.grad_event_logprob(x, event)\n"
+        "def _averaged_kl(new, old, rho):\n"
+        "    return sum(rho[x] * kl_between(new, old, x) for x in range(len(rho)))\n"
+        "def mstep(model, posteriors):\n"
+        "    def gradient(theta):\n"
+        "        return model.features.adjoint(0, theta)\n"
+    )
+    found = _per_prompt_calls(ast.parse(loops), {"averaged_grad", "_averaged_kl", "mstep"})
+    assert found == [("averaged_grad", "grad_event_logprob", 3),
+                     ("_averaged_kl", "kl_between", 5), ("mstep", "adjoint", 8)]

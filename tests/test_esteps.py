@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from latentlab import EStepResultError, LatentLabError
 from latentlab.errors import ConfigError
 from latentlab.esteps import (
     BACKENDS,
+    EStepResult,
     EStepSpec,
     PolicyGradConfig,
     estep_exact,
@@ -103,3 +105,15 @@ def test_run_estep_unknown_backend(jm):
 def test_rejection_needs_rng(jm):
     with pytest.raises(ConfigError):
         run_estep(jm, 0, success_event(), EStepSpec("rejection", {"budget": 10}))
+
+
+@pytest.mark.parametrize("support, probs, flags", [
+    ([0, 1], [0.2, 0.2], ()),
+    ([0, 1], [1.0], ()),
+    ([3], [1.0], ("zero_acceptance",)),
+])
+def test_malformed_result_raises_typed_error(support, probs, flags):
+    with pytest.raises(EStepResultError) as info:
+        EStepResult(backend="exact", support=np.array(support), probs=probs, flags=flags)
+    assert isinstance(info.value, LatentLabError)
+    assert isinstance(info.value, ValueError)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from latentlab.errors import RecordFormatError
+from latentlab.graph import JointModel
 from latentlab.models import (
     LogitModel,
     NgramFeatures,
@@ -12,7 +13,7 @@ from latentlab.models import (
     write_checkpoint,
 )
 from latentlab.rng import stream
-from latentlab.tasks import make_reward_tag_task
+from latentlab.tasks import make_reward_tag_task, success_event
 
 
 def test_uniform_joint_is_flat(tag_task, tag_uniform):
@@ -117,3 +118,33 @@ def test_log_partition_consistent(tag_model, tag_task):
     for x in range(tag_task.n_prompts):
         lp = tag_model.joint_log_probs(x)
         assert np.exp(lp).sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_theta_is_read_only(tag_model):
+    with pytest.raises(ValueError):
+        tag_model.theta[0] = 1.0
+    source = np.zeros(tag_model.features.dim)
+    model = tag_model.with_theta(source)
+    source[0] = 5.0
+    assert model.theta[0] == 0.0
+
+
+def test_log_probs_all_is_computed_once_per_model(tag_task, monkeypatch):
+    calls = []
+    logits_all = TabularFeatures.logits_all
+
+    def counted(self, theta):
+        calls.append(1)
+        return logits_all(self, theta)
+
+    monkeypatch.setattr(TabularFeatures, "logits_all", counted)
+    model = random_model(tag_task, stream(5, "once"), scale=0.8)
+    rows = model.log_probs_all()
+    assert not rows.flags.writeable
+    jm = JointModel(model)
+    jm.averaged_event_logprob(success_event())
+    jm.averaged_grad(success_event())
+    assert model.log_probs_all() is rows
+    assert len(calls) == 1
+    model.with_theta(model.theta).log_probs_all()
+    assert len(calls) == 2

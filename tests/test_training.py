@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -81,6 +83,32 @@ def test_failed_certificate_raises_typed_error(tag_task, tag_model, monkeypatch,
     with pytest.raises(CertificateError, match=certificate):
         run_em(tag_model, tag_task, success_event(), EXACT, CLOSED,
                iterations=2, seed=0, reference=uniform_model(tag_task))
+
+
+def test_objective_and_kl_are_evaluated_once_per_model(monkeypatch):
+    task = make_reward_tag_task(3, 4, seed=1)
+    model = random_model(task, stream(3, "count"), scale=0.8)
+    objectives: Counter = Counter()
+    kls: Counter = Counter()
+    event_terms = JointModel._all_event_terms
+    kl_rows = training.kl_rows
+
+    def counted_terms(self, compiled):
+        objectives[id(self.seq)] += 1
+        return event_terms(self, compiled)
+
+    def counted_kl(a, b):
+        kls[id(a), id(b)] += 1
+        return kl_rows(a, b)
+
+    monkeypatch.setattr(JointModel, "_all_event_terms", counted_terms)
+    monkeypatch.setattr(training, "kl_rows", counted_kl)
+    seen = []
+    run_em(model, task, success_event(), EXACT, CLOSED, iterations=5, seed=0,
+           on_iteration=lambda t, m, row: seen.append(m))
+    assert len({id(m) for m in seen}) == 6
+    assert objectives == Counter(id(m) for m in seen)
+    assert kls == Counter((id(new), id(old)) for old, new in zip(seen, seen[1:]))
 
 
 def test_em_fixed_point(tag_task, tag_model):

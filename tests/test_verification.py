@@ -68,6 +68,17 @@ def test_joint_marginal_fault_flips_marginal_checks():
     assert all(r.ok for _, r in restored)
 
 
+def test_batched_rows_fault_flips_batched_checks():
+    names = ("graph.batched_averages", "graph.gradient_identity")
+    faulted = [res for name in names
+               for res in run_checks(name, inject_fault="batched-rows")]
+    assert len(faulted) == 2
+    assert not any(r.ok for _, r in faulted)
+    restored = [res for name in names for res in run_checks(name)]
+    assert len(restored) == 2
+    assert all(r.ok for _, r in restored)
+
+
 def test_unknown_fault_rejected():
     with pytest.raises(ConfigError):
         run_checks(inject_fault="no-such-fault")
