@@ -312,6 +312,11 @@ class CompiledEvent:
         row = _prompt_obs(self.task, x_idx)[:, self.obs].sum(axis=-1)
         return np.where(self.inside, row, 0.0)
 
+    def mass_all(self) -> np.ndarray:
+        """[prompts, joint]: `mass(x)` for every prompt x."""
+        rows = _obs_table(self.task)[:, :, self.obs].sum(axis=-1)
+        return np.where(self.inside, rows, 0.0)
+
     def triple_probs(self, x_idx: int) -> np.ndarray:
         """P(o | x, z, y) for every triple, in enumeration order."""
         return _prompt_obs(self.task, x_idx)[self.triple_joint, self.triple_obs]

@@ -27,6 +27,7 @@ from .errors import (
     SurrogateDecreaseError,
     TaskMismatchError,
     UnseenTagError,
+    ZeroMassEventError,
     ZeroProbabilityPairError,
 )
 from .esteps import (
@@ -361,7 +362,7 @@ def _make_row(
         objective=JointModel(model).averaged_event_logprob(event),
         kl_step=_averaged_kl(model, prev, task.rho) if prev is not None else math.nan,
         kl_to_ref=(
-            _averaged_kl(model, reference, task.rho)
+            _averaged_kl(reference, model, task.rho)
             if reference is not None
             else math.nan
         ),
@@ -444,10 +445,22 @@ def run_em(
     reported informationally otherwise.  The second compares the best
     objective gap of the updated iterates theta_1 ... theta_T (not the
     initial model, which no 1/T bound covers) against the budget
-    KL(theta_0 || reference) / T; it is asserted only when a first-order
-    concavity probe along the reference direction passes at every iterate
-    theta_0 ... theta_{T-1}, because the underlying argument needs concavity
-    that arbitrary feature maps do not provide.
+    KL(reference || theta_0) / T.
+
+    For exact E-steps, closed-form M-steps and the comparator of
+    `reference_optimum` the bound is a theorem.  With m the event mass of each
+    joint outcome at a prompt, the update is p_{t+1} proportional to
+    p_t * m, so p_t is proportional to p_0 * m^t, and the gap of theta_t is
+    g_t = -log E_{p_t}[m / max m].  The gaps do not increase (EM is
+    monotone) and telescope: g_0 + ... + g_{T-1} =
+    -log E_{p_0}[(m / max m)^T] <= -log p_0(A), where A is the argmax set
+    of m and -log p_0(A) is KL(reference || theta_0) at that prompt.  So
+    T * g_T <= g_1 + ... + g_T <= g_0 + ... + g_{T-1} <= -log p_0(A), and
+    averaging over prompts gives the budget; at T = 1 and a binary event
+    g_0 equals it.  Other routes and comparators have no such proof, so the
+    certificate is asserted only when a first-order concavity probe along
+    the reference direction passes at every iterate theta_0 ...
+    theta_{T-1}.
     """
     models = [model]
 
@@ -499,7 +512,7 @@ def run_em(
         best_gap = min(
             ref_objective - row.objective for row in record.rows[1:]
         )
-        budget = _averaged_kl(models[0], reference, task.rho) / iterations
+        budget = _averaged_kl(reference, models[0], task.rho) / iterations
         record.certificates["reference_gap"] = {
             "best_gap": best_gap,
             "kl_budget": budget,
@@ -516,19 +529,47 @@ def run_em(
     return final, record
 
 
-def reference_optimum(
-    model: LogitModel,
-    task: GenerativeTask,
-    event: EventSpec,
-    *,
-    steps: int = 10000,
-    rate: float = 1.0,
-) -> LogitModel:
-    """Line-searched ascent on the averaged event log probability.
+def _argmax_sets(mass: np.ndarray) -> np.ndarray:
+    """[prompts, joint] mask of each row's maximal entries, by exact equality."""
+    return mass == mass.max(axis=1, keepdims=True)
 
-    Used to manufacture a strong reference point; with tabular features and
-    a concave instance this is the maximizer to numerical precision.
+
+def reference_optimum(
+    model: LogitModel, task: GenerativeTask, event: EventSpec
+) -> LogitModel:
+    """The comparator of `run_em`'s 1/T certificate, built from `model`.
+
+    With tabular features it is exact and closed form.  With m_x(j) the
+    event mass of joint outcome j at prompt x, the averaged event log
+    probability has supremum sum_x rho(x) log max_j m_x(j), attained by
+    every distribution supported on the argmax sets A_x; the one closest to
+    the model p_0 in KL(q || p_0) is p_0 conditioned on A_x.  Its row holds
+    log p_0(j | x) - log p_0(A_x | x) on A_x and LOG_CLAMP elsewhere, the
+    representation the closed-form M-step writes.  Other feature maps get
+    `_reference_ascent`.
     """
+    if not model.features.supports_closed_form:
+        return _reference_ascent(model, event, steps=10000, rate=1.0)
+    mass = compile_event(task, event).mass_all()
+    zero = np.flatnonzero(mass.max(axis=1) == 0.0)
+    if zero.size:
+        raise ZeroMassEventError(
+            f"event {event.describe()} has zero mass at prompt {zero[0]}"
+        )
+    top = _argmax_sets(mass)
+    log_p = model.log_probs_all()
+    log_top = logsumexp_rows(np.where(top, log_p, -np.inf))
+    # conditioning keeps A_x clear of LOG_CLAMP even where p_0(A_x) is 0
+    rows = np.where(top, log_p - log_top[:, None], LOG_CLAMP)
+    # tabular theta is the [prompts, joint] logit matrix, row after row
+    return model.with_theta(rows.ravel())
+
+
+def _reference_ascent(
+    model: LogitModel, event: EventSpec, *, steps: int, rate: float
+) -> LogitModel:
+    """Line-searched ascent on the averaged event log probability, for
+    feature maps without a closed-form comparator."""
     current = model
 
     def objective(m: LogitModel) -> float:

@@ -25,6 +25,7 @@ from scipy.stats import chisquare
 from . import graph as graph_kernel
 from . import models as model_kernel
 from . import tasks as task_tables
+from . import training as training_kernel
 from . import trie as trie_kernel
 from .errors import (
     CapExceededError,
@@ -119,11 +120,13 @@ SEED = 20260817
 # checks that support it consult this to demonstrate they catch mutations
 _ACTIVE_FAULT: str | None = None
 FAULT_NAMES = (
-    "shaping-sign", "trie-upward", "obs-table", "joint-marginal", "batched-rows")
+    "shaping-sign", "trie-upward", "obs-table", "joint-marginal", "batched-rows",
+    "comparator-set")
 _SEGMENT_SUM = trie_kernel._segment_sum
 _OBS_TABLE = task_tables._obs_table
 _JOINT_MARGINAL = graph_kernel._joint_marginal
 _NORMALIZED_ROWS = model_kernel._normalized_rows
+_ARGMAX_SETS = training_kernel._argmax_sets
 
 
 def _misaligned_segment_sum(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -148,6 +151,12 @@ def _rolled_prompt_rows(logits: np.ndarray) -> np.ndarray:
     """The [prompts, joint] log-probability matrix with its rows moved down
     by one prompt: the 'batched-rows' fault, swapped in by `run_checks`."""
     return np.roll(_NORMALIZED_ROWS(logits), 1, axis=0)
+
+
+def _rolled_argmax_sets(mass: np.ndarray) -> np.ndarray:
+    """The comparator's argmax sets moved up by one joint index: the
+    'comparator-set' fault, swapped in by `run_checks`."""
+    return np.roll(_ARGMAX_SETS(mass), 1, axis=1)
 
 
 @dataclass(frozen=True)
@@ -1384,7 +1393,7 @@ def check_training_reference_gap() -> CheckResult:
     task = inst.task
     corner = EventSpec(latents=(0,), responses=(0,))
     model = random_model(task, stream(SEED, "refgap"), scale=1.0)
-    ref = reference_optimum(model, task, corner, steps=3000, rate=1.0)
+    ref = reference_optimum(model, task, corner)
     _, record = run_em(model, task, corner, EStepSpec("exact"),
                        MStepSpec("closed_form"), iterations=20, seed=29,
                        reference=ref)
@@ -1393,8 +1402,64 @@ def check_training_reference_gap() -> CheckResult:
         return _fail("no reference certificate on a run with a reference")
     if not cert["concavity_probe"] or not cert["asserted"] or not cert["holds"]:
         return _fail(f"single-outcome certificate failed: {cert}")
+    # the comparator is the supremum, so no iterate may beat it
+    if cert["best_gap"] < -1e-12:
+        return _fail(f"an iterate beats the comparator by {-cert['best_gap']:.3e}")
     return _ok(f"gap {cert['best_gap']:.3e} <= budget {cert['kl_budget']:.3e} "
                "with the probe passing")
+
+
+def _argmax_oracle(task: GenerativeTask, event: EventSpec) -> list[tuple[float, list[int]]]:
+    """Per prompt, the largest event mass of a joint outcome and the joint
+    indices attaining it, from nested loops over evaluator calls."""
+    out = []
+    for x in range(task.n_prompts):
+        mass: dict[int, float] = {}
+        for zi, yi, o in enumerate_event(task, event):
+            k = task.zy_index(zi, yi)
+            mass[k] = mass.get(k, 0.0) + task.evaluator(x, zi, yi, o)
+        top = max(mass.values())
+        out.append((top, [k for k, m in mass.items() if m == top]))
+    return out
+
+
+def check_training_reference_closed_form() -> CheckResult:
+    """The tabular comparator is p_0 conditioned on the brute-force argmax
+    set A: its objective is sum rho log max mass and KL(ref || p_0) is
+    -sum rho log p_0(A)."""
+    worst = 0.0
+    cases = 0
+    for name in ("tag-4-5", "tag-5-4-soft", "carry-d1-b3-soft", "automaton-2-3"):
+        inst = instance_by_name(name)
+        task = inst.task
+        model = random_model(task, stream(SEED, "refcf", name), scale=1.0)
+        for event in inst.events:
+            tops = _argmax_oracle(task, event)
+            if min(top for top, _ in tops) == 0.0:
+                return _fail(f"{name}: {event.describe()} has a zero-mass prompt")
+            ref = reference_optimum(model, task, event)
+            supremum = budget = tv = 0.0
+            for x, (top, argmax) in enumerate(tops):
+                p0 = np.zeros(task.n_joint)
+                for k in argmax:
+                    p0[k] = math.exp(model.joint_logprob(x, *task.zy_unindex(k)))
+                supremum += task.rho[x] * math.log(top)
+                budget -= task.rho[x] * math.log(p0.sum())
+                tv = max(tv, total_variation(ref.joint_probs(x), p0 / p0.sum()))
+            objective = JointModel(ref).averaged_event_logprob(event)
+            kl = _averaged_kl(ref, model, task.rho)
+            if abs(objective - supremum) > 1e-12:
+                return _fail(f"{name}: comparator objective {objective:.15g} "
+                             f"!= supremum {supremum:.15g}")
+            if abs(kl - budget) > 1e-12 * max(1.0, budget):
+                return _fail(f"{name}: KL(ref || p_0) {kl:.15g} != "
+                             f"-sum rho log p_0(A) {budget:.15g}")
+            if tv > 1e-12:
+                return _fail(f"{name}: comparator is {tv:.3e} in total variation "
+                             "from p_0 conditioned on the argmax set")
+            worst = max(worst, abs(objective - supremum), abs(kl - budget), tv)
+            cases += 1
+    return _ok(f"{cases} events: objective, budget and conditional within {worst:.1e}")
 
 
 def check_training_fixed_point() -> CheckResult:
@@ -1870,6 +1935,7 @@ CHECKS: dict[str, Callable[[], CheckResult]] = {
     "training.em_monotone": check_training_em_monotone,
     "training.telescoping_certificate": check_training_telescoping_certificate,
     "training.reference_gap": check_training_reference_gap,
+    "training.reference_closed_form": check_training_reference_closed_form,
     "training.fixed_point": check_training_fixed_point,
     "training.unification_filter": check_training_unification_filter,
     "training.unification_restem": check_training_unification_restem,
@@ -1901,7 +1967,8 @@ def run_checks(
             f"unknown fault {inject_fault!r}; available: {', '.join(FAULT_NAMES)}")
     names = [n for n in CHECKS if pattern is None or fnmatch.fnmatch(n, pattern)]
     previous = (_ACTIVE_FAULT, trie_kernel._segment_sum, task_tables._obs_table,
-                graph_kernel._joint_marginal, model_kernel._normalized_rows)
+                graph_kernel._joint_marginal, model_kernel._normalized_rows,
+                training_kernel._argmax_sets)
     _ACTIVE_FAULT = inject_fault
     trie_kernel._segment_sum = (
         _misaligned_segment_sum if inject_fault == "trie-upward" else _SEGMENT_SUM)
@@ -1911,6 +1978,8 @@ def run_checks(
         _rolled_joint_marginal if inject_fault == "joint-marginal" else _JOINT_MARGINAL)
     model_kernel._normalized_rows = (
         _rolled_prompt_rows if inject_fault == "batched-rows" else _NORMALIZED_ROWS)
+    training_kernel._argmax_sets = (
+        _rolled_argmax_sets if inject_fault == "comparator-set" else _ARGMAX_SETS)
     results: list[tuple[str, CheckResult]] = []
     try:
         for name in names:
@@ -1921,7 +1990,8 @@ def run_checks(
                     (name, CheckResult(False, f"raised {type(exc).__name__}: {exc}")))
     finally:
         (_ACTIVE_FAULT, trie_kernel._segment_sum, task_tables._obs_table,
-         graph_kernel._joint_marginal, model_kernel._normalized_rows) = previous
+         graph_kernel._joint_marginal, model_kernel._normalized_rows,
+         training_kernel._argmax_sets) = previous
     return results
 
 
@@ -2109,19 +2179,21 @@ def acceptance_06() -> AcceptanceResult:
         task = inst.task
         corner = EventSpec(latents=(0,), responses=(0,))
         model = random_model(task, stream(SEED, "acc6", name), scale=1.0)
-        ref = reference_optimum(model, task, corner, steps=3000, rate=1.0)
+        ref = reference_optimum(model, task, corner)
         _, record = run_em(model, task, corner, EStepSpec("exact"),
                            MStepSpec("closed_form"), iterations=50, seed=67,
                            reference=ref)
         cert = record.certificates["reference_gap"]
-        if not (cert["concavity_probe"] and cert["holds"]):
+        # the comparator is the supremum, so no iterate may beat it
+        if not (cert["concavity_probe"] and cert["holds"]
+                and cert["best_gap"] >= -1e-12):
             ok = False
         details.append(f"{name}: probe={cert['concavity_probe']} "
                        f"gap {cert['best_gap']:.2e} <= {cert['kl_budget']:.2e}")
     # general events carry no concavity promise; report the verdict instead
     inst = instance_by_name("automaton-3-2")
     model = random_model(inst.task, stream(SEED, "acc6-general"), scale=2.5)
-    ref = reference_optimum(model, inst.task, success_event(), steps=3000, rate=1.0)
+    ref = reference_optimum(model, inst.task, success_event())
     _, record = run_em(model, inst.task, success_event(), EStepSpec("exact"),
                        MStepSpec("closed_form"), iterations=12, seed=67,
                        reference=ref)

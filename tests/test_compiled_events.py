@@ -6,7 +6,8 @@ index arrays are compared with a nested-loop enumeration sorted by token
 ids, and their per-prompt event mass with direct evaluator calls.  Under
 random models, the joint-index marginal, total variation and closed-form
 M-step built on them are compared with the same computations in (z, y)
-pair form.
+pair form, and the closed-form comparator of the 1/T certificate with the
+argmax sets of the same evaluator calls.
 """
 
 import math
@@ -16,7 +17,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from latentlab.esteps import tv_to_exact
+from latentlab.errors import ZeroMassEventError
+from latentlab.esteps import EStepSpec, tv_to_exact
 from latentlab.graph import JointModel
 from latentlab.logspace import LOG_CLAMP
 from latentlab.models import random_model, uniform_model
@@ -28,7 +30,14 @@ from latentlab.tasks import (
     make_reward_tag_task,
     success_event,
 )
-from latentlab.training import MStepSpec, mstep
+from latentlab.training import (
+    MStepSpec,
+    _averaged_kl,
+    _reference_ascent,
+    mstep,
+    reference_optimum,
+    run_em,
+)
 from latentlab.verification import _posterior_pairs, _union_tv
 
 TASKS = (
@@ -170,3 +179,40 @@ def test_closed_form_mstep_matches_pair_accumulation(case):
     theta[off:off + task.n_joint] = logits
     updated = mstep(model, {x: (support, probs)}, MStepSpec("closed_form"))
     assert np.array_equal(updated.theta, theta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(events(), st.floats(0.1, 3.0), st.integers(0, 2**32 - 1), st.integers(1, 6))
+def test_closed_form_comparator_certifies_one_over_t(case, scale, seed, iterations):
+    task, _, event, zs, ys, obs = case
+    model = random_model(task, np.random.default_rng(seed), scale=scale)
+    supremum = kl_to_init = 0.0
+    for x in range(task.n_prompts):
+        mass = {
+            task.zy_index(z, y): sum(task.evaluator(x, z, y, o) for o in obs)
+            for z in zs
+            for y in ys
+        }
+        top = max(mass.values())
+        if top == 0.0:
+            with pytest.raises(ZeroMassEventError, match=f"prompt {x}"):
+                reference_optimum(model, task, event)
+            return
+        p_top = sum(math.exp(model.joint_logprob(x, *task.zy_unindex(k)))
+                    for k, m in mass.items() if m == top)
+        supremum += task.rho[x] * math.log(top)
+        kl_to_init -= task.rho[x] * math.log(p_top)
+
+    ref = reference_optimum(model, task, event)
+    objective = JointModel(ref).averaged_event_logprob(event)
+    assert objective == pytest.approx(supremum, rel=0, abs=1e-12)
+    ascent = _reference_ascent(model, event, steps=200, rate=1.0)
+    assert objective >= JointModel(ascent).averaged_event_logprob(event) - 1e-12
+    assert _averaged_kl(ref, model, task.rho) == pytest.approx(
+        kl_to_init, rel=1e-12, abs=1e-12)
+
+    _, record = run_em(model, task, event, EStepSpec("exact"), MStepSpec("closed_form"),
+                       iterations=iterations, seed=seed, reference=ref)
+    best_gap = min(supremum - row.objective for row in record.rows[1:])
+    assert best_gap <= kl_to_init / iterations + 1e-9
+    assert record.certificates["reference_gap"]["holds"]

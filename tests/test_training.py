@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 
 import numpy as np
@@ -6,12 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latentlab import training
-from latentlab.errors import CertificateError, ConfigError, UnseenTagError
+from latentlab.errors import (
+    CertificateError,
+    ConfigError,
+    UnseenTagError,
+    ZeroMassEventError,
+)
 from latentlab.esteps import EStepSpec
 from latentlab.graph import JointModel
+from latentlab.logspace import LOG_CLAMP
 from latentlab.models import random_model, uniform_model
 from latentlab.rng import stream
-from latentlab.tasks import make_reward_tag_task, success_event
+from latentlab.tasks import EventSpec, compile_event, make_reward_tag_task, success_event
 from latentlab.training import (
     MStepSpec,
     PreferencePair,
@@ -67,7 +74,7 @@ def test_reference_gap_bounds_the_updated_iterate_at_one_iteration(evaluator):
     for seed in range(6):
         task = make_reward_tag_task(3, 4, seed=seed, evaluator=evaluator)
         model = random_model(task, np.random.default_rng(seed), scale=0.5)
-        ref = reference_optimum(model, task, event, steps=5)
+        ref = training._reference_ascent(model, event, steps=5, rate=1.0)
         _, record = run_em(model, task, event, EXACT, CLOSED,
                            iterations=1, seed=seed, reference=ref)
         cert = record.certificates["reference_gap"]
@@ -75,6 +82,48 @@ def test_reference_gap_bounds_the_updated_iterate_at_one_iteration(evaluator):
         assert ref_objective - record.rows[0].objective > cert["kl_budget"]
         assert cert["best_gap"] == ref_objective - record.rows[1].objective
         assert cert["asserted"] and cert["holds"]
+
+
+def test_reference_gap_budget_is_tight_at_one_iteration_for_binary_events():
+    # for a binary event the initial gap -log p_0(A) is the whole budget
+    # KL(ref || theta_0), and one exact step lands on the comparator
+    event = success_event()
+    for seed in range(6):
+        task = make_reward_tag_task(3, 4, seed=seed)
+        model = random_model(task, np.random.default_rng(seed), scale=0.5)
+        ref = reference_optimum(model, task, event)
+        _, record = run_em(model, task, event, EXACT, CLOSED,
+                           iterations=1, seed=seed, reference=ref)
+        cert = record.certificates["reference_gap"]
+        initial_gap = JointModel(ref).averaged_event_logprob(event) - record.rows[0].objective
+        assert abs(initial_gap - cert["kl_budget"]) <= 1e-12
+        assert abs(cert["best_gap"]) <= 1e-12
+        assert cert["asserted"] and cert["holds"]
+
+
+def test_closed_form_reference_rejects_a_zero_mass_prompt():
+    task = make_reward_tag_task(3, 4, seed=1)
+    event = EventSpec(latents=(0,), responses=(2,), obs=(1,))
+    zero = np.flatnonzero(compile_event(task, event).mass_all().max(axis=1) == 0.0)
+    assert zero.size
+    model = random_model(task, np.random.default_rng(0), scale=0.5)
+    with pytest.raises(ZeroMassEventError, match=f"prompt {zero[0]}"):
+        reference_optimum(model, task, event)
+    with pytest.raises(ZeroMassEventError, match=f"prompt {zero[0]}"):
+        JointModel(model).averaged_grad(event)
+
+
+def test_reference_optimum_conditions_on_a_set_the_model_clamps():
+    # a closed-form M-step can leave the whole argmax set at LOG_CLAMP; the
+    # comparator must still put all its mass there
+    task = make_reward_tag_task(3, 4, seed=1)
+    event = success_event()
+    mass = compile_event(task, event).mass_all()
+    theta = np.where(mass == 1.0, LOG_CLAMP, 0.0).ravel()
+    model = uniform_model(task).with_theta(theta)
+    ref = reference_optimum(model, task, event)
+    assert JointModel(ref).averaged_event_logprob(event) == 0.0
+    assert np.array_equal(ref.log_probs_all() > LOG_CLAMP / 2, mass == 1.0)
 
 
 @pytest.mark.parametrize("kl, certificate", [(1e9, "telescoping"), (-1e9, "reference-gap")])
@@ -167,13 +216,22 @@ def test_accuracy_range(tag_task, tag_model):
 
 
 def test_reference_optimum_improves(tag_task, tag_model):
-    ev = success_event()
-    j0 = JointModel(tag_model).averaged_event_logprob(ev)
-    ref = reference_optimum(tag_model, tag_task, ev, steps=800)
-    j_ref = JointModel(ref).averaged_event_logprob(ev)
-    # the optimum of this instance is 0; 800 steps should close most of the gap
-    assert j0 < -0.5
-    assert j_ref > -0.01
+    # the closed-form comparator attains the brute-force supremum exactly
+    for o in (1, 0):
+        ev = EventSpec(obs=(o,))
+        supremum = sum(
+            tag_task.rho[x] * math.log(max(
+                tag_task.evaluator(x, z, y, o)
+                for z in range(tag_task.n_latents)
+                for y in range(tag_task.n_responses)
+            ))
+            for x in range(tag_task.n_prompts)
+        )
+        ref = reference_optimum(tag_model, tag_task, ev)
+        j0 = JointModel(tag_model).averaged_event_logprob(ev)
+        assert j0 < supremum - 0.5
+        assert JointModel(ref).averaged_event_logprob(ev) == pytest.approx(
+            supremum, rel=0, abs=1e-12)
 
 
 def test_filter_exact_weights_is_em_step(tag_task, tag_model):

@@ -79,6 +79,17 @@ def test_batched_rows_fault_flips_batched_checks():
     assert all(r.ok for _, r in restored)
 
 
+def test_comparator_set_fault_flips_reference_checks():
+    pattern = "training.reference_*"
+    faulted = run_checks(pattern, inject_fault="comparator-set")
+    assert [name for name, _ in faulted] == [
+        "training.reference_gap", "training.reference_closed_form"]
+    assert not any(r.ok for _, r in faulted)
+    restored = run_checks(pattern)
+    assert len(restored) == 2
+    assert all(r.ok for _, r in restored)
+
+
 def test_unknown_fault_rejected():
     with pytest.raises(ConfigError):
         run_checks(inject_fault="no-such-fault")
