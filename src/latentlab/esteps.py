@@ -213,7 +213,6 @@ class PolicyGradConfig:
     batch_size: int = 0
     iterations: int = 200
     beta: float = 1.0
-    baseline: str = "mean_return"
     reward_floor: float = -30.0
     divergence_patience: int = 50
 
@@ -226,10 +225,6 @@ class PolicyGradConfig:
             raise ConfigError(f"batch_size must be >= 0, got {self.batch_size}")
         if self.beta <= 0:
             raise ConfigError(f"beta must be positive, got {self.beta}")
-        if self.baseline not in ("mean_return", "none"):
-            raise ConfigError(
-                f"baseline must be 'mean_return' or 'none', got {self.baseline!r}"
-            )
         if self.reward_floor >= 0:
             raise ConfigError(
                 f"reward_floor must be negative, got {self.reward_floor}"
@@ -293,7 +288,7 @@ def estep_policy_gradient(
     probability and the floored event bonus; the maximizer of J is the
     softmax of R / beta, i.e. the posterior up to floor leakage.  Exact mode
     (``batch_size = 0``) line-searches every step and is monotone in J;
-    sampled mode uses REINFORCE with an optional mean-return baseline and
+    sampled mode uses REINFORCE with a mean-return baseline and
     raises `DivergenceError` after `divergence_patience` consecutive drops
     of the exactly-evaluated objective.
 
@@ -352,8 +347,7 @@ def estep_policy_gradient(
         else:
             draws = rng.choice(task.n_joint, size=cfg.batch_size, p=p)
             returns = rewards[draws] - cfg.beta * log_p[draws]
-            baseline = returns.mean() if cfg.baseline == "mean_return" else 0.0
-            advantage = returns - baseline
+            advantage = returns - returns.mean()
             step_flat = np.zeros(task.n_joint)
             np.add.at(step_flat, draws, advantage)
             step_flat = step_flat / cfg.batch_size - p * advantage.mean()

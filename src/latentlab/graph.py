@@ -82,9 +82,6 @@ class JointModel:
         lp_zy = self.seq.joint_logprob(x_idx, z_idx, y_idx)
         return lp_zy + safe_log(self.task.evaluator_prob(x_idx, z_idx, y_idx, o))
 
-    def triple_prob(self, x_idx: int, z_idx: int, y_idx: int, o: int) -> float:
-        return float(np.exp(self.triple_logprob(x_idx, z_idx, y_idx, o)))
-
     def _event_terms(
         self, x_idx: int, event: EventSpec
     ) -> tuple[CompiledEvent, np.ndarray]:
@@ -93,11 +90,6 @@ class JointModel:
         with np.errstate(divide="ignore"):
             log_eval = np.log(compiled.triple_probs(x_idx))
         return compiled, lp_zy[compiled.triple_joint] + log_eval
-
-    def event_logprob(self, x_idx: int, event: EventSpec) -> float:
-        """log P(event | x, theta); -inf signals a zero-mass (not invalid) event."""
-        _, terms = self._event_terms(x_idx, event)
-        return log_sum_exp(terms)
 
     def exact_posterior(self, x_idx: int, event: EventSpec) -> PosteriorTable:
         """Q(z, y, o) proportional to P(z, y, o | x) restricted to the event."""
@@ -133,12 +125,6 @@ class JointModel:
         mask = q > 0.0
         value = float(np.dot(q[mask], terms[mask])) + entropy(q)
         return ElboReport(value=value, log_likelihood=log_sum_exp(terms))
-
-    def grad_event_logprob(self, x_idx: int, event: EventSpec) -> np.ndarray:
-        """d/dtheta log P(event | x): posterior minus model feature means."""
-        q_vec = self.exact_posterior(x_idx, event).joint_marginal()
-        p_vec = self.seq.joint_probs(x_idx)
-        return self.seq.features.adjoint(x_idx, q_vec - p_vec)
 
     def _all_event_terms(self, compiled: CompiledEvent) -> np.ndarray:
         """[prompts, triples] log P(z, y, o | x) over the event's triples."""

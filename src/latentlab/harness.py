@@ -20,7 +20,7 @@ import numpy as np
 import yaml
 
 from .errors import ConfigError, TaskMismatchError
-from .esteps import EStepSpec, PolicyGradConfig
+from .esteps import BACKENDS, EStepSpec, PolicyGradConfig
 from .models import (
     LogitModel,
     NgramFeatures,
@@ -89,7 +89,6 @@ _PG_FIELDS = (
     "batch_size",
     "iterations",
     "beta",
-    "baseline",
     "reward_floor",
     "divergence_patience",
 )
@@ -144,6 +143,32 @@ def _as_bool(section: str, key: str, value) -> bool:
     if not isinstance(value, bool):
         raise ConfigError(f"{section}.{key} must be true or false, got {value!r}")
     return value
+
+
+def _check_pg(section: str, params: dict) -> None:
+    _reject_unknown(section, params, _PG_FIELDS)
+    try:
+        PolicyGradConfig(**params)  # validates values
+    except TypeError as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
+
+
+def _check_estep_params(backend: str, params: dict) -> None:
+    """The keyword parameters of each e-step backend: none for exact, beta
+    for planning, budget for rejection, `_PG_FIELDS` for policy gradient."""
+    section = "estep.params"
+    if backend == "policy_gradient":
+        _check_pg(section, params)
+        return
+    allowed = {"planning": ("beta",), "rejection": ("budget",)}.get(backend, ())
+    _reject_unknown(section, params, allowed)
+    if backend == "planning" and "beta" in params:
+        if not _as_float(section, "beta", params["beta"]) > 0:
+            raise ConfigError(f"{section}.beta must be > 0, got {params['beta']!r}")
+    if backend == "rejection":
+        if "budget" not in params:
+            raise ConfigError(f"{section}.budget is required for backend 'rejection'")
+        _as_int(section, "budget", params["budget"], minimum=1)
 
 
 def _normalize_task(raw) -> dict:
@@ -256,9 +281,13 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError("estep must be a mapping")
         _reject_unknown("estep", raw["estep"], _ESTEP_DEFAULTS)
         estep.update(raw["estep"])
+    if estep["backend"] not in BACKENDS:
+        raise ConfigError(
+            f"estep.backend must be one of {', '.join(BACKENDS)}, got {estep['backend']!r}"
+        )
     if not isinstance(estep["params"], dict):
         raise ConfigError("estep.params must be a mapping")
-    EStepSpec(estep["backend"], dict(estep["params"]))  # validates the backend
+    _check_estep_params(estep["backend"], estep["params"])
     data["estep"] = {"backend": estep["backend"], "params": dict(estep["params"])}
 
     mstep = dict(_MSTEP_DEFAULTS)
@@ -285,8 +314,7 @@ def parse_config(text: str) -> RunConfig:
     if dpo["pg"] is not None:
         if not isinstance(dpo["pg"], dict):
             raise ConfigError("dpo.pg must be a mapping")
-        _reject_unknown("dpo.pg", dpo["pg"], _PG_FIELDS)
-        PolicyGradConfig(**dpo["pg"])  # validates values
+        _check_pg("dpo.pg", dpo["pg"])
     data["dpo"] = dpo
 
     reference = raw.get("reference", "none")

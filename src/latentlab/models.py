@@ -331,15 +331,6 @@ class LogitModel:
     def with_theta(self, theta: np.ndarray) -> "LogitModel":
         return LogitModel(self.features, theta)
 
-    def logits(self, x_idx: int) -> np.ndarray:
-        return self.features.logits(x_idx, self.theta)
-
-    def log_partition(self, x_idx: int) -> float:
-        """A(x, theta) = log sum over all (z, y) of exp f_theta."""
-        if not 0 <= x_idx < self.task.n_prompts:
-            raise OutOfSpaceError(f"prompt index {x_idx} out of range")
-        return float(logsumexp(self.logits(x_idx)))
-
     def joint_log_probs(self, x_idx: int) -> np.ndarray:
         """log P(z, y | x) at one prompt, computed on its own: the same bits
         as row x of `log_probs_all()`."""
@@ -368,21 +359,6 @@ class LogitModel:
             raise OutOfSpaceError(f"prompt index {x_idx} out of range")
         return AutoregressiveView(self.task, x_idx, self.joint_log_probs(x_idx))
 
-    def sample_joint(
-        self,
-        x_idx: int,
-        rng: np.random.Generator,
-        view: AutoregressiveView | None = None,
-    ) -> tuple[int, int]:
-        view = view if view is not None else self.conditional_tables(x_idx)
-        return view.sample(rng)
-
-    def greedy_joint(
-        self, x_idx: int, view: AutoregressiveView | None = None
-    ) -> tuple[int, int]:
-        view = view if view is not None else self.conditional_tables(x_idx)
-        return view.greedy()
-
 
 def uniform_model(task: GenerativeTask, features: FeatureMap | None = None) -> LogitModel:
     features = features if features is not None else TabularFeatures(task)
@@ -408,17 +384,9 @@ def _require_same_task(a: LogitModel, b: LogitModel) -> None:
         raise FeatureMapMismatchError("models are defined over different tasks")
 
 
-def kl_between(a: LogitModel, b: LogitModel, x_idx: int) -> float:
-    """KL(P_a(.,.|x) || P_b(.,.|x)) summed over the joint space."""
-    _require_same_task(a, b)
-    p = a.joint_probs(x_idx)
-    diff = a.joint_log_probs(x_idx) - b.joint_log_probs(x_idx)
-    mask = p > 0.0
-    return float(np.sum(p[mask] * diff[mask]))
-
-
 def kl_rows(a: LogitModel, b: LogitModel) -> np.ndarray:
-    """`kl_between(a, b, x)` at every prompt x, with the same bits."""
+    """KL(P_a(.,.|x) || P_b(.,.|x)) summed over the joint space, at every
+    prompt x."""
     _require_same_task(a, b)
     lp_a = a.log_probs_all()
     with np.errstate(under="ignore"):

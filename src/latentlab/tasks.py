@@ -151,10 +151,6 @@ class GenerativeTask:
                 f"response index {y_idx} outside [0, {self.n_responses})"
             )
 
-    def joint_tokens(self, z_idx: int, y_idx: int) -> tuple[int, ...]:
-        """Concatenated latent+response trajectory for one joint outcome."""
-        return self.latents[z_idx].ids + self.responses[y_idx].ids
-
     @cached_property
     def joint_sequences(self) -> tuple[tuple[int, ...], ...]:
         """All joint trajectories in (z_idx, y_idx) lexicographic order."""
@@ -190,10 +186,6 @@ class GenerativeTask:
         row = _prompt_obs(self, x_idx)
         return float(row[self.zy_index(z_idx, y_idx), self.obs_values.index(o)])
 
-    def success_prob(self, x_idx: int, z_idx: int, y_idx: int) -> float:
-        """P(o = 1 | x, z, y); the task-level notion of a correct answer."""
-        return self.evaluator_prob(x_idx, z_idx, y_idx, 1)
-
 
 def _obs_table(task: GenerativeTask) -> np.ndarray:
     """`task.obs_probs`; every read of the table goes through here."""
@@ -205,11 +197,6 @@ def _prompt_obs(task: GenerativeTask, x_idx: int) -> np.ndarray:
     if not 0 <= x_idx < task.n_prompts:
         raise OutOfSpaceError(f"prompt index {x_idx} outside [0, {task.n_prompts})")
     return _obs_table(task)[x_idx]
-
-
-def evaluator_normalization_gap(task: GenerativeTask) -> float:
-    """Max |sum_o P(o|x,z,y) - 1| over all triples; 0 for a valid task."""
-    return float(np.abs(_obs_table(task).sum(axis=-1) - 1.0).max())
 
 
 # -- events ---------------------------------------------------------------
@@ -363,18 +350,6 @@ def compile_event(task: GenerativeTask, event: EventSpec) -> CompiledEvent:
             inside=inside,
         )
     return compiled
-
-
-def enumerate_event(
-    task: GenerativeTask, event: EventSpec
-) -> list[tuple[int, int, int]]:
-    """All (z_idx, y_idx, o_value) triples in the event, in enumeration order."""
-    return list(compile_event(task, event).triples)
-
-
-def event_zy_support(task: GenerativeTask, event: EventSpec) -> list[tuple[int, int]]:
-    """Distinct (z_idx, y_idx) pairs of the event, in enumeration order."""
-    return list(compile_event(task, event).pairs)
 
 
 def explicit_event(task: GenerativeTask, event: EventSpec) -> EventSpec:

@@ -6,7 +6,8 @@ Only the table compile in `tasks.py` and the brute-force oracles in
 engines, the samplers and the M-step an outcome is its joint index, so the
 modules on that path never turn an index back into a (z, y) tuple.  The
 averages over prompts read a model's [prompts, joint] matrix, never one
-prompt at a time.
+prompt at a time.  Every function of a production module (every module but
+`verification.py`) has a caller in production or benchmark code.
 """
 
 import ast
@@ -21,6 +22,16 @@ BATCHED = {"graph.py": {"averaged_event_logprob", "averaged_grad"},
            "training.py": {"_averaged_kl", "mstep"}}
 PER_PROMPT = {"joint_log_probs", "event_logprob", "grad_event_logprob", "kl_between",
               "adjoint"}
+BENCH = PACKAGE.parents[1] / "bench"
+# functions that production and benchmark code never call, kept on purpose
+UNCALLED = {
+    "elbo": "JointModel.elbo: the only ELBO implementation, with typed input checks",
+    "triple_logprob": "JointModel.triple_logprob: the factorization, one triple at a time",
+    "conditional": "AutoregressiveView.conditional: the per-prefix lookup, tested by a "
+                   "hypothesis property",
+    "feature_vector": "FeatureMap.feature_vector: brute-force rows for the adjoint oracle, "
+                      "which need each map's private matrices",
+}
 
 
 def _attribute_calls(tree: ast.AST, attr: str):
@@ -106,3 +117,53 @@ def test_per_prompt_guard_sees_loop_forms():
     found = _per_prompt_calls(ast.parse(loops), {"averaged_grad", "_averaged_kl", "mstep"})
     assert found == [("averaged_grad", "grad_event_logprob", 3),
                      ("_averaged_kl", "kl_between", 5), ("mstep", "adjoint", 8)]
+
+
+def _definitions(node: ast.AST, prefix: str = ""):
+    """(qualified name, name) of every function and method under `node`."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not isinstance(child, ast.ClassDef):
+                yield prefix + child.name, child.name
+            yield from _definitions(child, f"{prefix}{child.name}.")
+        else:
+            yield from _definitions(child, prefix)
+
+
+def _unreferenced(defining: dict[str, str], referencing: list[str]) -> dict[str, str]:
+    """{`module:qualname`: name} of every non-dunder function defined in a
+    `defining` source whose name no `referencing` source uses as a name, an
+    attribute or an identifier string (as `__all__` and `getattr` name it)."""
+    used = set()
+    for source in referencing:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)
+    return {f"{module}:{qualname}": name
+            for module, source in defining.items()
+            for qualname, name in _definitions(ast.parse(source))
+            if name not in used and not name.startswith("__")}
+
+
+def test_every_production_function_has_a_caller():
+    production = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))
+                  if path.name != "verification.py"}
+    bench = [path.read_text() for path in sorted(BENCH.glob("*.py"))]
+    assert len(production) > 10 and len(bench) >= 3
+    found = _unreferenced(production, list(production.values()) + bench)
+    offenders = sorted(q for q, name in found.items() if name not in UNCALLED)
+    assert not offenders, "no caller outside tests: " + ", ".join(offenders)
+    assert set(found.values()) == set(UNCALLED), "stale UNCALLED entry"
+
+
+def test_caller_guard_sees_an_unreferenced_def():
+    defining = {"m.py": "class A:\n    def used(self):\n        pass\n"
+                        "    def unused(self):\n        pass\n"
+                        "    def __repr__(self):\n        pass\n"
+                        "def helper():\n    return A().used()\n"}
+    caller = "__all__ = ['helper']\n"
+    assert _unreferenced(defining, [*defining.values(), caller]) == {"m.py:A.unused": "unused"}

@@ -7,11 +7,12 @@ from latentlab.models import uniform_model
 from latentlab.rng import stream
 from latentlab.tasks import (
     EventSpec,
-    enumerate_event,
+    compile_event,
     full_event,
     make_carry_addition_task,
     success_event,
 )
+from latentlab.verification import event_logprob
 
 
 @pytest.fixture(scope="module")
@@ -26,19 +27,19 @@ def test_triple_prob_factorizes(jm, tag_task):
         expected = np.exp(jm.seq.joint_logprob(x, z, y)) * tag_task.evaluator_prob(
             x, z, y, o
         )
-        assert jm.triple_prob(x, z, y, o) == pytest.approx(expected, abs=1e-14)
+        assert np.exp(jm.triple_logprob(x, z, y, o)) == pytest.approx(expected, abs=1e-14)
 
 
 def test_full_event_logprob_is_zero(jm, tag_task):
     for x in range(tag_task.n_prompts):
-        assert jm.event_logprob(x, full_event()) == pytest.approx(0.0, abs=1e-10)
+        assert event_logprob(jm, x, full_event()) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_posterior_normalizes(jm, tag_task):
     post = jm.exact_posterior(0, success_event())
     assert post.probs.sum() == pytest.approx(1.0, abs=1e-12)
     assert post.log_normalizer == pytest.approx(
-        jm.event_logprob(0, success_event()), abs=1e-12
+        event_logprob(jm, 0, success_event()), abs=1e-12
     )
 
 
@@ -46,9 +47,9 @@ def test_posterior_matches_bayes(jm, tag_task):
     # brute-force Bayes rule over the event enumeration
     ev = success_event()
     post = jm.exact_posterior(1, ev)
-    raw = np.array([jm.triple_prob(1, z, y, o) for z, y, o in post.support])
+    raw = np.exp([jm.triple_logprob(1, z, y, o) for z, y, o in post.support])
     assert np.allclose(post.probs, raw / raw.sum(), atol=1e-12)
-    assert post.support == enumerate_event(tag_task, ev)
+    assert post.support == list(compile_event(tag_task, ev).triples)
 
 
 def test_zy_marginal_sums_obs(jm):
@@ -66,7 +67,7 @@ def test_zero_mass_event(tag_task):
     wrong = 1 - tag_task.truth[0][0]
     ev = EventSpec(latents=(wrong,), responses=(tag_task.truth[0][1],), obs=(1,))
     if all(
-        tag_task.success_prob(0, wrong, y) == 0.0
+        tag_task.evaluator_prob(0, wrong, y, 1) == 0.0
         for y in range(tag_task.n_responses)
     ):
         with pytest.raises(ZeroMassEventError):
@@ -124,7 +125,7 @@ def test_grad_matches_finite_differences(tag_task, tag_model):
 def test_averaged_is_rho_mixture(jm, tag_task):
     ev = success_event()
     direct = sum(
-        tag_task.rho[x] * jm.event_logprob(x, ev) for x in range(tag_task.n_prompts)
+        tag_task.rho[x] * event_logprob(jm, x, ev) for x in range(tag_task.n_prompts)
     )
     assert jm.averaged_event_logprob(ev) == pytest.approx(float(direct), abs=1e-12)
 
@@ -137,4 +138,4 @@ def test_carry_posterior_concentrates_on_truth():
     for (z, y, o), p in zip(post.support, post.probs):
         assert o == 1
         if p > 0:
-            assert task.success_prob(0, z, y) == 1.0
+            assert task.evaluator_prob(0, z, y, 1) == 1.0

@@ -74,6 +74,36 @@ def test_parse_rejects_non_mapping():
         parse_config("- just\n- a\n- list\n")
 
 
+@pytest.mark.parametrize("estep", [
+    "{backend: bogus}",
+    "{backend: exact, params: {beta: 1.0}}",
+    "{backend: planning, params: {beta: -1}}",
+    "{backend: planning, params: {beta: fast}}",
+    "{backend: planning, params: {compare_exact: false}}",
+    "{backend: rejection}",
+    "{backend: rejection, params: {budget: 0}}",
+    "{backend: rejection, params: {budget: 2.5}}",
+    "{backend: policy_gradient, params: {iteratons: 5}}",
+    "{backend: policy_gradient, params: {iterations: -1}}",
+    "{backend: policy_gradient, params: {iterations: five}}",
+    "{backend: policy_gradient, params: {baseline: none}}",
+])
+def test_parse_rejects_bad_estep_params(estep):
+    with pytest.raises(ConfigError):
+        parse_config(BASE.replace("estep:\n  backend: exact", f"estep: {estep}"))
+
+
+@pytest.mark.parametrize("estep", [
+    "{backend: planning, params: {beta: 1}}",
+    "{backend: rejection, params: {budget: 40}}",
+    "{backend: policy_gradient, params: {iterations: 3, step_size: 0.1}}",
+])
+def test_valid_estep_params_reach_the_engine(estep, tmp_path):
+    cfg = parse_config(BASE.replace("estep:\n  backend: exact", f"estep: {estep}"))
+    execute_run(cfg, tmp_path / "run")
+    assert (tmp_path / "run" / "record.seed0.tsv").exists()
+
+
 def test_build_task_dispatch():
     carry_cfg = parse_config(
         BASE.replace(

@@ -51,8 +51,8 @@ def test_with_theta_is_functional(tag_model):
 
 
 def test_sample_joint_reproducible(tag_model):
-    a = tag_model.sample_joint(0, stream(7, "s"))
-    b = tag_model.sample_joint(0, stream(7, "s"))
+    a = tag_model.conditional_tables(0).sample(stream(7, "s"))
+    b = tag_model.conditional_tables(0).sample(stream(7, "s"))
     assert a == b
 
 
@@ -60,14 +60,15 @@ def test_sample_joint_frequencies(tag_task, tag_model):
     rng = stream(11, "freq")
     counts = np.zeros(tag_task.n_joint)
     n = 4000
+    view = tag_model.conditional_tables(0)
     for _ in range(n):
-        z, y = tag_model.sample_joint(0, rng)
+        z, y = view.sample(rng)
         counts[tag_task.zy_index(z, y)] += 1
     assert np.abs(counts / n - tag_model.joint_probs(0)).max() < 0.05
 
 
 def test_greedy_joint_is_argmax_path(tag_task, tag_model):
-    z, y = tag_model.greedy_joint(0)
+    z, y = tag_model.conditional_tables(0).greedy()
     assert tag_model.joint_logprob(0, z, y) > -np.inf
 
 

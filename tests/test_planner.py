@@ -4,19 +4,17 @@ import pytest
 from latentlab.errors import ClampLeakError, HorizonViolationError
 from latentlab.graph import JointModel
 from latentlab.models import uniform_model
-from latentlab.planner import (
-    ShapedMdp,
-    plan_posterior,
+from latentlab.planner import plan_posterior, shape_rewards, soft_value_iteration
+from latentlab.rng import stream
+from latentlab.tasks import make_reward_tag_task, success_event
+from latentlab.verification import (
+    from_sequences,
     random_policy,
     random_shaped_mdp,
     regularized_return,
-    shape_rewards,
-    soft_value_iteration,
     softmax_total_rewards,
     trajectory_distribution,
 )
-from latentlab.rng import stream
-from latentlab.tasks import make_reward_tag_task, success_event
 
 
 @pytest.fixture(scope="module")
@@ -125,7 +123,7 @@ def test_rejects_bad_tree_args():
         return 0.0
 
     with pytest.raises(HorizonViolationError):
-        ShapedMdp.from_sequences([(0, 1), (1,)], zero, beta=1.0, horizon=1)
+        from_sequences([(0, 1), (1,)], zero, beta=1.0, horizon=1)
     for bad in ([(0,), (0,)], [(0,), (0, 1)], [(), (1,)], []):
         with pytest.raises(ValueError):
-            ShapedMdp.from_sequences(bad, zero, beta=1.0)
+            from_sequences(bad, zero, beta=1.0)

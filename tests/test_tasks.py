@@ -4,9 +4,7 @@ import pytest
 from latentlab.errors import CapExceededError, EmptyEventError, OutOfSpaceError
 from latentlab.tasks import (
     EventSpec,
-    enumerate_event,
-    evaluator_normalization_gap,
-    event_zy_support,
+    compile_event,
     explicit_event,
     full_event,
     make_automaton_trace_task,
@@ -17,6 +15,7 @@ from latentlab.tasks import (
     task_document,
     task_from_document,
 )
+from latentlab.verification import evaluator_normalization_gap
 
 
 def test_carry_counts():
@@ -53,21 +52,21 @@ def test_evaluator_rows_normalize(tag_task):
 
 def test_truth_is_verified(tag_task):
     for x, (z, y) in tag_task.truth.items():
-        assert tag_task.success_prob(x, z, y) == 1.0
+        assert tag_task.evaluator_prob(x, z, y, 1) == 1.0
 
 
 def test_event_enumeration_order(tag_task):
-    triples = enumerate_event(tag_task, full_event())
-    pairs = [(z, y) for z, y, _ in triples]
+    compiled = compile_event(tag_task, full_event())
+    pairs = [(z, y) for z, y, _ in compiled.triples]
     seen = list(dict.fromkeys(pairs))
-    assert seen == event_zy_support(tag_task, full_event())
+    assert seen == list(compiled.pairs)
 
 
 def test_success_event_support(tag_task):
-    support = event_zy_support(tag_task, success_event())
-    assert all(tag_task.success_prob(0, z, y) in (0.0, 1.0) for z, y in support)
+    support = compile_event(tag_task, success_event()).pairs
+    assert all(tag_task.evaluator_prob(0, z, y, 1) in (0.0, 1.0) for z, y in support)
     # success support holds every pair that can emit the success observation
-    verified = [(z, y) for z, y in support if tag_task.success_prob(0, z, y) > 0]
+    verified = [(z, y) for z, y in support if tag_task.evaluator_prob(0, z, y, 1) > 0]
     assert len(verified) == tag_task.n_responses
 
 
@@ -97,9 +96,9 @@ def test_out_of_space_raises(tag_task):
     # table reads must not wrap a negative prompt index
     for x in (-1, tag_task.n_prompts):
         with pytest.raises(OutOfSpaceError):
-            tag_task.success_prob(x, 0, 0)
-        with pytest.raises(OutOfSpaceError):
             tag_task.evaluator_prob(x, 0, 0, 1)
+        with pytest.raises(OutOfSpaceError):
+            tag_task.evaluator_prob(x, 0, 0, 0)
 
 
 def test_cap_enforced():

@@ -345,7 +345,7 @@ def test_pick_pair_matches_pair_form_tie_break(tag_task, draws):
     for k, value in draws:
         lp[k] = value
     candidates = [task.zy_unindex(k) for k, _ in draws]
-    ok = [task.success_prob(1, z, y) == 1.0 for z, y in candidates]
+    ok = [task.evaluator_prob(1, z, y, 1) == 1.0 for z, y in candidates]
     verified = [c for c, good in zip(candidates, ok) if good]
     unverified = [c for c, good in zip(candidates, ok) if not good]
     picked = training._pick_pair(task, 1, np.array([k for k, _ in draws]), lp)

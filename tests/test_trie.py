@@ -18,13 +18,9 @@ from scipy.special import logsumexp
 
 from latentlab.errors import OutOfSpaceError
 from latentlab.models import AutoregressiveView
-from latentlab.planner import (
-    ShapedMdp,
-    soft_value_iteration,
-    softmax_total_rewards,
-    trajectory_distribution,
-)
+from latentlab.planner import soft_value_iteration
 from latentlab.trie import Trie
+from latentlab.verification import from_sequences, softmax_total_rewards, trajectory_distribution
 
 EXAMPLES = settings(max_examples=60, deadline=None)
 
@@ -119,7 +115,7 @@ def test_positive_mass_conditionals_normalize(case):
 @given(token_sets, st.floats(0.1, 10.0), st.integers(0, 2**32 - 1))
 def test_trajectory_distribution_is_reward_softmax(seqs, beta, seed):
     rng = np.random.default_rng(seed)
-    mdp = ShapedMdp.from_sequences(seqs, lambda p, a: rng.normal(0.0, 2.0), beta)
+    mdp = from_sequences(seqs, lambda p, a: rng.normal(0.0, 2.0), beta)
     plan = soft_value_iteration(mdp)
     for start in {(), seqs[0][:1]}:
         got_seq, got = trajectory_distribution(plan, start)

@@ -8,7 +8,7 @@ requires all of it to pass and proves the checks can actually fail.
 import pytest
 
 from latentlab.errors import ConfigError
-from latentlab.verification import CHECKS, run_checks
+from latentlab.verification import CHECKS, FAULT_NAMES, run_checks
 
 
 def test_every_check_passes():
@@ -19,11 +19,32 @@ def test_every_check_passes():
     assert not failed, f"{len(failed)} checks failed:\n{detail}"
 
 
-def test_fault_injection_flips_checks():
-    clean = run_checks("planner.shap*")
-    assert len(clean) == 2 and all(r.ok for _, r in clean)
-    faulted = run_checks("planner.shap*", inject_fault="shaping-sign")
-    assert all(not r.ok for _, r in faulted)
+# fault -> checks it must flip, each of which passes again without the fault
+FLIPS = {
+    "shaping-sign": ("planner.shaping_telescoping", "planner.shaped_posterior"),
+    "trie-upward": ("models.autoregressive_consistency", "planner.trajectory_softmax",
+                    "planner.bellman_consistency"),
+    "obs-table": ("graph.factorization", "graph.posterior_oracle",
+                  "planner.shaping_telescoping"),
+    "joint-marginal": ("esteps.backend_agreement", "graph.gradient_identity"),
+    "batched-rows": ("graph.batched_averages", "graph.gradient_identity"),
+    "comparator-set": ("training.reference_gap", "training.reference_closed_form"),
+}
+
+
+def test_flip_table_covers_every_fault():
+    assert set(FLIPS) == set(FAULT_NAMES)
+
+
+@pytest.mark.parametrize("fault", FAULT_NAMES)
+def test_fault_flips_its_checks(fault):
+    names = FLIPS[fault]
+    faulted = [res for name in names for res in run_checks(name, inject_fault=fault)]
+    assert tuple(name for name, _ in faulted) == names
+    assert not any(r.ok for _, r in faulted)
+    restored = [res for name in names for res in run_checks(name)]
+    assert tuple(name for name, _ in restored) == names
+    assert all(r.ok for _, r in restored)
 
 
 def test_fault_restored_after_injection():
@@ -31,63 +52,6 @@ def test_fault_restored_after_injection():
     again = run_checks("planner.shap*")
     assert len(again) == 2
     assert all(r.ok for _, r in again)
-
-
-def test_trie_upward_fault_flips_kernel_checks():
-    names = ("models.autoregressive_consistency", "planner.trajectory_softmax",
-             "planner.bellman_consistency")
-    faulted = [res for name in names
-               for res in run_checks(name, inject_fault="trie-upward")]
-    assert len(faulted) == 3
-    assert not any(r.ok for _, r in faulted)
-    restored = [res for name in names for res in run_checks(name)]
-    assert len(restored) == 3
-    assert all(r.ok for _, r in restored)
-
-
-def test_obs_table_fault_flips_table_checks():
-    names = ("graph.factorization", "graph.posterior_oracle",
-             "planner.shaping_telescoping")
-    faulted = [res for name in names
-               for res in run_checks(name, inject_fault="obs-table")]
-    assert len(faulted) == 3
-    assert not any(r.ok for _, r in faulted)
-    restored = [res for name in names for res in run_checks(name)]
-    assert len(restored) == 3
-    assert all(r.ok for _, r in restored)
-
-
-def test_joint_marginal_fault_flips_marginal_checks():
-    names = ("esteps.backend_agreement", "graph.gradient_identity")
-    faulted = [res for name in names
-               for res in run_checks(name, inject_fault="joint-marginal")]
-    assert len(faulted) == 2
-    assert not any(r.ok for _, r in faulted)
-    restored = [res for name in names for res in run_checks(name)]
-    assert len(restored) == 2
-    assert all(r.ok for _, r in restored)
-
-
-def test_batched_rows_fault_flips_batched_checks():
-    names = ("graph.batched_averages", "graph.gradient_identity")
-    faulted = [res for name in names
-               for res in run_checks(name, inject_fault="batched-rows")]
-    assert len(faulted) == 2
-    assert not any(r.ok for _, r in faulted)
-    restored = [res for name in names for res in run_checks(name)]
-    assert len(restored) == 2
-    assert all(r.ok for _, r in restored)
-
-
-def test_comparator_set_fault_flips_reference_checks():
-    pattern = "training.reference_*"
-    faulted = run_checks(pattern, inject_fault="comparator-set")
-    assert [name for name, _ in faulted] == [
-        "training.reference_gap", "training.reference_closed_form"]
-    assert not any(r.ok for _, r in faulted)
-    restored = run_checks(pattern)
-    assert len(restored) == 2
-    assert all(r.ok for _, r in restored)
 
 
 def test_unknown_fault_rejected():
