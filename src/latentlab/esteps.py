@@ -18,6 +18,7 @@ joint indices `task.zy_index(z, y)`, never (z, y) tuples.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -31,7 +32,6 @@ from .errors import (
 )
 from .graph import JointModel
 from .logspace import log_sum_exp, total_variation
-from .models import LogitModel
 from .planner import plan_posterior, shape_rewards, soft_value_iteration
 from .tasks import EventSpec, compile_event
 
@@ -124,6 +124,8 @@ def estep_planning(
     posterior up to clamp leakage; other temperatures give a deliberately
     sharpened or flattened variant (useful as a diagnostic, not an E-step).
     """
+    if isinstance(beta, bool) or not isinstance(beta, numbers.Real) or not beta > 0:
+        raise ConfigError(f"planning beta must be a positive number, got {beta!r}")
     mdp = shape_rewards(jm, x_idx, event, beta=beta)
     plan = soft_value_iteration(mdp)
     support, probs = plan_posterior(plan, jm.task, x_idx, event)
@@ -156,8 +158,8 @@ def estep_rejection(
     ``importance_weighted``.  A budget that produces no usable draw returns
     the empty, ``zero_acceptance``-flagged result.
     """
-    if budget <= 0:
-        raise ConfigError(f"rejection budget must be positive, got {budget}")
+    if isinstance(budget, bool) or not isinstance(budget, numbers.Integral) or budget <= 0:
+        raise ConfigError(f"rejection budget must be a positive integer, got {budget!r}")
     task = jm.task
     compiled = compile_event(task, event)
     support = compiled.pair_joint
@@ -235,6 +237,16 @@ class PolicyGradConfig:
             )
 
 
+# exact-mode ascent: stop "converged" at gap <= CONVERGED_GAP max(1, |soft
+# value|), "stalled" at an accepted gain <= STALLED_GAIN max(1, |J|); the
+# Fisher solve adds FISHER_RIDGE tr F to the diagonal, which only makes the
+# singular F invertible (see `_fisher_step` for its null-space part)
+CONVERGED_GAP = 1e-12
+STALLED_GAIN = 1e-13
+FISHER_RIDGE = 1e-13
+MAX_HALVINGS = 40
+
+
 def _event_reward_vector(
     jm: JointModel, x_idx: int, event: EventSpec, floor: float
 ) -> np.ndarray:
@@ -255,22 +267,51 @@ def _event_reward_vector(
 
 
 def _regularized_objective(
-    policy: LogitModel, x_idx: int, rewards: np.ndarray, beta: float
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """J(psi) = E_p[R] + beta H(p), with p = softmax of the policy logits.
+    logits: np.ndarray, rewards: np.ndarray, beta: float
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """J(l) = E_p[R] + beta H(p), with p = softmax of the logit vector l.
 
-    Returns (J, p, log p, flat gradient dJ/dlogits); the flat gradient is
-    p * (c - J) with c = R - beta log p.  log p stays finite even where p
-    underflows, so advantage-like quantities built from it are safe.
+    Returns (J, p, log p).  log p stays finite even where p underflows, so
+    advantage-like quantities built from it are safe.
     """
-    log_p = policy.joint_log_probs(x_idx)
+    log_p = logits - log_sum_exp(logits)
     with np.errstate(under="ignore"):
         p = np.exp(log_p)
     mask = p > 0.0
     c = rewards - beta * log_p
-    value = float(np.dot(p[mask], c[mask]))
-    grad_flat = np.where(mask, p * (c - value), 0.0)
-    return value, p, log_p, grad_flat
+    return float(np.dot(p[mask], c[mask])), p, log_p
+
+
+def _fisher_step(block: np.ndarray):
+    """The Fisher move of one prompt, as a function of (p, advantage A).
+
+    `block` holds Phi_x over the prompt's own feature columns.  The move is
+    Phi_x w with (F + lambda I) w = Phi_x^T (p * A), where
+    F = sum_j p_j (phi_j - phibar)(phi_j - phibar)^T is the Fisher matrix of
+    the softmax at p and lambda = FISHER_RIDGE tr F: the natural-gradient
+    step of entropy-regularized policy gradient (Kakade 2001; Cen et al.
+    2021), i.e. the p-weighted least-squares fit of A by the features.  It
+    is returned minus its p-mean, phibar . w: the tiny ridge leaves w
+    large along directions that shift every logit alike, which move no
+    probability but would cost the logits their low bits.
+    """
+    eye = np.eye(block.shape[1])
+
+    def move(p: np.ndarray, advantage: np.ndarray) -> np.ndarray:
+        centered = block - p @ block
+        fisher = centered.T @ (p[:, None] * centered)
+        ridge = FISHER_RIDGE * np.trace(fisher)
+        w = np.linalg.solve(fisher + ridge * eye, block.T @ (p * advantage))
+        return centered @ w
+
+    return move
+
+
+def _advantage_move(features, x_idx: int, advantage: np.ndarray) -> np.ndarray:
+    """Phi_x Phi_x^T A: the logit change of the parameter step Phi_x^T A.
+    Through a tabular map it is A itself, and a step of 1/beta along it lands
+    on softmax(R / beta)."""
+    return features.logits(x_idx, features.adjoint(x_idx, advantage))
 
 
 def estep_policy_gradient(
@@ -286,9 +327,25 @@ def estep_policy_gradient(
     The sampler is warm-started at the current model and climbs
     J(psi) = E_psi[R] + beta H(psi) where R sums the reference log
     probability and the floored event bonus; the maximizer of J is the
-    softmax of R / beta, i.e. the posterior up to floor leakage.  Exact mode
-    (``batch_size = 0``) line-searches every step and is monotone in J;
-    sampled mode uses REINFORCE with a mean-return baseline and
+    softmax of R / beta, i.e. the posterior up to floor leakage.  The ascent
+    moves the prompt's logit vector l = Phi_x theta only, and returns the
+    final sampler distribution.
+
+    Exact mode (``batch_size = 0``) takes the advantage A = R - beta log p - J
+    and tries two moves of l: Phi_x Phi_x^T A, and, for maps without a closed
+    form, the Fisher move of `_fisher_step` (through a tabular map the two
+    coincide).  A move whose exact slope sum_j p_j A_j m_j is not positive is
+    skipped; each other move is line-searched from its own persistent rate
+    (grown 1.5x on acceptance, halved on every failed trial, at most
+    MAX_HALVINGS times), and the better accepted trial is taken, so J never
+    decreases.  The ascent stops ``converged`` once the exact gap
+    soft_value - J = beta KL(p || softmax(R / beta)) is at most
+    CONVERGED_GAP max(1, |soft_value|), ``stalled`` when no move improves J
+    or the accepted gain is at most STALLED_GAIN max(1, |J|), and ``cap``
+    when `iterations` run out.
+
+    Sampled mode moves l by Phi_x Phi_x^T times a REINFORCE estimate with a
+    mean-return baseline, stops ``stalled`` when that move vanishes, and
     raises `DivergenceError` after `divergence_patience` consecutive drops
     of the exactly-evaluated objective.
 
@@ -300,64 +357,65 @@ def estep_policy_gradient(
     if cfg.batch_size > 0 and rng is None:
         raise ConfigError("sampled policy-gradient mode needs an rng")
     task = jm.task
+    features = jm.seq.features
+    beta = cfg.beta
     rewards = _event_reward_vector(jm, x_idx, event, cfg.reward_floor)
-    policy = jm.seq.with_theta(jm.seq.theta)
+    soft_value = beta * log_sum_exp(rewards / beta)
+    tolerance = CONVERGED_GAP * max(1.0, abs(soft_value))
+    fisher_move = None
+    if cfg.batch_size == 0 and not features.supports_closed_form:
+        fisher_move = _fisher_step(features.own_block(x_idx))
 
-    value, p, log_p, grad_flat = _regularized_objective(
-        policy, x_idx, rewards, cfg.beta
+    value, p, log_p = _regularized_objective(
+        features.logits(x_idx, jm.seq.theta), rewards, beta
     )
+    rates = [cfg.step_size, cfg.step_size]
     drops = 0
     samples_used = 0
     iterations_run = 0
-    rate = cfg.step_size
-    for _ in range(cfg.iterations):
+    reason = "converged" if soft_value - value <= tolerance else "cap"
+    while reason == "cap" and iterations_run < cfg.iterations:
+        iterations_run += 1
         if cfg.batch_size == 0:
-            # Try the advantage direction c - J first: through a tabular
-            # map a full step of 1/beta lands exactly on the soft-optimal
-            # policy, and line search tames it everywhere else.  If it is
-            # not an ascent direction for this feature map, fall back to
-            # the plain gradient.  Strict-improvement backtracking keeps
-            # the climb monotone either way; when neither direction
-            # improves, the policy is at a numerical optimum.
-            natural_flat = (rewards - cfg.beta * log_p) - value
-            accepted = False
-            for flat, persistent in ((natural_flat, True), (grad_flat, False)):
-                direction = policy.features.adjoint(x_idx, flat)
-                if float(np.linalg.norm(direction)) == 0.0:
+            advantage = rewards - beta * log_p - value
+            moves = [_advantage_move(features, x_idx, advantage)]
+            if fisher_move is not None:
+                moves.append(fisher_move(p, advantage))
+            best = None
+            for k, move in enumerate(moves):
+                if float(np.dot(p * advantage, move)) <= 0.0:
                     continue
-                trial = rate if persistent else cfg.step_size
-                for _ in range(40):
-                    candidate = policy.with_theta(policy.theta + trial * direction)
-                    new_value, new_p, new_log_p, new_grad = _regularized_objective(
-                        candidate, x_idx, rewards, cfg.beta
-                    )
-                    if new_value > value:
-                        policy, value = candidate, new_value
-                        p, log_p, grad_flat = new_p, new_log_p, new_grad
-                        accepted = True
-                        if persistent:
-                            rate = trial * 1.5
+                rate = rates[k]
+                for _ in range(MAX_HALVINGS):
+                    trial = _regularized_objective(log_p + rate * move, rewards, beta)
+                    if trial[0] > value:
+                        rate *= 1.5
+                        if best is None or trial[0] > best[0]:
+                            best = trial
                         break
-                    trial *= 0.5
-                if accepted:
-                    break
-            iterations_run += 1
-            if not accepted:
+                    rate *= 0.5
+                rates[k] = rate
+            if best is None:
+                reason = "stalled"
                 break
+            gain = best[0] - value
+            value, p, log_p = best
+            if gain <= STALLED_GAIN * max(1.0, abs(value)):
+                reason = "stalled"
         else:
             draws = rng.choice(task.n_joint, size=cfg.batch_size, p=p)
-            returns = rewards[draws] - cfg.beta * log_p[draws]
+            returns = rewards[draws] - beta * log_p[draws]
             advantage = returns - returns.mean()
             step_flat = np.zeros(task.n_joint)
             np.add.at(step_flat, draws, advantage)
             step_flat = step_flat / cfg.batch_size - p * advantage.mean()
             samples_used += cfg.batch_size
-            direction = policy.features.adjoint(x_idx, step_flat)
-            if float(np.linalg.norm(direction)) == 0.0:
+            move = _advantage_move(features, x_idx, step_flat)
+            if not move.any():
+                reason = "stalled"
                 break
-            policy = policy.with_theta(policy.theta + cfg.step_size * direction)
-            new_value, p, log_p, grad_flat = _regularized_objective(
-                policy, x_idx, rewards, cfg.beta
+            new_value, p, log_p = _regularized_objective(
+                log_p + cfg.step_size * move, rewards, beta
             )
             drops = drops + 1 if new_value < value else 0
             if drops >= cfg.divergence_patience:
@@ -366,13 +424,12 @@ def estep_policy_gradient(
                     f"(last {value:.6g} -> {new_value:.6g})"
                 )
             value = new_value
-            iterations_run += 1
+        if soft_value - value <= tolerance:
+            reason = "converged"
 
     support = np.arange(task.n_joint)
-    probs = policy.joint_probs(x_idx)
-    probs = probs / probs.sum()
+    probs = p / p.sum()
     tv = tv_to_exact(jm, x_idx, event, support, probs) if compare_exact else None
-    soft_value = cfg.beta * log_sum_exp(rewards / cfg.beta)
     off_event = float(probs[~compile_event(task, event).inside].sum())
     return EStepResult(
         backend="policy_gradient",
@@ -384,6 +441,8 @@ def estep_policy_gradient(
             "final_objective": value,
             "soft_value": soft_value,
             "iterations_run": iterations_run,
+            "stop_reason": reason,
+            "gap": soft_value - value,
             "off_event_mass": off_event,
         },
     )

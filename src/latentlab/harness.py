@@ -322,6 +322,11 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(
             f"reference must be 'none' or 'optimum', got {reference!r}"
         )
+    if reference == "optimum" and data["model"]["features"] != "tabular":
+        raise ConfigError(
+            "reference: optimum needs tabular features, which have a "
+            "closed-form comparator"
+        )
     data["reference"] = reference
 
     out = raw.get("out")

@@ -56,6 +56,11 @@ class FeatureMap:
         """Dense phi(x, z, y) for a single joint outcome."""
         raise NotImplementedError
 
+    def own_block(self, x_idx: int) -> np.ndarray:
+        """Dense [joint, k] rows of Phi_x over the k features that prompt x's
+        outcomes touch, in feature order; the other columns are zero."""
+        raise NotImplementedError
+
     def descriptor(self) -> dict:
         raise NotImplementedError
 
@@ -187,6 +192,10 @@ class NgramFeatures(FeatureMap):
 
     def feature_vector(self, x_idx: int, zy_idx: int) -> np.ndarray:
         return np.asarray(self._mat(x_idx)[zy_idx].todense()).ravel()
+
+    def own_block(self, x_idx: int) -> np.ndarray:
+        mat = self._mat(x_idx)
+        return mat[:, np.unique(mat.indices)].toarray()
 
     def descriptor(self) -> dict:
         return {

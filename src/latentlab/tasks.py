@@ -95,6 +95,7 @@ class GenerativeTask:
     params: dict | None = None
     truth: dict[int, tuple[int, int]] | None = field(default=None, repr=False)
     compiled_events: dict = field(default_factory=dict, init=False, repr=False)
+    spec_events: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.rho = np.asarray(self.rho, dtype=np.float64)
@@ -315,13 +316,35 @@ class CompiledEvent:
         return table.reshape(len(table), -1).take(flat, axis=1)
 
 
+# most `EventSpec` values a task remembers in `spec_events`, oldest dropped first
+SPEC_EVENTS_SIZE = 64
+
+
+def _spec_key(event: EventSpec) -> tuple | None:
+    """The event's fields as a cache key; None if one is a predicate (hashed
+    by identity, not value) or unhashable."""
+    fields = (event.latents, event.responses, event.obs)
+    if any(callable(f) for f in fields):
+        return None
+    try:
+        hash(fields)
+    except TypeError:
+        return None
+    return fields
+
+
 def compile_event(task: GenerativeTask, event: EventSpec) -> CompiledEvent:
     """The task's compiled form of `event`, cached by its materialized value.
 
-    Order is lexicographic in (latent tokens, response tokens, o); factory
-    tasks store their spaces token-sorted, so this coincides with index
-    order.
+    An event whose fields are hashable collections is first looked up by
+    their value in the task's bounded `spec_events`, which skips the
+    materialization.  Order is lexicographic in (latent tokens, response
+    tokens, o); factory tasks store their spaces token-sorted, so this
+    coincides with index order.
     """
+    spec = _spec_key(event)
+    if spec is not None and spec in task.spec_events:
+        return task.spec_events[spec]
     key = materialize_event(task, event)
     compiled = task.compiled_events.get(key)
     if compiled is None:
@@ -349,6 +372,10 @@ def compile_event(task: GenerativeTask, event: EventSpec) -> CompiledEvent:
             obs=o_idx,
             inside=inside,
         )
+    if spec is not None:
+        if len(task.spec_events) >= SPEC_EVENTS_SIZE:
+            del task.spec_events[next(iter(task.spec_events))]
+        task.spec_events[spec] = compiled
     return compiled
 
 

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import (
     CertificateError,
     ConfigError,
+    FeatureMapMismatchError,
     SurrogateDecreaseError,
     TaskMismatchError,
     UnseenTagError,
@@ -545,11 +546,14 @@ def reference_optimum(
     every distribution supported on the argmax sets A_x; the one closest to
     the model p_0 in KL(q || p_0) is p_0 conditioned on A_x.  Its row holds
     log p_0(j | x) - log p_0(A_x | x) on A_x and LOG_CLAMP elsewhere, the
-    representation the closed-form M-step writes.  Other feature maps get
-    `_reference_ascent`.
+    representation the closed-form M-step writes.  Other feature maps have
+    no closed-form comparator, and raise `FeatureMapMismatchError`.
     """
     if not model.features.supports_closed_form:
-        return _reference_ascent(model, event, steps=10000, rate=1.0)
+        raise FeatureMapMismatchError(
+            f"no closed-form comparator for {model.features.descriptor()['kind']} "
+            "features; reference: optimum needs tabular features"
+        )
     mass = compile_event(task, event).mass_all()
     zero = np.flatnonzero(mass.max(axis=1) == 0.0)
     if zero.size:
@@ -563,35 +567,6 @@ def reference_optimum(
     rows = np.where(top, log_p - log_top[:, None], LOG_CLAMP)
     # tabular theta is the [prompts, joint] logit matrix, row after row
     return model.with_theta(rows.ravel())
-
-
-def _reference_ascent(
-    model: LogitModel, event: EventSpec, *, steps: int, rate: float
-) -> LogitModel:
-    """Line-searched ascent on the averaged event log probability, for
-    feature maps without a closed-form comparator."""
-    current = model
-
-    def objective(m: LogitModel) -> float:
-        return JointModel(m).averaged_event_logprob(event)
-
-    value = objective(current)
-    for _ in range(steps):
-        grad = JointModel(current).averaged_grad(event)
-        if float(np.linalg.norm(grad)) < 1e-12:
-            break
-        step = rate
-        accepted = False
-        for _ in range(40):
-            candidate = current.with_theta(current.theta + step * grad)
-            new_value = objective(candidate)
-            if new_value > value:
-                current, value, accepted = candidate, new_value, True
-                break
-            step *= 0.5
-        if not accepted:
-            break
-    return current
 
 
 # -- filtered fine-tuning ---------------------------------------------------------

@@ -23,6 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.stats import chisquare
 
+from . import esteps as esteps_kernel
 from . import graph as graph_kernel
 from . import models as model_kernel
 from . import planner as planner_kernel
@@ -46,8 +47,12 @@ from .errors import (
     ZeroProbabilityPairError,
 )
 from .esteps import (
+    FISHER_RIDGE,
     EStepSpec,
     PolicyGradConfig,
+    _advantage_move,
+    _event_reward_vector,
+    _regularized_objective,
     estep_exact,
     estep_planning,
     estep_policy_gradient,
@@ -135,6 +140,23 @@ def _rolled_argmax_sets(mass: np.ndarray) -> np.ndarray:
     return np.roll(_CLEAN["comparator-set"](mass), 1, axis=1)
 
 
+def _stale_fisher_step(block: np.ndarray):
+    """'stale-fisher': the Fisher move with F frozen at the first p it is
+    given, in an E-step the warm start's."""
+    frozen: list[np.ndarray] = []
+
+    def move(p: np.ndarray, advantage: np.ndarray) -> np.ndarray:
+        if not frozen:
+            frozen.append(p)
+        centered = block - frozen[0] @ block
+        fisher = centered.T @ (frozen[0][:, None] * centered)
+        ridge = FISHER_RIDGE * np.trace(fisher)
+        w = np.linalg.solve(fisher + ridge * np.eye(len(fisher)), block.T @ (p * advantage))
+        return (block - p @ block) @ w
+
+    return move
+
+
 # fault -> (module, attribute, faulty replacement): `run_checks` swaps one in
 # to show that the checks catch a mutation of that kernel
 FAULTS = {
@@ -145,6 +167,7 @@ FAULTS = {
     "joint-marginal": (graph_kernel, "_joint_marginal", _rolled_joint_marginal),
     "batched-rows": (model_kernel, "_normalized_rows", _rolled_prompt_rows),
     "comparator-set": (training_kernel, "_argmax_sets", _rolled_argmax_sets),
+    "stale-fisher": (esteps_kernel, "_fisher_step", _stale_fisher_step),
 }
 FAULT_NAMES = tuple(FAULTS)
 # the clean kernels, captured before any swap
@@ -352,6 +375,21 @@ def grad_event_logprob(jm: JointModel, x_idx: int, event: EventSpec) -> np.ndarr
     q_vec = jm.exact_posterior(x_idx, event).joint_marginal()
     p_vec = jm.seq.joint_probs(x_idx)
     return jm.seq.features.adjoint(x_idx, q_vec - p_vec)
+
+
+def fisher_move_oracle(features, x_idx: int, p: np.ndarray,
+                       advantage: np.ndarray) -> np.ndarray:
+    """The Fisher move from its definition, over every feature: dense rows
+    phi_j, F = sum_j p_j (phi_j - phibar)(phi_j - phibar)^T and
+    (F + FISHER_RIDGE tr F I) w = sum_j p_j A_j phi_j; returns
+    (phi_j - phibar) . w for every j."""
+    rows = [features.feature_vector(x_idx, j) for j in range(len(p))]
+    mean = sum(pj * row for pj, row in zip(p, rows))
+    fisher = sum(pj * np.outer(row - mean, row - mean) for pj, row in zip(p, rows))
+    rhs = sum(pj * aj * row for pj, aj, row in zip(p, advantage, rows))
+    ridge = FISHER_RIDGE * np.trace(fisher)
+    w = np.linalg.solve(fisher + ridge * np.eye(features.dim), rhs)
+    return np.array([float(np.dot(row - mean, w)) for row in rows])
 
 
 def _fd_grad_error(model: LogitModel, event: EventSpec) -> float:
@@ -1431,6 +1469,51 @@ def check_esteps_policy_gradient_soundness() -> CheckResult:
                f"{base_tv:.3f} -> {sampled.tv_error:.3f}, guards intact")
 
 
+def check_esteps_fisher_step() -> CheckResult:
+    """The Fisher move matches its brute-force oracle along an ascent, and a
+    tabular move of 1/beta lands on softmax(R / beta)."""
+    worst = 0.0
+    for k, name in enumerate(("automaton-2-3", "tag-4-5")):
+        inst = instance_by_name(name)
+        task, event = inst.task, inst.events[0]
+        features = NgramFeatures(task, n=2)
+        model = LogitModel(features, stream(SEED, "fisher", k).normal(0.0, 0.8, features.dim))
+        jm = JointModel(model)
+        for x in range(task.n_prompts):
+            rewards = _event_reward_vector(jm, x, event, PolicyGradConfig().reward_floor)
+            step = esteps_kernel._fisher_step(features.own_block(x))
+            # the warm start, then the sampler after one production iteration
+            one = estep_policy_gradient(jm, x, event, PolicyGradConfig(iterations=1),
+                                        compare_exact=False)
+            for logits in (model.joint_log_probs(x), np.log(one.probs)):
+                value, p, log_p = _regularized_objective(logits, rewards, 1.0)
+                advantage = rewards - log_p - value
+                oracle = fisher_move_oracle(features, x, p, advantage)
+                scale = float(np.max(np.abs(oracle)))
+                worst = max(worst, float(np.max(np.abs(step(p, advantage) - oracle))) / scale)
+    if worst > 1e-9:
+        return _fail(f"Fisher move deviates from its oracle by {worst:.3e} relative > 1e-9")
+    inst = instance_by_name("tag-4-5")
+    model = random_model(inst.task, stream(SEED, "fisher-tab"), scale=0.8)
+    jm = JointModel(model)
+    landed = 0.0
+    for beta in (1.0, 2.5):
+        for x in range(inst.task.n_prompts):
+            rewards = _event_reward_vector(jm, x, inst.events[0], PolicyGradConfig().reward_floor)
+            value, p, log_p = _regularized_objective(model.joint_log_probs(x), rewards, beta)
+            advantage = rewards - beta * log_p - value
+            move = _advantage_move(model.features, x, advantage)
+            if not np.array_equal(move, advantage):
+                return _fail("a tabular advantage move is not the advantage itself")
+            _, after, _ = _regularized_objective(log_p + move / beta, rewards, beta)
+            target = np.exp(rewards / beta - logsumexp(rewards / beta))
+            landed = max(landed, float(np.max(np.abs(after - target))))
+    if landed > 1e-12:
+        return _fail(f"a tabular move of 1/beta misses softmax(R/beta) by {landed:.3e}")
+    return _ok(f"Fisher move within {worst:.1e} of its oracle; tabular move of 1/beta "
+               f"lands within {landed:.1e}")
+
+
 def check_esteps_sample_efficiency() -> CheckResult:
     """Compute-based engines beat rejection at a tiny event mass."""
     inst = instance_by_name("carry-d1-b10-lim")
@@ -2098,6 +2181,7 @@ CHECKS: dict[str, Callable[[], CheckResult]] = {
     "esteps.backend_agreement": check_esteps_backend_agreement,
     "esteps.rejection_soundness": check_esteps_rejection_soundness,
     "esteps.policy_gradient_soundness": check_esteps_policy_gradient_soundness,
+    "esteps.fisher_step": check_esteps_fisher_step,
     "esteps.sample_efficiency": check_esteps_sample_efficiency,
     "training.mstep_routes": check_training_mstep_routes,
     "training.em_monotone": check_training_em_monotone,

@@ -6,8 +6,9 @@ Only the table compile in `tasks.py` and the brute-force oracles in
 engines, the samplers and the M-step an outcome is its joint index, so the
 modules on that path never turn an index back into a (z, y) tuple.  The
 averages over prompts read a model's [prompts, joint] matrix, never one
-prompt at a time.  Every function of a production module (every module but
-`verification.py`) has a caller in production or benchmark code.
+prompt at a time, and the policy-gradient ascent builds no model.  Every
+function of a production module (every module but `verification.py`) has a
+caller in production or benchmark code.
 """
 
 import ast
@@ -22,6 +23,8 @@ BATCHED = {"graph.py": {"averaged_event_logprob", "averaged_grad"},
            "training.py": {"_averaged_kl", "mstep"}}
 PER_PROMPT = {"joint_log_probs", "event_logprob", "grad_event_logprob", "kl_between",
               "adjoint"}
+# the policy-gradient ascent moves one prompt's logit vector, never a model
+MODEL_BUILDERS = {"with_theta", "LogitModel"}
 BENCH = PACKAGE.parents[1] / "bench"
 # functions that production and benchmark code never call, kept on purpose
 UNCALLED = {
@@ -77,9 +80,9 @@ def test_joint_index_path_never_unindexes():
     assert not offenders, "joint index turned into a (z, y) tuple: " + ", ".join(offenders)
 
 
-def _per_prompt_calls(tree: ast.AST, functions: set[str]):
-    """(function, callee, line) of every call of a per-prompt method or
-    function anywhere inside the named functions, nested ones included."""
+def _calls_inside(tree: ast.AST, functions: set[str], callees: set[str]):
+    """(function, callee, line) of every call of a method or function named
+    in `callees` anywhere inside the named functions, nested ones included."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.FunctionDef) and node.name in functions:
@@ -87,7 +90,7 @@ def _per_prompt_calls(tree: ast.AST, functions: set[str]):
                 if not isinstance(call, ast.Call):
                     continue
                 callee = getattr(call.func, "attr", getattr(call.func, "id", None))
-                if callee in PER_PROMPT:
+                if callee in callees:
                     found.append((node.name, callee, call.lineno))
     return found
 
@@ -99,7 +102,7 @@ def test_batched_averages_make_no_per_prompt_calls():
         defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
         assert functions <= defined
         offenders += [f"{name}:{line} {func} calls {callee}"
-                      for func, callee, line in _per_prompt_calls(tree, functions)]
+                      for func, callee, line in _calls_inside(tree, functions, PER_PROMPT)]
     assert not offenders, "per-prompt call in a batched average: " + ", ".join(offenders)
 
 
@@ -114,9 +117,31 @@ def test_per_prompt_guard_sees_loop_forms():
         "    def gradient(theta):\n"
         "        return model.features.adjoint(0, theta)\n"
     )
-    found = _per_prompt_calls(ast.parse(loops), {"averaged_grad", "_averaged_kl", "mstep"})
+    found = _calls_inside(ast.parse(loops), {"averaged_grad", "_averaged_kl", "mstep"},
+                          PER_PROMPT)
     assert found == [("averaged_grad", "grad_event_logprob", 3),
                      ("_averaged_kl", "kl_between", 5), ("mstep", "adjoint", 8)]
+
+
+def test_policy_gradient_ascent_builds_no_model():
+    tree = ast.parse((PACKAGE / "esteps.py").read_text())
+    defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    assert "estep_policy_gradient" in defined
+    found = _calls_inside(tree, {"estep_policy_gradient"}, MODEL_BUILDERS)
+    assert not found, "the policy-gradient ascent builds a model: " + ", ".join(
+        f"esteps.py:{line} calls {callee}" for _, callee, line in found)
+
+
+def test_model_build_guard_sees_both_forms():
+    ascent = (
+        "def estep_policy_gradient(jm, cfg):\n"
+        "    policy = jm.seq.with_theta(jm.seq.theta)\n"
+        "    def trial(theta):\n"
+        "        return LogitModel(policy.features, theta)\n"
+    )
+    found = _calls_inside(ast.parse(ascent), {"estep_policy_gradient"}, MODEL_BUILDERS)
+    assert found == [("estep_policy_gradient", "with_theta", 2),
+                     ("estep_policy_gradient", "LogitModel", 4)]
 
 
 def _definitions(node: ast.AST, prefix: str = ""):

@@ -17,23 +17,25 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from latentlab import tasks
 from latentlab.errors import ZeroMassEventError
 from latentlab.esteps import EStepSpec, tv_to_exact
 from latentlab.graph import JointModel
 from latentlab.logspace import LOG_CLAMP
 from latentlab.models import random_model, uniform_model
 from latentlab.tasks import (
+    SPEC_EVENTS_SIZE,
     EventSpec,
     compile_event,
     make_automaton_trace_task,
     make_carry_addition_task,
     make_reward_tag_task,
+    materialize_event,
     success_event,
 )
 from latentlab.training import (
     MStepSpec,
     _averaged_kl,
-    _reference_ascent,
     mstep,
     reference_optimum,
     run_em,
@@ -101,6 +103,29 @@ def test_event_cache_is_keyed_by_value():
     jm = JointModel(uniform_model(task))
     for _ in range(1000):
         event_logprob(jm, 0, success_event())
+    assert len(task.compiled_events) == 1
+
+
+def test_spec_lookup_skips_materialization(monkeypatch):
+    task = make_reward_tag_task(2, 3, seed=5)
+    calls = []
+
+    def counted(task, event):
+        calls.append(event)
+        return materialize_event(task, event)
+
+    monkeypatch.setattr(tasks, "materialize_event", counted)
+    first = compile_event(task, success_event())
+    assert compile_event(task, success_event()) is first
+    assert len(calls) == 1
+    # predicates hash by identity and lists not at all: both materialize
+    for event in (EventSpec(obs=lambda o: o == 1), EventSpec(obs=[1])):
+        assert compile_event(task, event) is first
+        assert compile_event(task, event) is first
+    assert len(calls) == 5
+    for k in range(SPEC_EVENTS_SIZE + 10):
+        assert compile_event(task, EventSpec(obs=(1,) * (k + 1))) is first
+    assert len(task.spec_events) == SPEC_EVENTS_SIZE
     assert len(task.compiled_events) == 1
 
 
@@ -206,7 +231,9 @@ def test_closed_form_comparator_certifies_one_over_t(case, scale, seed, iteratio
     ref = reference_optimum(model, task, event)
     objective = JointModel(ref).averaged_event_logprob(event)
     assert objective == pytest.approx(supremum, rel=0, abs=1e-12)
-    ascent = _reference_ascent(model, event, steps=200, rate=1.0)
+    ascent = model
+    for _ in range(200):  # a weaker comparator: unit gradient steps
+        ascent = ascent.with_theta(ascent.theta + JointModel(ascent).averaged_grad(event))
     assert objective >= JointModel(ascent).averaged_event_logprob(event) - 1e-12
     assert _averaged_kl(ref, model, task.rho) == pytest.approx(
         kl_to_init, rel=1e-12, abs=1e-12)

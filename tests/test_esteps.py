@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latentlab import EStepResultError, LatentLabError
 from latentlab.errors import ConfigError
 from latentlab.esteps import (
     BACKENDS,
+    CONVERGED_GAP,
     EStepResult,
     EStepSpec,
     PolicyGradConfig,
@@ -16,9 +19,14 @@ from latentlab.esteps import (
     tv_to_exact,
 )
 from latentlab.graph import JointModel
-from latentlab.models import uniform_model
+from latentlab.models import LogitModel, NgramFeatures, TabularFeatures, uniform_model
 from latentlab.rng import stream
-from latentlab.tasks import make_reward_tag_task, success_event
+from latentlab.tasks import (
+    full_event,
+    make_automaton_trace_task,
+    make_reward_tag_task,
+    success_event,
+)
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +58,23 @@ def test_rejection_converges(jm):
 def test_rejection_zero_budget_rejected(jm):
     with pytest.raises(ConfigError):
         estep_rejection(jm, 0, success_event(), budget=0, rng=stream(0, "z"))
+
+
+@pytest.mark.parametrize("engine, kwargs", [
+    (estep_planning, {"beta": -1}),
+    (estep_planning, {"beta": 0.0}),
+    (estep_planning, {"beta": float("nan")}),
+    (estep_planning, {"beta": True}),
+    (estep_rejection, {"budget": 2.5}),
+    (estep_rejection, {"budget": True}),
+    (estep_rejection, {"budget": "10"}),
+], ids=["beta-negative", "beta-zero", "beta-nan", "beta-bool",
+        "budget-fractional", "budget-bool", "budget-string"])
+def test_bad_engine_arguments_raise_config_error(jm, engine, kwargs):
+    if engine is estep_rejection:
+        kwargs = {**kwargs, "rng": stream(0, "bad-args")}
+    with pytest.raises(ConfigError):
+        engine(jm, 0, success_event(), **kwargs)
 
 
 def test_rejection_zero_acceptance(jm):
@@ -117,3 +142,43 @@ def test_malformed_result_raises_typed_error(support, probs, flags):
         EStepResult(backend="exact", support=np.array(support), probs=probs, flags=flags)
     assert isinstance(info.value, LatentLabError)
     assert isinstance(info.value, ValueError)
+
+
+PG_TASKS = (
+    make_reward_tag_task(3, 4, seed=1),
+    make_reward_tag_task(3, 4, seed=2, evaluator="soft", soft_beta=2.0),
+    make_automaton_trace_task(2, 3),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(task=st.sampled_from(PG_TASKS), ngram=st.booleans(),
+       event=st.sampled_from((success_event(), full_event())),
+       beta=st.sampled_from((0.5, 1.0, 2.0)), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_exact_policy_gradient_ascent_properties(task, ngram, event, beta, seed, data):
+    features = NgramFeatures(task, n=2) if ngram else TabularFeatures(task)
+    model = LogitModel(features, np.random.default_rng(seed).normal(0.0, 0.8, features.dim))
+    jm = JointModel(model)
+    x = data.draw(st.integers(0, task.n_prompts - 1))
+    cap = 8
+    previous = -np.inf
+    for k in range(cap + 1):
+        res = estep_policy_gradient(jm, x, event, PolicyGradConfig(iterations=k, beta=beta),
+                                    compare_exact=False)
+        extras = res.extras
+        # a run of k iterations is the first k iterations of a longer one
+        assert extras["final_objective"] >= previous
+        previous = extras["final_objective"]
+        assert extras["gap"] == extras["soft_value"] - extras["final_objective"]
+        assert extras["gap"] >= -1e-9
+        assert extras["iterations_run"] <= k
+        reason = extras["stop_reason"]
+        assert reason in ("converged", "stalled", "cap")
+        if reason == "converged":
+            assert extras["gap"] <= CONVERGED_GAP * max(1.0, abs(extras["soft_value"]))
+        if reason == "cap":
+            assert extras["iterations_run"] == k
+        if k == 0:
+            warm = model.joint_probs(x)
+            assert np.array_equal(res.probs, warm / warm.sum())

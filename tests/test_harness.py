@@ -69,6 +69,13 @@ def test_parse_rejects_duplicate_seeds():
         parse_config(BASE.replace("seeds: [0]", "seeds: [0, 0]"))
 
 
+def test_parse_rejects_optimum_reference_without_closed_form():
+    assert parse_config(BASE + "reference: optimum\n").data["reference"] == "optimum"
+    with pytest.raises(ConfigError, match="tabular"):
+        parse_config(BASE.replace("features: tabular", "features: ngram")
+                     + "reference: optimum\n")
+
+
 def test_parse_rejects_non_mapping():
     with pytest.raises(ConfigError):
         parse_config("- just\n- a\n- list\n")

@@ -10,13 +10,14 @@ from latentlab import training
 from latentlab.errors import (
     CertificateError,
     ConfigError,
+    FeatureMapMismatchError,
     UnseenTagError,
     ZeroMassEventError,
 )
 from latentlab.esteps import EStepSpec
 from latentlab.graph import JointModel
 from latentlab.logspace import LOG_CLAMP
-from latentlab.models import random_model, uniform_model
+from latentlab.models import NgramFeatures, random_model, uniform_model
 from latentlab.rng import stream
 from latentlab.tasks import EventSpec, compile_event, make_reward_tag_task, success_event
 from latentlab.training import (
@@ -74,7 +75,9 @@ def test_reference_gap_bounds_the_updated_iterate_at_one_iteration(evaluator):
     for seed in range(6):
         task = make_reward_tag_task(3, 4, seed=seed, evaluator=evaluator)
         model = random_model(task, np.random.default_rng(seed), scale=0.5)
-        ref = training._reference_ascent(model, event, steps=5, rate=1.0)
+        ref = model
+        for _ in range(5):  # a weak comparator: five unit gradient steps
+            ref = ref.with_theta(ref.theta + JointModel(ref).averaged_grad(event))
         _, record = run_em(model, task, event, EXACT, CLOSED,
                            iterations=1, seed=seed, reference=ref)
         cert = record.certificates["reference_gap"]
@@ -111,6 +114,13 @@ def test_closed_form_reference_rejects_a_zero_mass_prompt():
         reference_optimum(model, task, event)
     with pytest.raises(ZeroMassEventError, match=f"prompt {zero[0]}"):
         JointModel(model).averaged_grad(event)
+
+
+def test_reference_optimum_needs_a_closed_form():
+    task = make_reward_tag_task(3, 4, seed=1)
+    model = uniform_model(task, NgramFeatures(task, n=2))
+    with pytest.raises(FeatureMapMismatchError, match="ngram"):
+        reference_optimum(model, task, success_event())
 
 
 def test_reference_optimum_conditions_on_a_set_the_model_clamps():

@@ -29,6 +29,7 @@ FLIPS = {
     "joint-marginal": ("esteps.backend_agreement", "graph.gradient_identity"),
     "batched-rows": ("graph.batched_averages", "graph.gradient_identity"),
     "comparator-set": ("training.reference_gap", "training.reference_closed_form"),
+    "stale-fisher": ("esteps.fisher_step",),
 }
 
 
