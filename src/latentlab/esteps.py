@@ -307,13 +307,6 @@ def _fisher_step(block: np.ndarray):
     return move
 
 
-def _advantage_move(features, x_idx: int, advantage: np.ndarray) -> np.ndarray:
-    """Phi_x Phi_x^T A: the logit change of the parameter step Phi_x^T A.
-    Through a tabular map it is A itself, and a step of 1/beta along it lands
-    on softmax(R / beta)."""
-    return features.logits(x_idx, features.adjoint(x_idx, advantage))
-
-
 def estep_policy_gradient(
     jm: JointModel,
     x_idx: int,
@@ -332,13 +325,14 @@ def estep_policy_gradient(
     final sampler distribution.
 
     Exact mode (``batch_size = 0``) takes the advantage A = R - beta log p - J
-    and tries two moves of l: Phi_x Phi_x^T A, and, for maps without a closed
-    form, the Fisher move of `_fisher_step` (through a tabular map the two
-    coincide).  A move whose exact slope sum_j p_j A_j m_j is not positive is
-    skipped; each other move is line-searched from its own persistent rate
-    (grown 1.5x on acceptance, halved on every failed trial, at most
-    MAX_HALVINGS times), and the better accepted trial is taken, so J never
-    decreases.  The ascent stops ``converged`` once the exact gap
+    and tries two moves of l: Phi_x Phi_x^T A (`FeatureMap.project`), and, for
+    maps without a closed form, the Fisher move of `_fisher_step` (through a
+    tabular map the two coincide: both are A, and a step of 1/beta along A
+    lands on softmax(R / beta)).  A move whose exact slope
+    sum_j p_j A_j m_j is not positive is skipped; each other move is
+    line-searched from its own persistent rate (grown 1.5x on acceptance,
+    halved on every failed trial, at most MAX_HALVINGS times), and the
+    better accepted trial is taken, so J never decreases.  The ascent stops ``converged`` once the exact gap
     soft_value - J = beta KL(p || softmax(R / beta)) is at most
     CONVERGED_GAP max(1, |soft_value|), ``stalled`` when no move improves J
     or the accepted gain is at most STALLED_GAIN max(1, |J|), and ``cap``
@@ -378,7 +372,7 @@ def estep_policy_gradient(
         iterations_run += 1
         if cfg.batch_size == 0:
             advantage = rewards - beta * log_p - value
-            moves = [_advantage_move(features, x_idx, advantage)]
+            moves = [features.project(x_idx, advantage)]
             if fisher_move is not None:
                 moves.append(fisher_move(p, advantage))
             best = None
@@ -410,7 +404,7 @@ def estep_policy_gradient(
             np.add.at(step_flat, draws, advantage)
             step_flat = step_flat / cfg.batch_size - p * advantage.mean()
             samples_used += cfg.batch_size
-            move = _advantage_move(features, x_idx, step_flat)
+            move = features.project(x_idx, step_flat)
             if not move.any():
                 reason = "stalled"
                 break

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FeatureMapMismatchError, OutOfSpaceError, RecordFormatError
+from .errors import ConfigError, FeatureMapMismatchError, OutOfSpaceError, RecordFormatError
 from .logspace import logsumexp, logsumexp_rows, masked_row_sums
 from .tasks import GenerativeTask
 
@@ -52,9 +52,9 @@ class FeatureMap:
         """sum_x Phi_x^T W[x] for a [prompts, joint] weight matrix W."""
         raise NotImplementedError
 
-    def feature_vector(self, x_idx: int, zy_idx: int) -> np.ndarray:
-        """Dense phi(x, z, y) for a single joint outcome."""
-        raise NotImplementedError
+    def project(self, x_idx: int, weights: np.ndarray) -> np.ndarray:
+        """Phi_x Phi_x^T w: the logit change of the parameter step Phi_x^T w."""
+        return self.logits(x_idx, self.adjoint(x_idx, weights))
 
     def own_block(self, x_idx: int) -> np.ndarray:
         """Dense [joint, k] rows of Phi_x over the k features that prompt x's
@@ -105,13 +105,27 @@ class TabularFeatures(FeatureMap):
     def adjoint_all(self, weights: np.ndarray) -> np.ndarray:
         return np.ravel(weights)
 
-    def feature_vector(self, x_idx: int, zy_idx: int) -> np.ndarray:
-        out = np.zeros(self.dim)
-        out[self.offset(x_idx) + zy_idx] = 1.0
-        return out
+    def project(self, x_idx: int, weights: np.ndarray) -> np.ndarray:
+        """A copy of w: Phi_x Phi_x^T is the identity on prompt x's block."""
+        return np.array(weights, dtype=np.float64)
 
     def descriptor(self) -> dict:
         return {"kind": "tabular"}
+
+
+def _merged_entries(rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(row, col, count) of a sparse count matrix given one (row, col) pair
+    per occurrence: sorted by row, then column, each repeated pair merged
+    into one entry that counts its occurrences."""
+    width = int(cols.max()) + 1
+    keys, counts = np.unique(rows * width + cols, return_counts=True)
+    return keys // width, keys % width, counts.astype(np.float64)
+
+
+def _column_major(rows: np.ndarray, cols: np.ndarray, counts: np.ndarray):
+    """(col, row, count): the same entries sorted by column, then row."""
+    order = np.lexsort((rows, cols))
+    return cols[order], rows[order], counts[order]
 
 
 class NgramFeatures(FeatureMap):
@@ -120,10 +134,17 @@ class NgramFeatures(FeatureMap):
     Each feature counts one (prompt, position, window) pattern, where the
     window is the last `n` tokens ending at that position (BOS-padded).
     With `positional=False` the position collapses; with
-    `per_prompt=False` all prompts share features.  The class is
-    deliberately restricted: joint distributions whose coordinates
-    interact beyond the window width are not realizable, so likelihood
-    ascent has a nontrivial fixed point.
+    `per_prompt=False` all prompts share features.  Feature ids follow the
+    first appearance of each pattern, prompt by prompt, trajectory by
+    trajectory.  The class is deliberately restricted: joint distributions
+    whose coordinates interact beyond the window width are not realizable,
+    so likelihood ascent has a nontrivial fixed point.
+
+    Each block Phi_x is stored as index arrays (row, col, count): once
+    sorted by row for `logits` and once by column for `adjoint`, and both
+    ways over the [prompts * joint] stack.  `np.bincount` adds each output
+    entry's products in that order starting from zero, so the sums are
+    those of a CSR matrix-vector product, bit for bit.
     """
 
     def __init__(
@@ -134,68 +155,71 @@ class NgramFeatures(FeatureMap):
         positional: bool = True,
         per_prompt: bool = True,
     ):
-        if n < 1:
-            raise ValueError("window width n must be >= 1")
-        # scipy.sparse doubles the package's import time; only n-gram features need it
-        import scipy.sparse as sp
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ConfigError(f"window width n must be an integer >= 1, got {n!r}")
         self.task = task
-        self.n = n
+        self.n = int(n)
         self.positional = positional
         self.per_prompt = per_prompt
 
-        keys: dict[tuple, int] = {}
-        rows: dict[int, list[tuple[int, int]]] = {}
-        prompt_keys = range(task.n_prompts) if per_prompt else (0,)
-        for px in prompt_keys:
-            entries: list[tuple[int, int]] = []
-            for k, seq in enumerate(task.joint_sequences):
-                padded = (BOS,) * (n - 1) + seq
-                for j in range(len(seq)):
-                    window = padded[j : j + n]
-                    key = (px, j if positional else -1, window)
-                    fid = keys.setdefault(key, len(keys))
-                    entries.append((k, fid))
-            rows[px] = entries
-        self.dim = len(keys)
-
-        self._mats: dict[int, sp.csr_matrix] = {}
-        n_joint = task.n_joint
-        for px, entries in rows.items():
-            data = np.ones(len(entries))
-            r = np.fromiter((e[0] for e in entries), dtype=np.int64, count=len(entries))
-            c = np.fromiter((e[1] for e in entries), dtype=np.int64, count=len(entries))
-            mat = sp.coo_matrix((data, (r, c)), shape=(n_joint, self.dim)).tocsr()
-            mat.sum_duplicates()
-            self._mats[px] = mat
-        # transposes built once: a CSR transpose per adjoint call cost more
-        # than the product itself
-        self._mats_t = {px: mat.T.tocsr() for px, mat in self._mats.items()}
-        self._stacked = sp.vstack(
-            [self._mat(x) for x in range(task.n_prompts)], format="csr"
+        # one prompt's (position, window) ids; prompt px's block reads them
+        # shifted by px * width, which keeps the first-appearance order
+        windows: dict[tuple, int] = {}
+        rows: list[int] = []
+        cols: list[int] = []
+        for k, seq in enumerate(task.joint_sequences):
+            padded = (BOS,) * (self.n - 1) + seq
+            for j in range(len(seq)):
+                rows.append(k)
+                key = (j if positional else -1, padded[j : j + self.n])
+                cols.append(windows.setdefault(key, len(windows)))
+        rows, cols, counts = _merged_entries(np.array(rows), np.array(cols))
+        cols_t, rows_t, counts_t = _column_major(rows, cols, counts)
+        width = len(windows)
+        slots = range(task.n_prompts) if per_prompt else (0,)
+        self.dim = width * len(slots)
+        self._blocks = {s: (rows, cols + s * width, counts) for s in slots}
+        self._blocks_t = {s: (cols_t + s * width, rows_t, counts_t) for s in slots}
+        stack = [self._blocks[self._slot(x)] for x in range(task.n_prompts)]
+        self._stacked = (
+            np.concatenate([r + x * task.n_joint for x, (r, _, _) in enumerate(stack)]),
+            np.concatenate([c for _, c, _ in stack]),
+            np.concatenate([v for _, _, v in stack]),
         )
-        self._stacked_t = self._stacked.T.tocsr()
+        self._stacked_t = _column_major(*self._stacked)
+        self._own: dict[int, np.ndarray] = {}
 
-    def _mat(self, x_idx: int):
-        return self._mats[x_idx if self.per_prompt else 0]
+    def _slot(self, x_idx: int) -> int:
+        return x_idx if self.per_prompt else 0
 
     def logits(self, x_idx: int, theta: np.ndarray) -> np.ndarray:
-        return np.asarray(self._mat(x_idx) @ theta).ravel()
+        rows, cols, counts = self._blocks[self._slot(x_idx)]
+        return np.bincount(rows, counts * theta[cols], self.task.n_joint)
 
     def adjoint(self, x_idx: int, weights: np.ndarray) -> np.ndarray:
-        return np.asarray(self._mats_t[x_idx if self.per_prompt else 0] @ weights).ravel()
+        cols, rows, counts = self._blocks_t[self._slot(x_idx)]
+        return np.bincount(cols, counts * weights[rows], self.dim)
 
     def logits_all(self, theta: np.ndarray) -> np.ndarray:
-        return (self._stacked @ theta).reshape(self.task.n_prompts, self.task.n_joint)
+        rows, cols, counts = self._stacked
+        shape = (self.task.n_prompts, self.task.n_joint)
+        return np.bincount(rows, counts * theta[cols], shape[0] * shape[1]).reshape(shape)
 
     def adjoint_all(self, weights: np.ndarray) -> np.ndarray:
-        return self._stacked_t @ np.ravel(weights)
-
-    def feature_vector(self, x_idx: int, zy_idx: int) -> np.ndarray:
-        return np.asarray(self._mat(x_idx)[zy_idx].todense()).ravel()
+        cols, rows, counts = self._stacked_t
+        return np.bincount(cols, counts * np.ravel(weights)[rows], self.dim)
 
     def own_block(self, x_idx: int) -> np.ndarray:
-        mat = self._mat(x_idx)
-        return mat[:, np.unique(mat.indices)].toarray()
+        """Built on first use per block and kept, read-only."""
+        slot = self._slot(x_idx)
+        if slot not in self._own:
+            rows, cols, counts = self._blocks[slot]
+            own, column = np.unique(cols, return_inverse=True)
+            block = np.zeros((self.task.n_joint, len(own)))
+            block[rows, column] = counts
+            block.flags.writeable = False
+            self._own[slot] = block
+        return self._own[slot]
 
     def descriptor(self) -> dict:
         return {

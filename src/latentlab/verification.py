@@ -50,7 +50,6 @@ from .esteps import (
     FISHER_RIDGE,
     EStepSpec,
     PolicyGradConfig,
-    _advantage_move,
     _event_reward_vector,
     _regularized_objective,
     estep_exact,
@@ -62,6 +61,7 @@ from .esteps import (
 from .graph import JointModel
 from .logspace import LOG_CLAMP, entropy, log_sum_exp, logsumexp, total_variation
 from .models import (
+    BOS,
     LogitModel,
     NgramFeatures,
     TabularFeatures,
@@ -157,6 +157,13 @@ def _stale_fisher_step(block: np.ndarray):
     return move
 
 
+def _unit_count_entries(rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, ...]:
+    """'ngram-counts': the n-gram entries with each repeated window merged
+    into a count of 1."""
+    rows, cols, counts = _CLEAN["ngram-counts"](rows, cols)
+    return rows, cols, np.ones_like(counts)
+
+
 # fault -> (module, attribute, faulty replacement): `run_checks` swaps one in
 # to show that the checks catch a mutation of that kernel
 FAULTS = {
@@ -168,6 +175,7 @@ FAULTS = {
     "batched-rows": (model_kernel, "_normalized_rows", _rolled_prompt_rows),
     "comparator-set": (training_kernel, "_argmax_sets", _rolled_argmax_sets),
     "stale-fisher": (esteps_kernel, "_fisher_step", _stale_fisher_step),
+    "ngram-counts": (model_kernel, "_merged_entries", _unit_count_entries),
 }
 FAULT_NAMES = tuple(FAULTS)
 # the clean kernels, captured before any swap
@@ -377,18 +385,53 @@ def grad_event_logprob(jm: JointModel, x_idx: int, event: EventSpec) -> np.ndarr
     return jm.seq.features.adjoint(x_idx, q_vec - p_vec)
 
 
-def fisher_move_oracle(features, x_idx: int, p: np.ndarray,
+def dense_features(features) -> np.ndarray:
+    """[prompts, joint, dim] Phi rebuilt from the map's descriptor alone.
+
+    Tabular: one indicator per (prompt, joint index).  N-gram: every
+    BOS-padded window of every joint sequence counted, feature ids given
+    in first-appearance order of (prompt, position, window) over prompts,
+    then sequences, then positions; position -1 when not positional,
+    prompt 0 when shared.
+    """
+    task, desc = features.task, features.descriptor()
+    n_prompts, n_joint = task.n_prompts, task.n_joint
+    if desc["kind"] == "tabular":
+        phi = np.zeros((n_prompts, n_joint, n_prompts * n_joint))
+        for x in range(n_prompts):
+            for k in range(n_joint):
+                phi[x, k, x * n_joint + k] = 1.0
+        return phi
+    n = desc["n"]
+    ids: dict[tuple, int] = {}
+    hits = []
+    for x in range(n_prompts):
+        for k, seq in enumerate(task.joint_sequences):
+            tokens = [BOS] * (n - 1) + list(seq)
+            for j in range(len(seq)):
+                key = (x if desc["per_prompt"] else 0,
+                       j if desc["positional"] else -1, tuple(tokens[j:j + n]))
+                if key not in ids:
+                    ids[key] = len(ids)
+                hits.append((x, k, ids[key]))
+    phi = np.zeros((n_prompts, n_joint, len(ids)))
+    for x, k, fid in hits:
+        phi[x, k, fid] += 1.0
+    return phi
+
+
+def fisher_move_oracle(phi_x: np.ndarray, p: np.ndarray,
                        advantage: np.ndarray) -> np.ndarray:
-    """The Fisher move from its definition, over every feature: dense rows
-    phi_j, F = sum_j p_j (phi_j - phibar)(phi_j - phibar)^T and
-    (F + FISHER_RIDGE tr F I) w = sum_j p_j A_j phi_j; returns
+    """The Fisher move from its definition, over every feature: the dense
+    rows phi_j of `phi_x`, F = sum_j p_j (phi_j - phibar)(phi_j - phibar)^T
+    and (F + FISHER_RIDGE tr F I) w = sum_j p_j A_j phi_j; returns
     (phi_j - phibar) . w for every j."""
-    rows = [features.feature_vector(x_idx, j) for j in range(len(p))]
+    rows = list(phi_x)
     mean = sum(pj * row for pj, row in zip(p, rows))
     fisher = sum(pj * np.outer(row - mean, row - mean) for pj, row in zip(p, rows))
     rhs = sum(pj * aj * row for pj, aj, row in zip(p, advantage, rows))
     ridge = FISHER_RIDGE * np.trace(fisher)
-    w = np.linalg.solve(fisher + ridge * np.eye(features.dim), rhs)
+    w = np.linalg.solve(fisher + ridge * np.eye(phi_x.shape[1]), rhs)
     return np.array([float(np.dot(row - mean, w)) for row in rows])
 
 
@@ -903,30 +946,38 @@ def check_models_checkpoint_roundtrip() -> CheckResult:
 
 
 def check_models_feature_adjoint() -> CheckResult:
-    """Adjoint products equal brute-force feature sums."""
+    """Logits, adjoints and own blocks equal the products of Phi rebuilt
+    from its definition."""
     task = instance_by_name("automaton-2-2").task
-    for features in (TabularFeatures(task), NgramFeatures(task, n=2),
-                     NgramFeatures(task, n=1, positional=False)):
+    maps = (TabularFeatures(task), NgramFeatures(task, n=2),
+            NgramFeatures(task, n=1, positional=False),
+            NgramFeatures(task, n=3, per_prompt=False),
+            NgramFeatures(task, n=2, positional=False, per_prompt=False))
+    for features in maps:
+        name = str(features.descriptor())
+        phi = dense_features(features)
+        if phi.shape[2] != features.dim:
+            return _fail(f"{name} has dim {features.dim}, its definition {phi.shape[2]}")
         rng = stream(SEED, "adjoint", features.dim)
-        for x in range(task.n_prompts):
-            w = rng.normal(size=task.n_joint)
-            direct = np.zeros(features.dim)
-            for k in range(task.n_joint):
-                direct += w[k] * features.feature_vector(x, k)
-            if float(np.max(np.abs(features.adjoint(x, w) - direct))) > 1e-12:
-                return _fail(f"adjoint mismatch for dim-{features.dim} map at x={x}")
         theta = rng.normal(size=features.dim)
-        logits = features.logits(0, theta)
-        direct_logits = np.array([
-            float(np.dot(features.feature_vector(0, k), theta))
-            for k in range(task.n_joint)
-        ])
-        if float(np.max(np.abs(logits - direct_logits))) > 1e-12:
-            return _fail(f"logits mismatch for dim-{features.dim} map")
+        weights = rng.normal(size=(task.n_prompts, task.n_joint))
+        pairs = [("logits_all", features.logits_all(theta), phi @ theta),
+                 ("adjoint_all", features.adjoint_all(weights),
+                  np.einsum("xj,xjf->f", weights, phi))]
+        for x in range(task.n_prompts):
+            own = phi[x][:, phi[x].any(axis=0)]
+            pairs += [(f"logits x={x}", features.logits(x, theta), phi[x] @ theta),
+                      (f"adjoint x={x}", features.adjoint(x, weights[x]),
+                       phi[x].T @ weights[x])]
+            if not features.supports_closed_form:
+                pairs.append((f"own_block x={x}", features.own_block(x), own))
+        for kernel, got, want in pairs:
+            if got.shape != want.shape or float(np.max(np.abs(got - want))) > 1e-12:
+                return _fail(f"{kernel} of {name} disagrees with its definition")
     model = uniform_model(task)
     if not _expect_raises(FeatureMapMismatchError, model.with_theta, np.zeros(3)):
         return _fail("wrong-shaped theta was accepted")
-    return _ok("three feature maps agree with brute-force features")
+    return _ok(f"{len(maps)} feature maps agree with Phi built from its definition")
 
 
 # -- graph -----------------------------------------------------------------------
@@ -1477,6 +1528,7 @@ def check_esteps_fisher_step() -> CheckResult:
         inst = instance_by_name(name)
         task, event = inst.task, inst.events[0]
         features = NgramFeatures(task, n=2)
+        phi = dense_features(features)
         model = LogitModel(features, stream(SEED, "fisher", k).normal(0.0, 0.8, features.dim))
         jm = JointModel(model)
         for x in range(task.n_prompts):
@@ -1488,7 +1540,7 @@ def check_esteps_fisher_step() -> CheckResult:
             for logits in (model.joint_log_probs(x), np.log(one.probs)):
                 value, p, log_p = _regularized_objective(logits, rewards, 1.0)
                 advantage = rewards - log_p - value
-                oracle = fisher_move_oracle(features, x, p, advantage)
+                oracle = fisher_move_oracle(phi[x], p, advantage)
                 scale = float(np.max(np.abs(oracle)))
                 worst = max(worst, float(np.max(np.abs(step(p, advantage) - oracle))) / scale)
     if worst > 1e-9:
@@ -1502,7 +1554,7 @@ def check_esteps_fisher_step() -> CheckResult:
             rewards = _event_reward_vector(jm, x, inst.events[0], PolicyGradConfig().reward_floor)
             value, p, log_p = _regularized_objective(model.joint_log_probs(x), rewards, beta)
             advantage = rewards - beta * log_p - value
-            move = _advantage_move(model.features, x, advantage)
+            move = model.features.project(x, advantage)
             if not np.array_equal(move, advantage):
                 return _fail("a tabular advantage move is not the advantage itself")
             _, after, _ = _regularized_objective(log_p + move / beta, rewards, beta)

@@ -8,10 +8,14 @@ modules on that path never turn an index back into a (z, y) tuple.  The
 averages over prompts read a model's [prompts, joint] matrix, never one
 prompt at a time, and the policy-gradient ascent builds no model.  Every
 function of a production module (every module but `verification.py`) has a
-caller in production or benchmark code.
+caller in production or benchmark code, and a training run imports no
+scipy module.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import latentlab
@@ -32,8 +36,6 @@ UNCALLED = {
     "triple_logprob": "JointModel.triple_logprob: the factorization, one triple at a time",
     "conditional": "AutoregressiveView.conditional: the per-prefix lookup, tested by a "
                    "hypothesis property",
-    "feature_vector": "FeatureMap.feature_vector: brute-force rows for the adjoint oracle, "
-                      "which need each map's private matrices",
 }
 
 
@@ -192,3 +194,49 @@ def test_caller_guard_sees_an_unreferenced_def():
                         "def helper():\n    return A().used()\n"}
     caller = "__all__ = ['helper']\n"
     assert _unreferenced(defining, [*defining.values(), caller]) == {"m.py:A.unused": "unused"}
+
+
+# one EM iteration with the policy-gradient E-step and the gradient M-step
+# on a tabular and a 2-gram model, in a fresh interpreter; prints the scipy
+# modules the run imported
+TRAINING_RUN = """
+import sys
+import latentlab
+from latentlab import harness
+from latentlab.esteps import EStepSpec
+from latentlab.tasks import success_event
+from latentlab.training import MStepSpec, em_iterate
+
+for features in ("tabular", "ngram"):
+    cfg = harness.parse_config(
+        "task: {kind: automaton, num_states: 2, input_len: 3}\\n"
+        f"model: {{features: {features}, ngram_n: 2, init: random}}\\n"
+        "algorithm: em\\n"
+        "estep: {backend: policy_gradient, params: {iterations: 3}}\\n"
+        "mstep: {kind: gradient_ascent, steps: 3}\\n").data
+    task = harness.build_task(cfg["task"])
+    model = harness.build_model(cfg["model"], task, 0)
+    em_iterate(model, task, success_event(),
+               EStepSpec(cfg["estep"]["backend"], dict(cfg["estep"]["params"])),
+               MStepSpec(**cfg["mstep"]), seed=0, iteration=0)
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def _scipy_modules_after(script: str) -> str:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(PACKAGE.parent), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
+def test_training_run_imports_no_scipy():
+    assert _scipy_modules_after(TRAINING_RUN) == "[]"
+
+
+def test_scipy_guard_sees_an_import():
+    loaded = _scipy_modules_after(TRAINING_RUN.replace(
+        "import latentlab\n", "import latentlab\nimport scipy.sparse\n", 1))
+    assert "'scipy.sparse'" in loaded

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from latentlab.errors import RecordFormatError
+from latentlab.errors import ConfigError, RecordFormatError
 from latentlab.graph import JointModel
 from latentlab.models import (
     LogitModel,
@@ -77,6 +77,12 @@ def test_ngram_features_shape(tag_task):
     model = uniform_model(tag_task, features=feats)
     assert model.theta.shape == (feats.dim,)
     assert model.joint_probs(0).sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [0, -1, 2.5, True, "2", None])
+def test_ngram_width_must_be_a_positive_integer(tag_task, n):
+    with pytest.raises(ConfigError):
+        NgramFeatures(tag_task, n=n)
 
 
 def test_tabular_dim(tag_task):

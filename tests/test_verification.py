@@ -30,6 +30,7 @@ FLIPS = {
     "batched-rows": ("graph.batched_averages", "graph.gradient_identity"),
     "comparator-set": ("training.reference_gap", "training.reference_closed_form"),
     "stale-fisher": ("esteps.fisher_step",),
+    "ngram-counts": ("models.feature_adjoint",),
 }
 
 
