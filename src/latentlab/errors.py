@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the type checks of
+configuration values that raise them."""
+
+import numbers
 
 
 class LatentLabError(Exception):
@@ -76,3 +79,15 @@ class TaskMismatchError(LatentLabError):
 
 class RecordFormatError(LatentLabError):
     """A persisted record or checkpoint file is malformed."""
+
+
+def require_integer(name: str, value) -> None:
+    """Raise `ConfigError` unless `value` is an integer (bools are not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def require_real(name: str, value) -> None:
+    """Raise `ConfigError` unless `value` is a real number (bools are not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")

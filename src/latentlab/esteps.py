@@ -29,6 +29,8 @@ from .errors import (
     DivergenceError,
     EStepResultError,
     UnreachableEventError,
+    require_integer,
+    require_real,
 )
 from .graph import JointModel
 from .logspace import log_sum_exp, total_variation
@@ -219,15 +221,19 @@ class PolicyGradConfig:
     divergence_patience: int = 50
 
     def __post_init__(self):
-        if self.step_size <= 0:
+        for name in ("step_size", "beta", "reward_floor"):
+            require_real(name, getattr(self, name))
+        for name in ("batch_size", "iterations", "divergence_patience"):
+            require_integer(name, getattr(self, name))
+        if not self.step_size > 0:  # nan too
             raise ConfigError(f"step_size must be positive, got {self.step_size}")
         if self.iterations < 0:
             raise ConfigError(f"iterations must be >= 0, got {self.iterations}")
         if self.batch_size < 0:
             raise ConfigError(f"batch_size must be >= 0, got {self.batch_size}")
-        if self.beta <= 0:
+        if not self.beta > 0:
             raise ConfigError(f"beta must be positive, got {self.beta}")
-        if self.reward_floor >= 0:
+        if not self.reward_floor < 0:
             raise ConfigError(
                 f"reward_floor must be negative, got {self.reward_floor}"
             )

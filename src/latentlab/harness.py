@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .errors import ConfigError, TaskMismatchError
+from .errors import ConfigError, TaskMismatchError, require_integer, require_real
 from .esteps import BACKENDS, EStepSpec, PolicyGradConfig
 from .models import (
     LogitModel,
@@ -126,16 +126,14 @@ def _reject_unknown(section: str, given: dict, allowed) -> None:
 
 
 def _as_int(section: str, key: str, value, minimum: int | None = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{section}.{key} must be an integer, got {value!r}")
+    require_integer(f"{section}.{key}", value)
     if minimum is not None and value < minimum:
         raise ConfigError(f"{section}.{key} must be >= {minimum}, got {value}")
     return int(value)
 
 
 def _as_float(section: str, key: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{section}.{key} must be a number, got {value!r}")
+    require_real(f"{section}.{key}", value)
     return float(value)
 
 
@@ -148,9 +146,9 @@ def _as_bool(section: str, key: str, value) -> bool:
 def _check_pg(section: str, params: dict) -> None:
     _reject_unknown(section, params, _PG_FIELDS)
     try:
-        PolicyGradConfig(**params)  # validates values
-    except TypeError as exc:
-        raise ConfigError(f"{section}: {exc}") from exc
+        PolicyGradConfig(**params)  # validates types and values
+    except ConfigError as exc:  # every message starts with the field name
+        raise ConfigError(f"{section}.{exc}") from exc
 
 
 def _check_estep_params(backend: str, params: dict) -> None:

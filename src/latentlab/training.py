@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -25,11 +25,14 @@ from .errors import (
     CertificateError,
     ConfigError,
     FeatureMapMismatchError,
+    OutOfSpaceError,
     SurrogateDecreaseError,
     TaskMismatchError,
     UnseenTagError,
     ZeroMassEventError,
     ZeroProbabilityPairError,
+    require_integer,
+    require_real,
 )
 from .esteps import (
     EStepSpec,
@@ -51,9 +54,6 @@ from .tasks import (
     compile_event,
     success_event,
 )
-
-# one prompt's weighting: int64 joint indices and aligned float64 weights
-Weights = tuple[np.ndarray, np.ndarray]
 
 
 # -- M-step ------------------------------------------------------------------
@@ -77,33 +77,33 @@ class MStepSpec:
         kinds = ("closed_form", "gradient_ascent", "weighted_mle_from_samples")
         if self.kind not in kinds:
             raise ConfigError(f"mstep kind {self.kind!r} not in {kinds}")
+        require_integer("mstep steps", self.steps)
+        require_real("mstep rate", self.rate)
         if self.steps < 1:
             raise ConfigError(f"mstep steps must be >= 1, got {self.steps}")
-        if self.rate <= 0:
+        if not self.rate > 0:  # nan too
             raise ConfigError(f"mstep rate must be positive, got {self.rate}")
 
 
-def mstep(
-    model: LogitModel,
-    posteriors: dict[int, Weights],
-    spec: MStepSpec,
-    rho: np.ndarray | None = None,
-) -> LogitModel:
-    """Maximize the weighted log likelihood of per-prompt (z, y) weights.
+def mstep(model: LogitModel, targets: np.ndarray, spec: MStepSpec) -> LogitModel:
+    """Maximize the rho-weighted log likelihood of a [prompts, joint] target.
 
-    Each prompt's weights are `(support, probs)`: joint indices and aligned
-    weights, repeated indices adding.  Prompts absent from `posteriors` keep
-    their current parameters (tabular) or simply contribute no term (shared
-    features).
+    Row x holds prompt x's weights over joint outcomes.  An all-zero row
+    leaves that prompt out: its parameters stay put (tabular) or it simply
+    contributes no term (shared features).
     """
-    if not posteriors:
-        return model
     task = model.task
-    rho = np.asarray(task.rho if rho is None else rho, dtype=np.float64)
-    q_vecs = {
-        x: np.bincount(support, probs, task.n_joint)
-        for x, (support, probs) in posteriors.items()
-    }
+    targets = np.asarray(targets)
+    if targets.shape != (task.n_prompts, task.n_joint):
+        raise TaskMismatchError(
+            f"M-step target has shape {targets.shape}, the task needs "
+            f"{(task.n_prompts, task.n_joint)}"
+        )
+    # the weighted prompts, in ascending order
+    xs = np.flatnonzero(targets.any(axis=1))
+    if not xs.size:
+        return model
+    q = targets[xs]
     kind = spec.kind
     if kind == "weighted_mle_from_samples":
         kind = "closed_form" if model.features.supports_closed_form else "gradient_ascent"
@@ -114,18 +114,14 @@ def mstep(
                 "closed_form update needs per-prompt tabular features"
             )
         theta = model.theta.copy()
-        for x_idx, q in q_vecs.items():
-            logits = np.full(task.n_joint, LOG_CLAMP)
-            pos = q > 0.0
-            logits[pos] = np.log(q[pos])
-            off = model.features.offset(x_idx)
-            theta[off : off + task.n_joint] = logits
+        logits = np.full(q.shape, LOG_CLAMP)
+        pos = q > 0.0
+        logits[pos] = np.log(q[pos])
+        # tabular theta is the [prompts, joint] logit matrix, row after row
+        theta.reshape(task.n_prompts, task.n_joint)[xs] = logits
         return model.with_theta(theta)
 
-    # the weighted prompts as rows, in the order `posteriors` lists them
-    xs = np.fromiter(q_vecs, np.int64, len(q_vecs))
-    q = np.array(list(q_vecs.values()))
-    w = rho[xs]
+    w = task.rho[xs]
 
     def surrogate(theta: np.ndarray) -> float:
         logits = model.features.logits_all(theta)[xs]
@@ -209,7 +205,7 @@ def em_iterate(
     ``all_prompts_skipped`` flag.
     """
     jm = JointModel(model)
-    posteriors: dict[int, Weights] = {}
+    targets = np.zeros((task.n_prompts, task.n_joint))
     tvs: list[float] = []
     flags: set[str] = set()
     skipped: list[int] = []
@@ -220,13 +216,13 @@ def em_iterate(
         if result.empty:
             skipped.append(x_idx)
             continue
-        posteriors[x_idx] = (result.support, result.probs)
+        targets[x_idx] = np.bincount(result.support, result.probs, task.n_joint)
         if result.tv_error is not None:
             tvs.append(result.tv_error)
 
     objective_before = jm.averaged_event_logprob(event)
     tv_mean = float(np.mean(tvs)) if tvs else math.nan
-    if not posteriors:
+    if len(skipped) == task.n_prompts:
         report = IterationReport(
             iteration=iteration,
             objective_before=objective_before,
@@ -238,7 +234,7 @@ def em_iterate(
         )
         return model, report
 
-    new_model = mstep(model, posteriors, mstep_spec, rho=task.rho)
+    new_model = mstep(model, targets, mstep_spec)
     report = IterationReport(
         iteration=iteration,
         objective_before=objective_before,
@@ -577,25 +573,67 @@ def _success(task: GenerativeTask, x_idx: int) -> np.ndarray:
     return compile_event(task, success_event()).mass(x_idx)
 
 
-def _weights_tv(
-    model: LogitModel,
-    task: GenerativeTask,
-    event: EventSpec,
-    report: dict,
-) -> float:
-    """Mean distance of an update's implied weights from the true posterior.
+def _weights_tv(model: LogitModel, event: EventSpec, weights: np.ndarray) -> float:
+    """Mean distance of an update's [prompts, joint] weights from the true
+    posterior.
 
-    Prompts that produced no usable weights count as maximal error: the
-    update did nothing there, which is as far from the posterior as an
-    approximation can be.
+    Prompts with an all-zero row produced no usable weights and count as
+    maximal error: the update did nothing there, which is as far from the
+    posterior as an approximation can be.
     """
     jm = JointModel(model)
-    tvs = [
-        tv_to_exact(jm, x_idx, event, support, probs)
-        for x_idx, (support, probs) in report["weights"].items()
-    ]
-    tvs.extend(1.0 for _ in report["skipped"])
+    live = weights.any(axis=1)
+    everything = np.arange(model.task.n_joint)
+    tvs = [tv_to_exact(jm, x_idx, event, everything, weights[x_idx])
+           for x_idx in np.flatnonzero(live).tolist()]
+    tvs += [1.0] * int((~live).sum())
     return float(np.mean(tvs)) if tvs else math.nan
+
+
+def _success_weighted_update(
+    model: LogitModel,
+    task: GenerativeTask,
+    budget: int,
+    label: str,
+    *,
+    seed: int,
+    iteration: int,
+    exact: bool,
+    mstep_spec: MStepSpec | None,
+) -> tuple[LogitModel, dict]:
+    """Weight each prompt's outcomes by success probability, normalize, and
+    fit by weighted MLE: summed over `budget` draws from stream `label` (with
+    a binary evaluator, the verified draws counted), or model probability
+    times success probability when `exact`.  The report holds the
+    [prompts, joint] weights, the skipped (all-zero) prompts, each prompt's
+    acceptance (the weights' total, per draw when sampled) and the prompts
+    whose weights put more than 0.999 on one outcome."""
+    targets = np.zeros((task.n_prompts, task.n_joint))
+    acceptance: dict[int, float] = {}
+    for x_idx in range(task.n_prompts):
+        success = _success(task, x_idx)
+        if exact:
+            w = model.joint_probs(x_idx) * success
+        else:
+            rng = stream(seed, label, x_idx, iteration)
+            drawn = model.conditional_tables(x_idx).draws(rng, budget)
+            # bincount adds in draw order, as a running sum per outcome would
+            w = np.bincount(drawn, success[drawn], task.n_joint)
+        total = float(w[w > 0.0].sum())
+        acceptance[x_idx] = total if exact else total / budget
+        if total > 0.0:
+            targets[x_idx] = w / total
+    new_model = mstep(
+        model, targets, mstep_spec or MStepSpec(kind="weighted_mle_from_samples")
+    )
+    report = {
+        "mode": "exact" if exact else "sampled",
+        "acceptance": acceptance,
+        "skipped": tuple(np.flatnonzero(~targets.any(axis=1)).tolist()),
+        "degenerate": tuple(np.flatnonzero(targets.max(axis=1) > 0.999).tolist()),
+        "weights": targets,
+    }
+    return new_model, report
 
 
 def filter_sft_update(
@@ -619,38 +657,10 @@ def filter_sft_update(
         raise TaskMismatchError(
             "filtered fine-tuning needs a binary pass/fail evaluator"
         )
-    mstep_spec = mstep_spec or MStepSpec(kind="weighted_mle_from_samples")
-    posteriors: dict[int, Weights] = {}
-    acceptance: dict[int, float] = {}
-    skipped: list[int] = []
-    for x_idx in range(task.n_prompts):
-        verified = _success(task, x_idx) == 1.0
-        if exact_weights:
-            ks = np.flatnonzero(verified)
-            weights = model.joint_probs(x_idx)[ks]
-            total = float(weights.sum())
-            acceptance[x_idx] = total
-        else:
-            rng = stream(seed, "filter", x_idx, iteration)
-            drawn = model.conditional_tables(x_idx).draws(rng, budget)
-            kept = drawn[verified[drawn]]
-            counts = np.bincount(kept, minlength=task.n_joint)
-            ks = np.flatnonzero(counts)
-            weights = counts[ks].astype(np.float64)
-            total = float(weights.sum())
-            acceptance[x_idx] = len(kept) / budget
-        if total <= 0.0:
-            skipped.append(x_idx)
-            continue
-        posteriors[x_idx] = (ks, weights / total)
-    new_model = mstep(model, posteriors, mstep_spec, rho=task.rho)
-    report = {
-        "mode": "exact" if exact_weights else "sampled",
-        "acceptance": acceptance,
-        "skipped": tuple(skipped),
-        "weights": posteriors,
-    }
-    return new_model, report
+    return _success_weighted_update(
+        model, task, budget, "filter", seed=seed, iteration=iteration,
+        exact=exact_weights, mstep_spec=mstep_spec,
+    )
 
 
 def run_filter_sft(
@@ -672,7 +682,7 @@ def run_filter_sft(
             seed=seed, iteration=t, exact_weights=exact_weights,
         )
         flags = ("prompts_skipped",) if report["skipped"] else ()
-        return new_model, _weights_tv(current, task, event, report), flags
+        return new_model, _weights_tv(current, event, report["weights"]), flags
 
     return _run_loop(
         "filter_sft", model, task, event, step,
@@ -705,38 +715,10 @@ def restem_update(
         raise TaskMismatchError(
             "expectation-weighted self-training needs a soft evaluator"
         )
-    mstep_spec = mstep_spec or MStepSpec(kind="weighted_mle_from_samples")
-    posteriors: dict[int, Weights] = {}
-    degenerate: list[int] = []
-    skipped: list[int] = []
-    for x_idx in range(task.n_prompts):
-        success = _success(task, x_idx)
-        if exact_expectation:
-            ks = np.arange(task.n_joint)
-            weights = model.joint_probs(x_idx) * success
-        else:
-            rng = stream(seed, "restem", x_idx, iteration)
-            drawn = model.conditional_tables(x_idx).draws(rng, budget)
-            # bincount adds in draw order, as a running sum per outcome would
-            sums = np.bincount(drawn, success[drawn], task.n_joint)
-            ks = np.flatnonzero(sums > 0.0)
-            weights = sums[ks]
-        total = float(weights.sum())
-        if total <= 0.0:
-            skipped.append(x_idx)
-            continue
-        probs = weights / total
-        if probs.size and float(probs.max()) > 0.999:
-            degenerate.append(x_idx)
-        posteriors[x_idx] = (ks, probs)
-    new_model = mstep(model, posteriors, mstep_spec, rho=task.rho)
-    report = {
-        "mode": "exact" if exact_expectation else "sampled",
-        "degenerate": tuple(degenerate),
-        "skipped": tuple(skipped),
-        "weights": posteriors,
-    }
-    return new_model, report
+    return _success_weighted_update(
+        model, task, budget, "restem", seed=seed, iteration=iteration,
+        exact=exact_expectation, mstep_spec=mstep_spec,
+    )
 
 
 def run_restem(
@@ -762,7 +744,7 @@ def run_restem(
             flags += ("degenerate_weights",)
         if report["skipped"]:
             flags += ("prompts_skipped",)
-        return new_model, _weights_tv(current, task, event, report), flags
+        return new_model, _weights_tv(current, event, report["weights"]), flags
 
     return _run_loop(
         "restem", model, task, event, step,
@@ -789,43 +771,50 @@ def build_tagged_corpus(
     *,
     seed: int,
     iteration: int,
-) -> list[tuple[int, int, int]]:
+) -> np.ndarray:
     """Sample responses and relabel the latent slot with a quality tag.
 
-    The sampled latent is discarded; what the model said does not decide
-    the tag, the reference response does.
+    Returns `budget` items per prompt as an int64 [items, 3] array of
+    (prompt, tag, response) rows.  The sampled latent is discarded; what the
+    model said does not decide the tag, the reference response does.
     """
     _require_tag_task(task)
-    corpus: list[tuple[int, int, int]] = []
+    blocks = []
     for x_idx in range(task.n_prompts):
         rng = stream(seed, "tag-corpus", x_idx, iteration)
-        view = model.conditional_tables(x_idx)
-        for _ in range(budget):
-            _, y_idx = view.sample(rng)
-            tag = GOOD_TAG if y_idx == task.truth[x_idx][1] else BAD_TAG
-            corpus.append((x_idx, tag, y_idx))
-    return corpus
+        # a joint index is z * n_responses + y; only the response is kept
+        ys = model.conditional_tables(x_idx).draws(rng, budget) % task.n_responses
+        tags = np.where(ys == task.truth[x_idx][1], GOOD_TAG, BAD_TAG)
+        blocks.append(np.column_stack([np.full(budget, x_idx), tags, ys]))
+    return np.concatenate(blocks)
 
 
 def conditional_sft_update(
     model: LogitModel,
     task: GenerativeTask,
-    corpus: list[tuple[int, int, int]],
+    corpus,
     mstep_spec: MStepSpec | None = None,
 ) -> LogitModel:
-    """Weighted MLE on (tag, response) pairs from a tagged corpus; each
-    prompt's weights are its item counts, normalized."""
+    """Weighted MLE on (tag, response) pairs from a tagged corpus of
+    (prompt, tag, response) items; each prompt's weights are its item
+    counts, normalized."""
     _require_tag_task(task)
-    mstep_spec = mstep_spec or MStepSpec(kind="weighted_mle_from_samples")
-    items = np.array(corpus, dtype=np.int64).reshape(-1, 3)
-    posteriors: dict[int, Weights] = {}
-    for x_idx in dict.fromkeys(items[:, 0].tolist()):
-        _, tags, ys = items[items[:, 0] == x_idx].T
-        counts = np.bincount(task.zy_index(tags, ys), minlength=task.n_joint)
-        ks = np.flatnonzero(counts)
-        weights = counts[ks].astype(np.float64)
-        posteriors[x_idx] = (ks, weights / weights.sum())
-    return mstep(model, posteriors, mstep_spec, rho=task.rho)
+    items = np.asarray(corpus, dtype=np.int64).reshape(-1, 3)
+    bounds = (task.n_prompts, task.n_latents, task.n_responses)
+    outside = ((items < 0) | (items >= bounds)).any(axis=1)
+    if outside.any():
+        raise OutOfSpaceError(
+            f"corpus item {items[outside][0].tolist()} outside the task's spaces"
+        )
+    xs, tags, ys = items.T
+    shape = (task.n_prompts, task.n_joint)
+    counts = np.bincount(
+        xs * task.n_joint + task.zy_index(tags, ys), minlength=shape[0] * shape[1]
+    ).reshape(shape)
+    targets = counts / np.maximum(counts.sum(axis=1, keepdims=True), 1)
+    return mstep(
+        model, targets, mstep_spec or MStepSpec(kind="weighted_mle_from_samples")
+    )
 
 
 def conditional_decode(
@@ -896,9 +885,9 @@ def run_cond_sft(
 # -- pairwise preference training ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PreferencePair:
-    """Preferred and rejected completions at one prompt, as joint indices."""
+class PreferencePair(NamedTuple):
+    """Preferred and rejected completions at one prompt, as joint indices;
+    a list of pairs is one int [pairs, 3] array."""
 
     x_idx: int
     pos: int
@@ -921,37 +910,28 @@ def latent_dpo_loss_and_grad(
     probability) parameters are rejected loudly rather than silently
     saturating.
     """
-    if not pairs:
+    if len(pairs) == 0:
         raise ConfigError("preference loss needs at least one pair")
-    task = policy.task
-    by_prompt: dict[int, list[PreferencePair]] = {}
-    for pair in pairs:
-        by_prompt.setdefault(pair.x_idx, []).append(pair)
-
-    losses: list[float] = []
-    grad = np.zeros(policy.features.dim)
-    n = float(len(pairs))
-    for x_idx, group in by_prompt.items():
-        lp_pol = policy.joint_log_probs(x_idx)
-        lp_ref = reference.joint_log_probs(x_idx)
-        weight = np.zeros(task.n_joint)
-        for pref in group:
-            ip, ineg = pref.pos, pref.neg
-            involved = (lp_pol[ip], lp_pol[ineg], lp_ref[ip], lp_ref[ineg])
-            if min(involved) <= LOG_CLAMP / 2:
-                raise ZeroProbabilityPairError(
-                    f"pair at prompt {x_idx} touches a clamped completion"
-                )
-            margin = beta * (
-                (lp_pol[ip] - lp_ref[ip]) - (lp_pol[ineg] - lp_ref[ineg])
-            )
-            losses.append(float(np.logaddexp(0.0, -margin)))
-            # d loss / d margin = -sigmoid(-margin)
-            coef = float(np.exp(-np.logaddexp(0.0, margin))) * beta / n
-            weight[ip] -= coef
-            weight[ineg] += coef
-        grad += policy.features.adjoint(x_idx, weight)
-    return float(np.mean(losses)), grad
+    xs, pos, neg = np.asarray(pairs, dtype=np.int64).reshape(-1, 3).T
+    lp_pol, lp_ref = policy.log_probs_all(), reference.log_probs_all()
+    involved = np.stack([lp_pol[xs, pos], lp_pol[xs, neg], lp_ref[xs, pos], lp_ref[xs, neg]])
+    clamped = np.flatnonzero(involved.min(axis=0) <= LOG_CLAMP / 2)
+    if clamped.size:
+        raise ZeroProbabilityPairError(
+            f"pair at prompt {xs[clamped[0]]} touches a clamped completion"
+        )
+    margin = beta * ((involved[0] - involved[2]) - (involved[1] - involved[3]))
+    losses = np.logaddexp(0.0, -margin)
+    # d loss / d margin = -sigmoid(-margin)
+    coef = np.exp(-np.logaddexp(0.0, margin)) * beta / len(xs)
+    # pair by pair, preferred side first, as a running sum per outcome adds
+    weight = np.zeros((policy.task.n_prompts, policy.task.n_joint))
+    np.add.at(
+        weight,
+        (np.repeat(xs, 2), np.column_stack([pos, neg]).ravel()),
+        np.column_stack([-coef, coef]).ravel(),
+    )
+    return float(np.mean(losses)), policy.features.adjoint_all(weight)
 
 
 def dpo_fit(

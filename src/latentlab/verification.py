@@ -332,6 +332,15 @@ def _as_pairs(task: GenerativeTask, support) -> list[tuple[int, int]]:
     return [task.zy_unindex(int(k)) for k in support]
 
 
+def truth_one_hot(task: GenerativeTask) -> np.ndarray:
+    """[prompts, joint] M-step target with all of each prompt's weight on its
+    reference (z, y): the target of supervised fine-tuning on gold rationales."""
+    target = np.zeros((task.n_prompts, task.n_joint))
+    for x, (z, y) in task.truth.items():
+        target[x, task.zy_index(z, y)] = 1.0
+    return target
+
+
 def kl_identity_form(a: LogitModel, b: LogitModel, x_idx: int) -> float:
     """KL(P_a || P_b) at one prompt via A_b - A_a + E_a[f_a - f_b]: the
     divergence from partition functions and logit expectations instead of
@@ -1596,25 +1605,25 @@ def check_training_mstep_routes() -> CheckResult:
     """Closed-form, gradient, and resolver updates agree where they overlap."""
     task = instance_by_name("tag-3-8").task
     model = random_model(task, stream(SEED, "mstep"), scale=0.8)
-    point = mstep(model, {0: (np.array([task.zy_index(1, 2)]), np.array([1.0]))},
-                  MStepSpec("closed_form"))
+    target = np.zeros((task.n_prompts, task.n_joint))
+    target[0, task.zy_index(1, 2)] = 1.0
+    point = mstep(model, target, MStepSpec("closed_form"))
     if point.joint_probs(0)[task.zy_index(1, 2)] != 1.0:
         return _fail("point-mass update is not a point mass")
     off = model.features.offset(1)
     if not np.array_equal(point.theta[off:off + task.n_joint],
                           model.theta[off:off + task.n_joint]):
         return _fail("update touched a prompt without weights")
-    support = np.arange(task.n_joint)
     rng = stream(SEED, "mstep-q")
-    posteriors = {x: (support, rng.dirichlet(np.ones(task.n_joint)))
-                  for x in range(task.n_prompts)}
+    posteriors = np.array([rng.dirichlet(np.ones(task.n_joint))
+                           for _ in range(task.n_prompts)])
     closed = mstep(model, posteriors, MStepSpec("closed_form"))
     for x in range(task.n_prompts):
-        if float(np.max(np.abs(closed.joint_probs(x) - posteriors[x][1]))) > 1e-12:
+        if float(np.max(np.abs(closed.joint_probs(x) - posteriors[x]))) > 1e-12:
             return _fail(f"closed form missed the weights at x={x}")
     graded = mstep(model, posteriors, MStepSpec("gradient_ascent", steps=800, rate=1.0))
     worst = max(
-        0.5 * float(np.abs(graded.joint_probs(x) - posteriors[x][1]).sum())
+        0.5 * float(np.abs(graded.joint_probs(x) - posteriors[x]).sum())
         for x in range(task.n_prompts)
     )
     if worst > 1e-6:
@@ -1840,7 +1849,9 @@ def check_training_filter_properties() -> CheckResult:
     _, rep = filter_sft_update(model, task, budget=60, seed=41, iteration=1)
     if rep["mode"] != "sampled":
         return _fail("sampled run reported as exact")
-    for x, (support, probs) in rep["weights"].items():
+    for x in np.flatnonzero(rep["weights"].any(axis=1)).tolist():
+        support = np.flatnonzero(rep["weights"][x])
+        probs = rep["weights"][x, support]
         if any(task.evaluator_prob(x, zi, yi, 1) != 1.0
                for zi, yi in _as_pairs(task, support)):
             return _fail(f"unverified pair kept at x={x}")
@@ -1874,7 +1885,9 @@ def check_training_restem_properties() -> CheckResult:
     model = uniform_model(task)
     _, rep = restem_update(model, task, budget=1, seed=43, iteration=1,
                            exact_expectation=True)
-    for x, (support, probs) in rep["weights"].items():
+    for x in np.flatnonzero(rep["weights"].any(axis=1)).tolist():
+        # exact weights cover every joint outcome, zeros included
+        support, probs = np.arange(task.n_joint), rep["weights"][x]
         p = model.joint_probs(x)
         hand = np.array([p[task.zy_index(zi, yi)] * task.evaluator_prob(x, zi, yi, 1)
                          for zi, yi in _as_pairs(task, support)])
@@ -1883,17 +1896,14 @@ def check_training_restem_properties() -> CheckResult:
             return _fail(f"weights at x={x} deviate from hand arithmetic")
     # a model already concentrated on the truth makes every weight vector a
     # point mass, the regime the degenerate flag exists for
-    truth_model = mstep(
-        uniform_model(task),
-        {x: (np.array([task.zy_index(*task.truth[x])]), np.array([1.0]))
-         for x in range(task.n_prompts)},
-        MStepSpec("closed_form"))
+    truth_model = mstep(uniform_model(task), truth_one_hot(task), MStepSpec("closed_form"))
     _, rep2 = restem_update(truth_model, task, budget=1, seed=43, iteration=1,
                             exact_expectation=True)
     if set(rep2["degenerate"]) != set(range(task.n_prompts)):
         return _fail(f"point-mass model flagged only {rep2['degenerate']}")
     _, rep3 = restem_update(model, task, budget=50, seed=43, iteration=2)
-    for x, (support, probs) in rep3["weights"].items():
+    for x in np.flatnonzero(rep3["weights"].any(axis=1)).tolist():
+        support = np.flatnonzero(rep3["weights"][x])
         if any(task.evaluator_prob(x, zi, yi, 1) <= 0.0
                for zi, yi in _as_pairs(task, support)):
             return _fail(f"zero-success pair weighted at x={x}")
@@ -1936,6 +1946,31 @@ def check_training_cond_sft_properties() -> CheckResult:
         return _fail("good tag lost the correct response")
     return _ok(f"labels correct on {len(corpus)} items; "
                f"deployment accuracy {final_acc:.2f}")
+
+
+def preference_loss_by_prompt(policy: LogitModel, reference: LogitModel,
+                              pairs: list[PreferencePair],
+                              beta: float = 1.0) -> tuple[float, np.ndarray]:
+    """Oracle for `latent_dpo_loss_and_grad`: the pairs grouped by prompt,
+    each group on that prompt's own log-probability vectors, pair by pair,
+    with one `adjoint` per prompt."""
+    by_prompt: dict[int, list[PreferencePair]] = {}
+    for pair in pairs:
+        by_prompt.setdefault(pair.x_idx, []).append(pair)
+    losses: list[float] = []
+    grad = np.zeros(policy.features.dim)
+    for x_idx, group in by_prompt.items():
+        lp_pol = policy.joint_log_probs(x_idx)
+        lp_ref = reference.joint_log_probs(x_idx)
+        weight = np.zeros(policy.task.n_joint)
+        for _, ip, ineg in group:
+            margin = beta * ((lp_pol[ip] - lp_ref[ip]) - (lp_pol[ineg] - lp_ref[ineg]))
+            losses.append(float(np.logaddexp(0.0, -margin)))
+            coef = float(np.exp(-np.logaddexp(0.0, margin))) * beta / len(pairs)
+            weight[ip] -= coef
+            weight[ineg] += coef
+        grad += policy.features.adjoint(x_idx, weight)
+    return float(np.mean(losses)), grad
 
 
 def _dpo_identity_report() -> tuple[bool, str]:
@@ -2043,10 +2078,7 @@ def check_training_pref_loop() -> CheckResult:
     """Candidate pairing, the no-pair path, and both samplers."""
     inst = instance_by_name("tag-4-5")
     task = inst.task
-    point = mstep(uniform_model(task),
-                  {x: (np.array([task.zy_index(*task.truth[x])]), np.array([1.0]))
-                   for x in range(task.n_prompts)},
-                  MStepSpec("closed_form"))
+    point = mstep(uniform_model(task), truth_one_hot(task), MStepSpec("closed_form"))
     final, record = run_pref_loop(point, task, iterations=1, candidates=8,
                                   seed=53, sampler="model", dpo_steps=10)
     if "no_pairs" not in record.flags:

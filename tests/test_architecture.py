@@ -8,8 +8,8 @@ modules on that path never turn an index back into a (z, y) tuple.  The
 averages over prompts read a model's [prompts, joint] matrix, never one
 prompt at a time, and the policy-gradient ascent builds no model.  Every
 function of a production module (every module but `verification.py`) has a
-caller in production or benchmark code, and a training run imports no
-scipy module.
+caller in production or benchmark code, a training run imports no scipy
+module, and every name the benchmark wraps exists.
 """
 
 import ast
@@ -24,7 +24,8 @@ PACKAGE = Path(latentlab.__file__).parent
 ALLOWED = {"tasks.py": {"obs_probs"}, "verification.py": None}
 JOINT_INDEX_MODULES = ("esteps.py", "graph.py", "planner.py", "training.py")
 BATCHED = {"graph.py": {"averaged_event_logprob", "averaged_grad"},
-           "training.py": {"_averaged_kl", "mstep"}}
+           "training.py": {"_averaged_kl", "mstep", "latent_dpo_loss_and_grad",
+                           "conditional_sft_update"}}
 PER_PROMPT = {"joint_log_probs", "event_logprob", "grad_event_logprob", "kl_between",
               "adjoint"}
 # the policy-gradient ascent moves one prompt's logit vector, never a model
@@ -223,11 +224,17 @@ print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
 
 
-def _scipy_modules_after(script: str) -> str:
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+def _fresh_interpreter(script: str) -> subprocess.CompletedProcess:
+    """`script` run by a new Python with the package importable and no
+    bytecode written."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join(
         [str(PACKAGE.parent), *filter(None, [os.environ.get("PYTHONPATH")])]))
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120)
+
+
+def _scipy_modules_after(script: str) -> str:
+    done = _fresh_interpreter(script)
     assert done.returncode == 0, done.stderr
     return done.stdout.strip()
 
@@ -240,3 +247,28 @@ def test_scipy_guard_sees_an_import():
     loaded = _scipy_modules_after(TRAINING_RUN.replace(
         "import latentlab\n", "import latentlab\nimport scipy.sparse\n", 1))
     assert "'scipy.sparse'" in loaded
+
+
+# installs the benchmark's spans and counters on the package, then undoes
+# them; `install` reads each wrapped name with `vars(owner)[name]`, so a
+# deleted or renamed name raises KeyError.  A fresh interpreter keeps a
+# part-way install, which leaves its earlier wrappers in place, out of
+# this process.
+BENCH_WRAP = f"""
+import sys
+sys.path.insert(0, {str(BENCH)!r})
+import spans
+spans.install(spans.Tracer())()
+"""
+
+
+def test_benchmark_wrap_sites_exist():
+    done = _fresh_interpreter(BENCH_WRAP)
+    assert done.returncode == 0, done.stderr
+
+
+def test_wrap_site_check_sees_a_missing_name():
+    done = _fresh_interpreter(
+        "from latentlab import training\ndel training.restem_update\n" + BENCH_WRAP)
+    assert done.returncode != 0
+    assert "KeyError: 'restem_update'" in done.stderr

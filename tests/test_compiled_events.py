@@ -202,7 +202,9 @@ def test_closed_form_mstep_matches_pair_accumulation(case):
     theta = model.theta.copy()
     off = model.features.offset(x)
     theta[off:off + task.n_joint] = logits
-    updated = mstep(model, {x: (support, probs)}, MStepSpec("closed_form"))
+    target = np.zeros((task.n_prompts, task.n_joint))
+    target[x] = np.bincount(support, probs, task.n_joint)
+    updated = mstep(model, target, MStepSpec("closed_form"))
     assert np.array_equal(updated.theta, theta)
 
 

@@ -100,6 +100,27 @@ def test_parse_rejects_bad_estep_params(estep):
         parse_config(BASE.replace("estep:\n  backend: exact", f"estep: {estep}"))
 
 
+@pytest.mark.parametrize("edit", [
+    ("estep:\n  backend: exact",
+     "estep: {backend: policy_gradient, params: {iterations: 2.5}}"),
+    ("estep:\n  backend: exact",
+     "estep: {backend: policy_gradient, params: {batch_size: true}}"),
+    ("estep:\n  backend: exact",
+     "estep: {backend: policy_gradient, params: {step_size: fast}}"),
+    ("estep:\n  backend: exact",
+     "estep: {backend: policy_gradient, params: {divergence_patience: 5.0}}"),
+    ("algorithm: em", "algorithm: posterior_dpo\ndpo: {pg: {iterations: 1.5}}"),
+    ("algorithm: em", "algorithm: posterior_dpo\ndpo: {pg: {reward_floor: false}}"),
+    ("kind: closed_form", "kind: closed_form\n  steps: 2.5"),
+    ("kind: closed_form", "kind: closed_form\n  rate: true"),
+])
+def test_parse_rejects_mistyped_spec_fields(edit):
+    old, new = edit
+    assert old in BASE
+    with pytest.raises(ConfigError, match="must be an integer|must be a number"):
+        parse_config(BASE.replace(old, new))
+
+
 @pytest.mark.parametrize("estep", [
     "{backend: planning, params: {beta: 1}}",
     "{backend: rejection, params: {budget: 40}}",

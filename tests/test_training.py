@@ -11,15 +11,24 @@ from latentlab.errors import (
     CertificateError,
     ConfigError,
     FeatureMapMismatchError,
+    OutOfSpaceError,
+    TaskMismatchError,
     UnseenTagError,
     ZeroMassEventError,
 )
-from latentlab.esteps import EStepSpec
+from latentlab.esteps import EStepSpec, PolicyGradConfig
 from latentlab.graph import JointModel
 from latentlab.logspace import LOG_CLAMP
 from latentlab.models import NgramFeatures, random_model, uniform_model
 from latentlab.rng import stream
-from latentlab.tasks import EventSpec, compile_event, make_reward_tag_task, success_event
+from latentlab.tasks import (
+    EventSpec,
+    compile_event,
+    make_automaton_trace_task,
+    make_carry_addition_task,
+    make_reward_tag_task,
+    success_event,
+)
 from latentlab.training import (
     MStepSpec,
     PreferencePair,
@@ -28,6 +37,7 @@ from latentlab.training import (
     _default_acc,
     build_tagged_corpus,
     conditional_decode,
+    conditional_sft_update,
     dpo_fit,
     em_iterate,
     filter_sft_update,
@@ -42,6 +52,7 @@ from latentlab.training import (
     run_pref_loop,
     run_restem,
 )
+from latentlab.verification import preference_loss_by_prompt, truth_one_hot
 
 EXACT = EStepSpec("exact")
 CLOSED = MStepSpec("closed_form")
@@ -199,8 +210,80 @@ def test_em_closed_vs_gradient_agree(tag_task, tag_model):
 
 
 def test_mstep_empty_posteriors_noop(tag_model):
-    out = mstep(tag_model, {}, CLOSED)
+    task = tag_model.task
+    out = mstep(tag_model, np.zeros((task.n_prompts, task.n_joint)), CLOSED)
     assert out is tag_model
+
+
+@pytest.mark.parametrize("target", [
+    np.ones((5, 10)), np.ones((3, 9)), np.ones((3, 10, 1)), np.ones(()),
+    {0: (np.array([1]), np.array([1.0]))},
+], ids=["prompts", "joint", "3d", "scalar", "per-prompt-dict"])
+def test_mstep_rejects_a_target_of_the_wrong_shape(tag_model, target):
+    # tag_model's task has 3 prompts and 10 joint outcomes
+    with pytest.raises(TaskMismatchError, match="shape"):
+        mstep(tag_model, target, CLOSED)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_carry_addition_task(1, 10),
+    lambda: make_carry_addition_task(2, 3),
+    lambda: make_automaton_trace_task(3, 4),
+    lambda: make_carry_addition_task(1, 3, evaluator="soft", soft_beta=2.0),
+], ids=["carry-d1-b10", "carry-d2-b3", "automaton-3-4", "carry-d1-b3-soft"])
+def test_gold_sft_is_the_comparator_when_the_truth_is_the_only_argmax(make):
+    # each prompt's argmax set of success mass is its reference (z, y), so
+    # p_0 conditioned on it is the one-hot gold target, to the bit
+    task = make()
+    model = random_model(task, stream(5, "gold-sft"), scale=1.0)
+    gold = mstep(model, truth_one_hot(task), MStepSpec("closed_form"))
+    ref = reference_optimum(model, task, success_event())
+    assert np.array_equal(ref.theta, gold.theta)
+
+
+def test_gold_sft_is_not_the_comparator_on_a_tied_argmax_set():
+    # on the tag task the reference (good tag, right response) and the four
+    # (bad tag, wrong response) pairs share the top success mass, so the
+    # comparator spreads p_0 over five pairs while gold SFT picks one
+    task = make_reward_tag_task(4, 5)
+    mass = compile_event(task, success_event()).mass_all()
+    assert ((mass == mass.max(axis=1, keepdims=True)).sum(axis=1) == 5).all()
+    model = random_model(task, stream(5, "gold-sft"), scale=1.0)
+    gold = mstep(model, truth_one_hot(task), MStepSpec("closed_form"))
+    ref = reference_optimum(model, task, success_event())
+    assert not np.array_equal(ref.theta, gold.theta)
+
+
+@pytest.mark.parametrize("spec, kwargs", [
+    (MStepSpec, {"steps": 2.5}),
+    (MStepSpec, {"steps": True}),
+    (MStepSpec, {"steps": "3"}),
+    (MStepSpec, {"rate": "x"}),
+    (MStepSpec, {"rate": True}),
+    (MStepSpec, {"rate": None}),
+    (PolicyGradConfig, {"step_size": "a"}),
+    (PolicyGradConfig, {"step_size": True}),
+    (PolicyGradConfig, {"iterations": 2.5}),
+    (PolicyGradConfig, {"iterations": True}),
+    (PolicyGradConfig, {"batch_size": True}),
+    (PolicyGradConfig, {"batch_size": 1.0}),
+    (PolicyGradConfig, {"divergence_patience": 3.0}),
+    (PolicyGradConfig, {"beta": "1"}),
+    (PolicyGradConfig, {"reward_floor": False}),
+    (MStepSpec, {"rate": math.nan}),
+    (PolicyGradConfig, {"step_size": math.nan}),
+    (PolicyGradConfig, {"beta": math.nan}),
+    (PolicyGradConfig, {"reward_floor": math.nan}),
+])
+def test_spec_fields_reject_the_wrong_type_or_nan(spec, kwargs):
+    with pytest.raises(ConfigError, match="must be"):
+        spec(**kwargs)
+
+
+def test_spec_fields_accept_numpy_and_integer_values():
+    assert MStepSpec(steps=np.int64(3), rate=1).steps == 3
+    cfg = PolicyGradConfig(step_size=1, iterations=np.int32(4), beta=np.float64(0.5))
+    assert cfg.iterations == 4
 
 
 def test_record_tsv_roundtrip(tag_task, tag_model):
@@ -307,6 +390,42 @@ def test_tagged_corpus_tags_match_reference(tag_task, tag_model):
         assert tag == (1 if y == tag_task.truth[x][1] else 0)
 
 
+def test_tagged_corpus_is_successive_samples(tag_task, tag_model):
+    corpus = build_tagged_corpus(tag_model, tag_task, 30, seed=4, iteration=2)
+    expected = []
+    for x in range(tag_task.n_prompts):
+        rng = stream(4, "tag-corpus", x, 2)
+        view = tag_model.conditional_tables(x)
+        for _ in range(30):
+            _, y = view.sample(rng)
+            expected.append((x, int(y == tag_task.truth[x][1]), y))
+    assert corpus.dtype == np.int64
+    assert corpus.tolist() == [list(item) for item in expected]
+
+
+@pytest.mark.parametrize("item", [(3, 0, 0), (-1, 0, 0), (0, 2, 0), (0, 0, 5), (0, 1, -1)])
+def test_conditional_sft_rejects_an_item_outside_the_task(tag_task, tag_uniform, item):
+    # (0, 0, 5) would otherwise land on joint index 5, the pair (1, 0)
+    with pytest.raises(OutOfSpaceError, match="outside"):
+        conditional_sft_update(tag_uniform, tag_task, [(0, 1, 2), item])
+
+
+def test_filter_weights_are_the_verified_draw_counts(tag_task, tag_model):
+    _, report = filter_sft_update(tag_model, tag_task, 40, seed=6, iteration=1)
+    success = compile_event(tag_task, success_event()).mass_all()
+    for x in range(tag_task.n_prompts):
+        rng = stream(6, "filter", x, 1)
+        view = tag_model.conditional_tables(x)
+        kept = [k for k in (tag_task.zy_index(*view.sample(rng)) for _ in range(40))
+                if success[x, k] == 1.0]
+        counts = np.bincount(np.array(kept, dtype=np.int64), minlength=tag_task.n_joint)
+        assert report["acceptance"][x] == len(kept) / 40
+        if kept:
+            assert np.array_equal(report["weights"][x], counts / len(kept))
+        else:
+            assert x in report["skipped"] and not report["weights"][x].any()
+
+
 def test_conditional_decode_unseen_tag(tag_task):
     # a model with zero mass on tag 1 cannot decode conditioned on it
     model = uniform_model(tag_task)
@@ -314,11 +433,9 @@ def test_conditional_decode_unseen_tag(tag_task):
     jm = JointModel(model)
     post = jm.exact_posterior(0, success_event())
     # clamp all tag-1 joints at every prompt via closed-form mstep
-    weights = {
-        x: ([tag_task.zy_index(0, y) for y in range(tag_task.n_responses)],
-            [1.0 / tag_task.n_responses] * tag_task.n_responses)
-        for x in range(tag_task.n_prompts)
-    }
+    weights = np.zeros((tag_task.n_prompts, tag_task.n_joint))
+    weights[:, tag_task.zy_index(0, np.arange(tag_task.n_responses))] = (
+        1.0 / tag_task.n_responses)
     clamped = mstep(model, weights, CLOSED)
     with pytest.raises(UnseenTagError):
         conditional_decode(clamped, tag_task, 0, 1)
@@ -330,6 +447,42 @@ def test_dpo_loss_at_reference_is_log2(tag_task, tag_model):
     value, grad = latent_dpo_loss_and_grad(tag_model, tag_model, pairs)
     assert value == pytest.approx(np.log(2.0), abs=1e-12)
     assert grad.shape == tag_model.theta.shape
+
+
+@pytest.mark.parametrize("features", [
+    None,
+    lambda task: NgramFeatures(task, n=2),
+    lambda task: NgramFeatures(task, n=1, positional=False),
+], ids=["tabular", "ngram-per-prompt", "ngram-bag-per-prompt"])
+def test_preference_loss_is_the_per_prompt_loop_to_the_bit(tag_task, features):
+    feats = features(tag_task) if features else None
+    policy = random_model(tag_task, stream(8, "dpo-policy"), 0.8, feats)
+    ref = random_model(tag_task, stream(8, "dpo-ref"), 0.8, feats)
+    k = tag_task.zy_index
+    # several pairs per prompt, grouped by prompt, with a repeated outcome
+    pairs = [PreferencePair(0, k(1, 2), k(0, 0)), PreferencePair(0, k(1, 2), k(0, 3)),
+             PreferencePair(1, k(1, 4), k(1, 0)), PreferencePair(2, k(0, 1), k(1, 1)),
+             PreferencePair(2, k(1, 1), k(0, 1)), PreferencePair(2, k(1, 3), k(0, 1))]
+    for beta in (1.0, 0.7):
+        loss, grad = latent_dpo_loss_and_grad(policy, ref, pairs, beta)
+        oracle_loss, oracle_grad = preference_loss_by_prompt(policy, ref, pairs, beta)
+        assert loss == oracle_loss
+        assert np.array_equal(grad, oracle_grad)
+    as_array = latent_dpo_loss_and_grad(policy, ref, np.array(pairs), 0.7)
+    assert as_array[0] == loss and np.array_equal(as_array[1], grad)
+
+
+def test_preference_loss_with_shared_features_matches_the_loop(tag_task):
+    # shared n-gram columns sum over prompts in another order: low bits only
+    feats = NgramFeatures(tag_task, n=2, per_prompt=False)
+    policy = random_model(tag_task, stream(9, "dpo-policy"), 0.8, feats)
+    ref = random_model(tag_task, stream(9, "dpo-ref"), 0.8, feats)
+    k = tag_task.zy_index
+    pairs = [PreferencePair(x, k(1, tag_task.truth[x][1]), k(0, 0)) for x in range(3)]
+    loss, grad = latent_dpo_loss_and_grad(policy, ref, pairs)
+    oracle_loss, oracle_grad = preference_loss_by_prompt(policy, ref, pairs)
+    assert loss == oracle_loss
+    assert np.allclose(grad, oracle_grad, rtol=1e-14, atol=1e-17)
 
 
 def test_dpo_fit_decreases_loss(tag_task, tag_model):
