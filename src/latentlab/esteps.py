@@ -10,17 +10,19 @@ provided:
 * ``rejection``        sampling from the model and keeping event hits,
 * ``policy_gradient``  entropy-regularized ascent toward the posterior.
 
-All engines return an `EStepResult` whose `support`/`probs` pair feeds the
-parameter update directly, plus diagnostics (total variation against the
-exact posterior, sample counts, engine-specific extras).  A support holds
-joint indices `task.zy_index(z, y)`, never (z, y) tuples.
+All engines return an `EStepResult` whose `probs` is the prompt's row of
+the M-step target, a distribution over joint indices `task.zy_index(z, y)`,
+plus diagnostics (total variation against the exact posterior, sample
+counts, engine-specific extras).  An `EStepSpec` names an engine and its
+parameters, and checks them when it is built.
 """
 
 from __future__ import annotations
 
-import numbers
 import time
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass, field, fields
+from types import MappingProxyType
 
 import numpy as np
 
@@ -42,14 +44,14 @@ from .tasks import EventSpec, compile_event
 class EStepResult:
     """One engine's answer at one prompt.
 
-    `support` (int64 joint indices) and `probs` align; probs sum to 1
-    unless the engine came back empty-handed (flagged ``zero_acceptance``,
-    in which case both are empty and the caller must skip the prompt).  `tv_error` is the total variation
-    distance to the exact posterior marginal, `None` when undefined.
+    `probs` is the prompt's row of the M-step target: non-negative weights
+    over every joint outcome that sum to 1, or all zero when the engine came
+    back empty-handed (flagged ``zero_acceptance``; the caller must skip the
+    prompt).  `tv_error` is the total variation distance to the exact
+    posterior marginal, `None` when undefined.
     """
 
     backend: str
-    support: np.ndarray
     probs: np.ndarray
     tv_error: float | None = None
     samples_used: int = 0
@@ -60,43 +62,36 @@ class EStepResult:
 
     def __post_init__(self):
         self.probs = np.asarray(self.probs, dtype=np.float64)
-        if self.probs.shape != (len(self.support),):
-            raise EStepResultError(
-                f"{len(self.support)} support outcomes but probs shape {self.probs.shape}"
-            )
+        if self.probs.ndim != 1 or not (np.isfinite(self.probs) & (self.probs >= 0.0)).all():
+            raise EStepResultError("probs must be a 1-D row of finite, non-negative weights")
+        total = float(self.probs.sum())
         if "zero_acceptance" in self.flags:
-            if len(self.support) != 0:
-                raise EStepResultError("zero-acceptance results must have empty support")
-        elif abs(float(self.probs.sum()) - 1.0) > 1e-9:
-            raise EStepResultError(f"probs sum to {self.probs.sum():.12g}, expected 1")
+            if total != 0.0:
+                raise EStepResultError("zero-acceptance results must have an all-zero row")
+        elif abs(total - 1.0) > 1e-9:
+            raise EStepResultError(f"probs sum to {total:.12g}, expected 1")
 
     @property
     def empty(self) -> bool:
         return "zero_acceptance" in self.flags
 
 
-@dataclass
-class EStepSpec:
-    """Backend name plus keyword parameters for `run_estep`."""
-
-    backend: str
-    params: dict = field(default_factory=dict)
+def tv_to_exact(jm: JointModel, x_idx: int, event: EventSpec, row: np.ndarray) -> float:
+    """Total variation between a candidate row over joint outcomes and the
+    posterior; mass outside the event counts against the candidate."""
+    return total_variation(row, jm.exact_posterior(x_idx, event).joint_marginal())
 
 
-def tv_to_exact(
-    jm: JointModel,
-    x_idx: int,
-    event: EventSpec,
-    support: np.ndarray,
-    probs: np.ndarray,
-) -> float:
-    """Total variation between a candidate distribution and the posterior.
+def _check_beta(beta) -> None:
+    require_real("beta", beta)
+    if not beta > 0:  # nan too
+        raise ConfigError(f"beta must be positive, got {beta}")
 
-    The candidate is joint indices with aligned weights; repeated indices
-    add, and mass outside the event counts against the candidate.
-    """
-    candidate = np.bincount(support, probs, jm.task.n_joint)
-    return total_variation(candidate, jm.exact_posterior(x_idx, event).joint_marginal())
+
+def _check_budget(budget) -> None:
+    require_integer("budget", budget)
+    if budget < 1:
+        raise ConfigError(f"budget must be >= 1, got {budget}")
 
 
 # -- exact enumeration -----------------------------------------------------
@@ -104,10 +99,8 @@ def tv_to_exact(
 
 def estep_exact(jm: JointModel, x_idx: int, event: EventSpec) -> EStepResult:
     """Posterior over (z, y) by direct enumeration of the event."""
-    support, probs = jm.exact_posterior(x_idx, event).zy_marginal()
-    return EStepResult(
-        backend="exact", support=support, probs=probs, tv_error=0.0
-    )
+    table = jm.exact_posterior(x_idx, event)
+    return EStepResult(backend="exact", probs=table.joint_marginal(), tv_error=0.0)
 
 
 # -- soft planning ---------------------------------------------------------
@@ -118,7 +111,6 @@ def estep_planning(
     x_idx: int,
     event: EventSpec,
     beta: float = 1.0,
-    compare_exact: bool = True,
 ) -> EStepResult:
     """Posterior via soft value iteration on shaped token rewards.
 
@@ -126,17 +118,16 @@ def estep_planning(
     posterior up to clamp leakage; other temperatures give a deliberately
     sharpened or flattened variant (useful as a diagnostic, not an E-step).
     """
-    if isinstance(beta, bool) or not isinstance(beta, numbers.Real) or not beta > 0:
-        raise ConfigError(f"planning beta must be a positive number, got {beta!r}")
+    _check_beta(beta)
     mdp = shape_rewards(jm, x_idx, event, beta=beta)
     plan = soft_value_iteration(mdp)
     support, probs = plan_posterior(plan, jm.task, x_idx, event)
-    tv = tv_to_exact(jm, x_idx, event, support, probs) if compare_exact else None
+    row = np.zeros(jm.task.n_joint)
+    row[support] = probs
     return EStepResult(
         backend="planning",
-        support=support,
-        probs=probs,
-        tv_error=tv,
+        probs=row,
+        tv_error=tv_to_exact(jm, x_idx, event, row),
         extras={"beta": beta, "root_value": plan.root_value()},
     )
 
@@ -150,7 +141,6 @@ def estep_rejection(
     event: EventSpec,
     budget: int,
     rng: np.random.Generator,
-    compare_exact: bool = True,
 ) -> EStepResult:
     """Sample (z, y) from the model; keep draws by event observation mass.
 
@@ -160,38 +150,33 @@ def estep_rejection(
     ``importance_weighted``.  A budget that produces no usable draw returns
     the empty, ``zero_acceptance``-flagged result.
     """
-    if isinstance(budget, bool) or not isinstance(budget, numbers.Integral) or budget <= 0:
-        raise ConfigError(f"rejection budget must be a positive integer, got {budget!r}")
+    _check_budget(budget)
     task = jm.task
     compiled = compile_event(task, event)
-    support = compiled.pair_joint
     drawn = jm.seq.conditional_tables(x_idx).draws(rng, budget)
     mass = compiled.mass(x_idx)[drawn]
     # bincount adds in draw order, as a running sum per outcome would
-    weights = np.bincount(drawn, mass, task.n_joint)[support]
+    weights = np.bincount(drawn, mass, task.n_joint)
     hits = int(np.count_nonzero(mass))
 
     flags: tuple[str, ...] = ()
     if task.evaluator_kind == "soft":
         flags += ("importance_weighted",)
-    total = float(weights.sum())
+    total = float(weights[compiled.pair_joint].sum())  # weights are 0 outside the event
     if total == 0.0:
         return EStepResult(
             backend="rejection",
-            support=np.zeros(0, dtype=np.int64),
-            probs=np.zeros(0),
+            probs=np.zeros(task.n_joint),
             tv_error=None,
             samples_used=budget,
             acceptance_rate=0.0,
             flags=flags + ("zero_acceptance",),
         )
     probs = weights / total
-    tv = tv_to_exact(jm, x_idx, event, support, probs) if compare_exact else None
     return EStepResult(
         backend="rejection",
-        support=support,
         probs=probs,
-        tv_error=tv,
+        tv_error=tv_to_exact(jm, x_idx, event, probs),
         samples_used=budget,
         acceptance_rate=hits / budget,
         flags=flags,
@@ -221,7 +206,7 @@ class PolicyGradConfig:
     divergence_patience: int = 50
 
     def __post_init__(self):
-        for name in ("step_size", "beta", "reward_floor"):
+        for name in ("step_size", "reward_floor"):
             require_real(name, getattr(self, name))
         for name in ("batch_size", "iterations", "divergence_patience"):
             require_integer(name, getattr(self, name))
@@ -231,8 +216,7 @@ class PolicyGradConfig:
             raise ConfigError(f"iterations must be >= 0, got {self.iterations}")
         if self.batch_size < 0:
             raise ConfigError(f"batch_size must be >= 0, got {self.batch_size}")
-        if not self.beta > 0:
-            raise ConfigError(f"beta must be positive, got {self.beta}")
+        _check_beta(self.beta)
         if not self.reward_floor < 0:
             raise ConfigError(
                 f"reward_floor must be negative, got {self.reward_floor}"
@@ -349,9 +333,9 @@ def estep_policy_gradient(
     raises `DivergenceError` after `divergence_patience` consecutive drops
     of the exactly-evaluated objective.
 
-    The returned support is every joint index: conditioning by reward
-    shaping leaves a sliver of mass outside the event, and hiding it would
-    misreport what the sampler actually does.
+    The returned row keeps the sliver of mass that conditioning by reward
+    shaping leaves outside the event: hiding it would misreport what the
+    sampler actually does.
     """
     cfg = cfg if cfg is not None else PolicyGradConfig()
     if cfg.batch_size > 0 and rng is None:
@@ -427,13 +411,11 @@ def estep_policy_gradient(
         if soft_value - value <= tolerance:
             reason = "converged"
 
-    support = np.arange(task.n_joint)
     probs = p / p.sum()
-    tv = tv_to_exact(jm, x_idx, event, support, probs) if compare_exact else None
+    tv = tv_to_exact(jm, x_idx, event, probs) if compare_exact else None
     off_event = float(probs[~compile_event(task, event).inside].sum())
     return EStepResult(
         backend="policy_gradient",
-        support=support,
         probs=probs,
         tv_error=tv,
         samples_used=samples_used,
@@ -450,7 +432,53 @@ def estep_policy_gradient(
 
 # -- dispatch ----------------------------------------------------------------
 
-BACKENDS = ("exact", "planning", "rejection", "policy_gradient")
+# the keyword parameters each backend takes
+BACKEND_PARAMS = {
+    "exact": (),
+    "planning": ("beta",),
+    "rejection": ("budget",),
+    "policy_gradient": tuple(f.name for f in fields(PolicyGradConfig)),
+}
+BACKENDS = tuple(BACKEND_PARAMS)
+
+
+@dataclass(frozen=True)
+class EStepSpec:
+    """Backend name plus keyword parameters for `run_estep`, checked with
+    the engines' own checks when built (see `BACKEND_PARAMS`), then kept
+    read-only.  A `ConfigError` names the field at fault first."""
+
+    backend: str
+    params: Mapping = field(default_factory=dict)
+    # the policy-gradient backend's config, built once per spec
+    pg: PolicyGradConfig | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.backend not in BACKENDS:
+            raise ConfigError(
+                f"backend must be one of {', '.join(BACKENDS)}, got {self.backend!r}"
+            )
+        if not isinstance(self.params, Mapping):
+            raise ConfigError(f"params must be a mapping, got {self.params!r}")
+        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
+        allowed = BACKEND_PARAMS[self.backend]
+        unknown = [name for name in self.params if name not in allowed]
+        if unknown:
+            raise ConfigError(
+                f"params.{unknown[0]} is not a parameter of backend {self.backend!r}, "
+                f"which takes {', '.join(allowed) or 'none'}"
+            )
+        try:
+            if self.backend == "planning" and "beta" in self.params:
+                _check_beta(self.params["beta"])
+            elif self.backend == "rejection":
+                if "budget" not in self.params:
+                    raise ConfigError("budget is required for backend 'rejection'")
+                _check_budget(self.params["budget"])
+            elif self.backend == "policy_gradient":
+                object.__setattr__(self, "pg", PolicyGradConfig(**self.params))
+        except ConfigError as exc:  # every message starts with the field name
+            raise ConfigError(f"params.{exc}") from exc
 
 
 def run_estep(
@@ -460,7 +488,8 @@ def run_estep(
     spec: EStepSpec,
     rng: np.random.Generator | None = None,
 ) -> EStepResult:
-    """Dispatch one E-step and stamp its wall time on the result."""
+    """Dispatch one E-step, check that its row covers the task's joint
+    outcomes, and stamp its wall time on the result."""
     start = time.perf_counter()
     if spec.backend == "exact":
         result = estep_exact(jm, x_idx, event)
@@ -470,12 +499,10 @@ def run_estep(
         if rng is None:
             raise ConfigError("rejection backend needs an rng")
         result = estep_rejection(jm, x_idx, event, rng=rng, **spec.params)
-    elif spec.backend == "policy_gradient":
-        cfg = PolicyGradConfig(**spec.params)
-        result = estep_policy_gradient(jm, x_idx, event, cfg=cfg, rng=rng)
     else:
-        raise ConfigError(
-            f"unknown e-step backend {spec.backend!r}; expected one of {BACKENDS}"
-        )
+        result = estep_policy_gradient(jm, x_idx, event, cfg=spec.pg, rng=rng)
+    if result.probs.shape != (jm.task.n_joint,):
+        raise EStepResultError(f"{spec.backend} returned a row of shape "
+                               f"{result.probs.shape} for {jm.task.n_joint} joint outcomes")
     result.wall_time_s = time.perf_counter() - start
     return result

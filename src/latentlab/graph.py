@@ -50,12 +50,6 @@ class PosteriorTable:
         enumeration order; 0 outside the event."""
         return _joint_marginal(self.compiled, self.probs)
 
-    def zy_marginal(self) -> tuple[np.ndarray, np.ndarray]:
-        """The event's (z, y) outcomes as joint indices, in enumeration
-        order, and their marginal probabilities."""
-        support = self.compiled.pair_joint
-        return support, self.joint_marginal()[support]
-
 
 @dataclass
 class ElboReport:

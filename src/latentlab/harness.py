@@ -20,7 +20,7 @@ import numpy as np
 import yaml
 
 from .errors import ConfigError, TaskMismatchError, require_integer, require_real
-from .esteps import BACKENDS, EStepSpec, PolicyGradConfig
+from .esteps import BACKEND_PARAMS, EStepSpec, PolicyGradConfig
 from .models import (
     LogitModel,
     NgramFeatures,
@@ -84,14 +84,6 @@ _DPO_DEFAULTS = {
     "candidates": 16,
     "pg": None,
 }
-_PG_FIELDS = (
-    "step_size",
-    "batch_size",
-    "iterations",
-    "beta",
-    "reward_floor",
-    "divergence_patience",
-)
 _TOP_FIELDS = (
     "task",
     "event",
@@ -144,29 +136,11 @@ def _as_bool(section: str, key: str, value) -> bool:
 
 
 def _check_pg(section: str, params: dict) -> None:
-    _reject_unknown(section, params, _PG_FIELDS)
+    _reject_unknown(section, params, BACKEND_PARAMS["policy_gradient"])
     try:
         PolicyGradConfig(**params)  # validates types and values
     except ConfigError as exc:  # every message starts with the field name
         raise ConfigError(f"{section}.{exc}") from exc
-
-
-def _check_estep_params(backend: str, params: dict) -> None:
-    """The keyword parameters of each e-step backend: none for exact, beta
-    for planning, budget for rejection, `_PG_FIELDS` for policy gradient."""
-    section = "estep.params"
-    if backend == "policy_gradient":
-        _check_pg(section, params)
-        return
-    allowed = {"planning": ("beta",), "rejection": ("budget",)}.get(backend, ())
-    _reject_unknown(section, params, allowed)
-    if backend == "planning" and "beta" in params:
-        if not _as_float(section, "beta", params["beta"]) > 0:
-            raise ConfigError(f"{section}.beta must be > 0, got {params['beta']!r}")
-    if backend == "rejection":
-        if "budget" not in params:
-            raise ConfigError(f"{section}.budget is required for backend 'rejection'")
-        _as_int(section, "budget", params["budget"], minimum=1)
 
 
 def _normalize_task(raw) -> dict:
@@ -279,13 +253,10 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError("estep must be a mapping")
         _reject_unknown("estep", raw["estep"], _ESTEP_DEFAULTS)
         estep.update(raw["estep"])
-    if estep["backend"] not in BACKENDS:
-        raise ConfigError(
-            f"estep.backend must be one of {', '.join(BACKENDS)}, got {estep['backend']!r}"
-        )
-    if not isinstance(estep["params"], dict):
-        raise ConfigError("estep.params must be a mapping")
-    _check_estep_params(estep["backend"], estep["params"])
+    try:
+        EStepSpec(**estep)
+    except ConfigError as exc:  # every message starts with the field name
+        raise ConfigError(f"estep.{exc}") from exc
     data["estep"] = {"backend": estep["backend"], "params": dict(estep["params"])}
 
     mstep = dict(_MSTEP_DEFAULTS)
@@ -404,7 +375,7 @@ def _run_one_seed(args: tuple[dict, int]) -> dict:
     if algorithm == "em":
         _, record = run_em(
             model, task, event,
-            EStepSpec(data["estep"]["backend"], dict(data["estep"]["params"])),
+            EStepSpec(**data["estep"]),
             MStepSpec(data["mstep"]["kind"], steps=data["mstep"]["steps"],
                       rate=data["mstep"]["rate"]),
             iterations=iterations, seed=seed, reference=reference,

@@ -84,8 +84,8 @@ def shape_rewards(
     (z, y) rectangle or when that mass is zero).  Summing edge rewards
     therefore telescopes to log P(z, y | x) + log P(o in O_hat | x, z, y).
 
-    `terminal_sign_fault` flips the sign of the terminal bonus; it exists
-    so the verification harness can prove this check catches mutations.
+    `terminal_sign_fault` flips the sign of the terminal bonus; only the
+    benchmark's tests pass it, to see a broken planner counted as failed.
     """
     task = jm.task
     view = jm.seq.conditional_tables(x_idx)

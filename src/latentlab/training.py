@@ -28,6 +28,7 @@ from .errors import (
     OutOfSpaceError,
     SurrogateDecreaseError,
     TaskMismatchError,
+    UnnormalizedVariationalError,
     UnseenTagError,
     ZeroMassEventError,
     ZeroProbabilityPairError,
@@ -88,9 +89,9 @@ class MStepSpec:
 def mstep(model: LogitModel, targets: np.ndarray, spec: MStepSpec) -> LogitModel:
     """Maximize the rho-weighted log likelihood of a [prompts, joint] target.
 
-    Row x holds prompt x's weights over joint outcomes.  An all-zero row
-    leaves that prompt out: its parameters stay put (tabular) or it simply
-    contributes no term (shared features).
+    Row x holds prompt x's finite, non-negative weights over joint
+    outcomes.  An all-zero row leaves that prompt out: its parameters stay
+    put (tabular) or it simply contributes no term (shared features).
     """
     task = model.task
     targets = np.asarray(targets)
@@ -98,6 +99,10 @@ def mstep(model: LogitModel, targets: np.ndarray, spec: MStepSpec) -> LogitModel
         raise TaskMismatchError(
             f"M-step target has shape {targets.shape}, the task needs "
             f"{(task.n_prompts, task.n_joint)}"
+        )
+    if not (np.isfinite(targets).all() and (targets >= 0.0).all()):
+        raise UnnormalizedVariationalError(
+            "M-step target weights must be finite and non-negative"
         )
     # the weighted prompts, in ascending order
     xs = np.flatnonzero(targets.any(axis=1))
@@ -200,8 +205,10 @@ def em_iterate(
 ) -> tuple[LogitModel, IterationReport]:
     """One E-step across prompts followed by one M-step.
 
-    Prompts whose engine returns empty-handed are skipped for this round;
-    if every prompt is skipped the model comes back unchanged with the
+    Each engine's row is its prompt's row of the M-step target.  Prompts
+    whose engine returns empty-handed are skipped for this round and count
+    as total variation 1 in `tv_mean`, as in `_weights_tv`; if every prompt
+    is skipped the model comes back unchanged with the
     ``all_prompts_skipped`` flag.
     """
     jm = JointModel(model)
@@ -216,12 +223,11 @@ def em_iterate(
         if result.empty:
             skipped.append(x_idx)
             continue
-        targets[x_idx] = np.bincount(result.support, result.probs, task.n_joint)
-        if result.tv_error is not None:
-            tvs.append(result.tv_error)
+        targets[x_idx] = result.probs
+        tvs.append(result.tv_error)
 
     objective_before = jm.averaged_event_logprob(event)
-    tv_mean = float(np.mean(tvs)) if tvs else math.nan
+    tv_mean = float(np.mean(tvs + [1.0] * len(skipped)))
     if len(skipped) == task.n_prompts:
         report = IterationReport(
             iteration=iteration,
@@ -583,8 +589,7 @@ def _weights_tv(model: LogitModel, event: EventSpec, weights: np.ndarray) -> flo
     """
     jm = JointModel(model)
     live = weights.any(axis=1)
-    everything = np.arange(model.task.n_joint)
-    tvs = [tv_to_exact(jm, x_idx, event, everything, weights[x_idx])
+    tvs = [tv_to_exact(jm, x_idx, event, weights[x_idx])
            for x_idx in np.flatnonzero(live).tolist()]
     tvs += [1.0] * int((~live).sum())
     return float(np.mean(tvs)) if tvs else math.nan

@@ -11,7 +11,6 @@ the release gate and are driven by the test suite, one line per criterion.
 from __future__ import annotations
 
 import fnmatch
-import functools
 import io
 import math
 import tempfile
@@ -71,7 +70,7 @@ from .models import (
     uniform_model,
     write_checkpoint,
 )
-from .planner import ShapedMdp, SoftPlan, plan_posterior, shape_rewards, soft_value_iteration
+from .planner import ShapedMdp, SoftPlan, plan_posterior, soft_value_iteration
 from .rng import stream
 from .tasks import (
     GOOD_TAG,
@@ -113,6 +112,19 @@ from .training import _averaged_kl
 from .trie import Trie
 
 SEED = 20260817
+
+
+def _negated_bonus_rewards(
+    jm: JointModel, x_idx: int, event: EventSpec, beta: float = 1.0
+) -> ShapedMdp:
+    """'shaping-sign': the shaped rewards with the terminal event bonus
+    paid negated, after the clean shaping's own guards."""
+    clean = _CLEAN["shaping-sign"](jm, x_idx, event, beta)
+    with np.errstate(divide="ignore"):
+        bonus = np.maximum(np.log(compile_event(jm.task, event).mass(x_idx)), LOG_CLAMP)
+    reward = jm.seq.conditional_tables(x_idx).logp.copy()
+    reward[clean.trie.leaf_node] -= bonus
+    return ShapedMdp(trie=clean.trie, reward=reward, beta=beta)
 
 
 def _misaligned_segment_sum(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -167,8 +179,7 @@ def _unit_count_entries(rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray,
 # fault -> (module, attribute, faulty replacement): `run_checks` swaps one in
 # to show that the checks catch a mutation of that kernel
 FAULTS = {
-    "shaping-sign": (planner_kernel, "shape_rewards",
-                     functools.partial(shape_rewards, terminal_sign_fault=True)),
+    "shaping-sign": (planner_kernel, "shape_rewards", _negated_bonus_rewards),
     "trie-upward": (trie_kernel, "_segment_sum", _misaligned_segment_sum),
     "obs-table": (task_tables, "_obs_table", _next_prompt_obs),
     "joint-marginal": (graph_kernel, "_joint_marginal", _rolled_joint_marginal),
@@ -1038,10 +1049,11 @@ def check_graph_event_logprob_cases() -> CheckResult:
     hand = uniform_model(tag).with_theta(np.log(probs))
     ev = EventSpec(latents=(0,))
     table = JointModel(hand).exact_posterior(0, ev)
-    support, marg = table.zy_marginal()
+    marg = table.joint_marginal()
+    support = np.flatnonzero(marg)
     if _as_pairs(tag, support) != [(0, 0), (0, 1)]:
         return _fail(f"frozen case support {support}")
-    if float(np.max(np.abs(marg - np.array([0.4, 0.6])))) > 1e-12:
+    if float(np.max(np.abs(marg[support] - np.array([0.4, 0.6])))) > 1e-12:
         return _fail(f"frozen case posterior {marg}")
     if abs(table.log_normalizer - math.log(0.5)) > 1e-12:
         return _fail(f"frozen case normalizer {table.log_normalizer!r}")
@@ -1408,14 +1420,13 @@ def check_esteps_backend_agreement() -> CheckResult:
     jm = JointModel(random_model(inst.task, stream(SEED, "agree-disp"), scale=0.9))
     direct = estep_planning(jm, 0, inst.events[0])
     via_spec = run_estep(jm, 0, inst.events[0], EStepSpec("planning"))
-    if (not np.array_equal(via_spec.support, direct.support)
+    if (via_spec.probs.shape != direct.probs.shape
             or float(np.max(np.abs(via_spec.probs - direct.probs))) > 1e-15):
         return _fail("dispatcher changed the planning result")
     if via_spec.wall_time_s <= 0.0:
         return _fail("dispatcher did not stamp wall time")
-    if not _expect_raises(ConfigError, run_estep, jm, 0, inst.events[0],
-                          EStepSpec("bogus")):
-        return _fail("unknown backend was dispatched")
+    if not _expect_raises(ConfigError, EStepSpec, "bogus"):
+        return _fail("unknown backend was accepted")
     if not _expect_raises(ConfigError, run_estep, jm, 0, inst.events[0],
                           EStepSpec("rejection", {"budget": 10})):
         return _fail("sampled backend ran without an rng")

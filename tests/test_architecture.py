@@ -8,8 +8,9 @@ modules on that path never turn an index back into a (z, y) tuple.  The
 averages over prompts read a model's [prompts, joint] matrix, never one
 prompt at a time, and the policy-gradient ascent builds no model.  Every
 function of a production module (every module but `verification.py`) has a
-caller in production or benchmark code, a training run imports no scipy
-module, and every name the benchmark wraps exists.
+caller in production or benchmark code, no production function takes a
+fault switch (faults are built in `verification.py`), a training run
+imports no scipy module, and every name the benchmark wraps exists.
 """
 
 import ast
@@ -37,6 +38,13 @@ UNCALLED = {
     "triple_logprob": "JointModel.triple_logprob: the factorization, one triple at a time",
     "conditional": "AutoregressiveView.conditional: the per-prefix lookup, tested by a "
                    "hypothesis property",
+}
+
+# fault switches a production function keeps on purpose
+FAULT_SWITCHES = {
+    "planner.py:shape_rewards.terminal_sign_fault":
+        "bench/tests/test_bench.py passes it to prove the benchmark counts a "
+        "broken planner as failed",
 }
 
 
@@ -195,6 +203,40 @@ def test_caller_guard_sees_an_unreferenced_def():
                         "def helper():\n    return A().used()\n"}
     caller = "__all__ = ['helper']\n"
     assert _unreferenced(defining, [*defining.values(), caller]) == {"m.py:A.unused": "unused"}
+
+
+def _fault_switches(module: str, source: str) -> set[str]:
+    """`module:function.parameter` of every parameter, of a function, method
+    or lambda, whose name ends in `_fault`."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg):
+                if arg is not None and arg.arg.endswith("_fault"):
+                    found.add(f"{module}:{getattr(node, 'name', '<lambda>')}.{arg.arg}")
+    return found
+
+
+def test_no_production_function_takes_a_fault_switch():
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "verification.py":
+            found |= _fault_switches(path.name, path.read_text())
+    offenders = sorted(found - set(FAULT_SWITCHES))
+    assert not offenders, "fault switch in production code: " + ", ".join(offenders)
+    assert set(FAULT_SWITCHES) <= found, "stale FAULT_SWITCHES entry"
+
+
+def test_fault_switch_guard_sees_every_parameter_kind():
+    source = ("def f(x, flip_fault=False):\n    pass\n"
+              "class C:\n    def g(self, *, sign_fault):\n        pass\n"
+              "h = lambda rows_fault: rows_fault\n"
+              "def k(*args_fault, **kw_fault):\n    pass\n"
+              "def clean(fault, faulty):\n    pass\n")
+    assert _fault_switches("m.py", source) == {
+        "m.py:f.flip_fault", "m.py:g.sign_fault", "m.py:<lambda>.rows_fault",
+        "m.py:k.args_fault", "m.py:k.kw_fault"}
 
 
 # one EM iteration with the policy-gradient E-step and the gradient M-step

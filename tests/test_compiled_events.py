@@ -160,9 +160,9 @@ def test_joint_marginal_matches_pair_oracle(case):
     for k in range(task.n_joint):
         assert dense[k] == pytest.approx(expected.get(task.zy_unindex(k), 0.0),
                                          rel=1e-12, abs=1e-15)
-    support, probs = table.zy_marginal()
+    support = table.compiled.pair_joint
     assert [task.zy_unindex(int(k)) for k in support] == pairs
-    assert np.array_equal(probs, dense[support])
+    assert not dense[~table.compiled.inside].any()
 
 
 @st.composite
@@ -182,11 +182,13 @@ def candidates(draw):
 def test_tv_to_exact_matches_union_tv(case):
     jm, x, event, support, probs = case
     task = jm.task
-    exact_support, exact_probs = jm.exact_posterior(x, event).zy_marginal()
+    table = jm.exact_posterior(x, event)
+    exact_support = table.compiled.pair_joint
     as_pairs = [task.zy_unindex(int(k)) for k in support]
     exact_pairs = [task.zy_unindex(int(k)) for k in exact_support]
-    expected = _union_tv(as_pairs, probs, exact_pairs, exact_probs)
-    assert abs(tv_to_exact(jm, x, event, support, probs) - expected) <= 1e-15
+    expected = _union_tv(as_pairs, probs, exact_pairs, table.joint_marginal()[exact_support])
+    row = np.bincount(support, probs, task.n_joint)
+    assert abs(tv_to_exact(jm, x, event, row) - expected) <= 1e-15
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,9 +1,12 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latentlab import EStepResultError, LatentLabError
+from latentlab import EStepResultError, LatentLabError, esteps
 from latentlab.errors import ConfigError
 from latentlab.esteps import (
     BACKENDS,
@@ -19,14 +22,22 @@ from latentlab.esteps import (
     tv_to_exact,
 )
 from latentlab.graph import JointModel
-from latentlab.models import LogitModel, NgramFeatures, TabularFeatures, uniform_model
+from latentlab.models import (
+    LogitModel,
+    NgramFeatures,
+    TabularFeatures,
+    random_model,
+    uniform_model,
+)
 from latentlab.rng import stream
 from latentlab.tasks import (
+    compile_event,
     full_event,
     make_automaton_trace_task,
     make_reward_tag_task,
     success_event,
 )
+from latentlab.verification import instance_by_name
 
 
 @pytest.fixture(scope="module")
@@ -85,7 +96,7 @@ def test_rejection_zero_acceptance(jm):
         res = estep_rejection(jm, 0, success_event(), budget=1, rng=rng)
         if res.empty:
             hits += 1
-            assert res.support.size == 0 and len(res.probs) == 0
+            assert res.probs.shape == (jm.task.n_joint,) and not res.probs.any()
     assert hits > 0
 
 
@@ -104,7 +115,7 @@ def test_policy_gradient_exact_mode(jm):
 
 def test_tv_helper_agrees_with_direct(jm, tag_task):
     res = estep_planning(jm, 1, success_event())
-    tv = tv_to_exact(jm, 1, success_event(), res.support, res.probs)
+    tv = tv_to_exact(jm, 1, success_event(), res.probs)
     assert tv == pytest.approx(res.tv_error, abs=1e-12)
 
 
@@ -127,19 +138,96 @@ def test_run_estep_unknown_backend(jm):
         run_estep(jm, 0, success_event(), EStepSpec("oracle", {}))
 
 
+@pytest.mark.parametrize("backend, params, field", [
+    ("oracle", {}, "backend"),
+    ("planning", {"betta": 2}, "params.betta"),
+    ("policy_gradient", {"bogus": 1}, "params.bogus"),
+    ("exact", {"beta": 1.0}, "params.beta"),
+    ("rejection", {}, "params.budget"),
+    ("exact", None, "params"),
+    ("planning", {"beta": -1}, "params.beta"),
+    ("planning", {"beta": "fast"}, "params.beta"),
+    ("rejection", {"budget": 2.5}, "params.budget"),
+    ("rejection", {"budget": 0}, "params.budget"),
+    ("policy_gradient", {"iterations": -1}, "params.iterations"),
+    ("policy_gradient", {"batch_size": True}, "params.batch_size"),
+], ids=["unknown-backend", "planning-typo", "pg-unknown", "exact-takes-none",
+        "budget-missing", "params-not-a-mapping", "beta-negative", "beta-string",
+        "budget-fractional", "budget-zero", "iterations-negative", "batch-size-bool"])
+def test_spec_checks_backend_and_params_when_built(backend, params, field):
+    with pytest.raises(ConfigError, match=rf"^{re.escape(field)} "):
+        EStepSpec(backend, params)
+
+
+def test_spec_holds_its_policy_gradient_config_read_only():
+    params = {"iterations": 5, "step_size": 0.1}
+    spec = EStepSpec("policy_gradient", params)
+    assert spec.pg == PolicyGradConfig(iterations=5, step_size=0.1)
+    assert EStepSpec("planning", {"beta": 2}).pg is None
+    # what was checked is what runs: the spec keeps its own read-only copy
+    params["iterations"] = -1
+    assert spec.params["iterations"] == 5
+    with pytest.raises(TypeError):
+        spec.params["iterations"] = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.backend = "exact"
+
+
+# one spec per engine, and the same engine called directly
+ENGINES = {
+    "exact": (EStepSpec("exact"), lambda jm, x, ev, rng: estep_exact(jm, x, ev)),
+    "planning": (EStepSpec("planning"), lambda jm, x, ev, rng: estep_planning(jm, x, ev)),
+    "rejection": (EStepSpec("rejection", {"budget": 300}),
+                  lambda jm, x, ev, rng: estep_rejection(jm, x, ev, 300, rng)),
+    "policy_gradient": (
+        EStepSpec("policy_gradient", {"iterations": 20}),
+        lambda jm, x, ev, rng: estep_policy_gradient(
+            jm, x, ev, PolicyGradConfig(iterations=20), rng)),
+}
+
+
+@pytest.mark.parametrize("name", ["tag-4-5", "automaton-2-3"])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_every_engine_returns_its_prompts_row(name, backend):
+    inst = instance_by_name(name)
+    task, event = inst.task, inst.events[0]
+    jm = JointModel(random_model(task, stream(5, "rows", name), scale=0.8))
+    inside = compile_event(task, event).inside
+    spec, direct = ENGINES[backend]
+    for x in range(task.n_prompts):
+        row = run_estep(jm, x, event, spec, stream(5, "rows", x)).probs
+        assert row.shape == (task.n_joint,)
+        assert np.array_equal(direct(jm, x, event, stream(5, "rows", x)).probs, row)
+        assert (row >= 0.0).all()
+        assert row.sum() == pytest.approx(1.0, abs=1e-12)
+        if backend != "policy_gradient":  # its shaped rewards leave a sliver outside
+            assert not row[~inside].any()
+
+
+def test_run_estep_rejects_a_row_of_the_wrong_length(jm, monkeypatch):
+    short = EStepResult(backend="exact", probs=np.full(4, 0.25))
+    monkeypatch.setattr(esteps, "estep_exact", lambda *args: short)
+    with pytest.raises(EStepResultError, match="joint outcomes"):
+        run_estep(jm, 0, success_event(), EStepSpec("exact"))
+
+
 def test_rejection_needs_rng(jm):
     with pytest.raises(ConfigError):
         run_estep(jm, 0, success_event(), EStepSpec("rejection", {"budget": 10}))
 
 
-@pytest.mark.parametrize("support, probs, flags", [
-    ([0, 1], [0.2, 0.2], ()),
-    ([0, 1], [1.0], ()),
-    ([3], [1.0], ("zero_acceptance",)),
-])
-def test_malformed_result_raises_typed_error(support, probs, flags):
+@pytest.mark.parametrize("probs, flags", [
+    ([0.2, 0.2, 0.0], ()),
+    ([[0.5, 0.5]], ()),
+    ([1.0], ("zero_acceptance",)),
+    ([1.5, -0.5, 0.0], ()),
+    ([np.nan, 1.0], ()),
+    ([np.inf, 0.0], ("zero_acceptance",)),
+], ids=["sum-0.4", "two-dimensional", "zero-acceptance-with-mass", "negative",
+        "nan", "infinite"])
+def test_malformed_result_raises_typed_error(probs, flags):
     with pytest.raises(EStepResultError) as info:
-        EStepResult(backend="exact", support=np.array(support), probs=probs, flags=flags)
+        EStepResult(backend="exact", probs=probs, flags=flags)
     assert isinstance(info.value, LatentLabError)
     assert isinstance(info.value, ValueError)
 

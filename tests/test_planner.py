@@ -8,6 +8,7 @@ from latentlab.planner import plan_posterior, shape_rewards, soft_value_iteratio
 from latentlab.rng import stream
 from latentlab.tasks import make_reward_tag_task, success_event
 from latentlab.verification import (
+    _negated_bonus_rewards,
     from_sequences,
     random_policy,
     random_shaped_mdp,
@@ -80,11 +81,9 @@ def test_shaped_mdp_follows_posterior(tag_model, tag_task):
     ev = success_event()
     mdp1 = shape_rewards(jm, 0, ev, beta=1.0)
     pairs, probs = plan_posterior(soft_value_iteration(mdp1), tag_task, 0, ev)
-    post = jm.exact_posterior(0, ev)
-    zy_pairs, zy_marg = post.zy_marginal()
-    ref = dict(zip(zy_pairs, zy_marg))
+    ref = jm.exact_posterior(0, ev).joint_marginal()
     for pair, p in zip(pairs, probs):
-        assert p == pytest.approx(ref.get(pair, 0.0), abs=1e-9)
+        assert p == pytest.approx(ref[pair], abs=1e-9)
 
 
 def test_shaping_terminal_fault_breaks_match():
@@ -94,7 +93,7 @@ def test_shaping_terminal_fault_breaks_match():
     model = JointModel(uniform_model(soft))
     ev = success_event()
     good = shape_rewards(model, 0, ev, beta=1.0)
-    bad = shape_rewards(model, 0, ev, beta=1.0, terminal_sign_fault=True)
+    bad = _negated_bonus_rewards(model, 0, ev, beta=1.0)
     _, p_good = plan_posterior(soft_value_iteration(good), soft, 0, ev)
     _, p_bad = plan_posterior(soft_value_iteration(bad), soft, 0, ev)
     assert 0.5 * np.abs(p_good - p_bad).sum() > 1e-3
@@ -105,7 +104,7 @@ def test_clamp_leak_raises_typed_error():
     binary = make_reward_tag_task(3, 5, seed=2)
     jm = JointModel(uniform_model(binary))
     ev = success_event()
-    bad = shape_rewards(jm, 0, ev, terminal_sign_fault=True)
+    bad = _negated_bonus_rewards(jm, 0, ev)
     with pytest.raises(ClampLeakError):
         plan_posterior(soft_value_iteration(bad), binary, 0, ev)
 

@@ -13,10 +13,11 @@ from latentlab.errors import (
     FeatureMapMismatchError,
     OutOfSpaceError,
     TaskMismatchError,
+    UnnormalizedVariationalError,
     UnseenTagError,
     ZeroMassEventError,
 )
-from latentlab.esteps import EStepSpec, PolicyGradConfig
+from latentlab.esteps import EStepSpec, PolicyGradConfig, run_estep
 from latentlab.graph import JointModel
 from latentlab.logspace import LOG_CLAMP
 from latentlab.models import NgramFeatures, random_model, uniform_model
@@ -223,6 +224,62 @@ def test_mstep_rejects_a_target_of_the_wrong_shape(tag_model, target):
     # tag_model's task has 3 prompts and 10 joint outcomes
     with pytest.raises(TaskMismatchError, match="shape"):
         mstep(tag_model, target, CLOSED)
+
+
+def _full_except(value: float) -> np.ndarray:
+    """A uniform [3, 10] target with one entry set to `value`."""
+    target = np.full((3, 10), 0.1)
+    target[1, 2] = value
+    return target
+
+
+@pytest.mark.parametrize("kind", ["closed_form", "gradient_ascent"])
+@pytest.mark.parametrize("target", [
+    -np.ones((3, 10)),
+    _full_except(-0.1),
+    np.full((3, 10), np.nan),
+    _full_except(np.nan),
+    _full_except(np.inf),
+], ids=["all-negative", "one-negative", "all-nan", "one-nan", "one-inf"])
+def test_mstep_rejects_negative_or_non_finite_targets(tag_model, kind, target):
+    with pytest.raises(UnnormalizedVariationalError, match="finite and non-negative"):
+        mstep(tag_model, target, MStepSpec(kind))
+
+
+@pytest.mark.parametrize("spec", [EStepSpec("planning"), EStepSpec("rejection", {"budget": 40})],
+                         ids=lambda spec: spec.backend)
+def test_em_target_rows_are_the_engines_rows(tag_model, tag_task, spec, monkeypatch):
+    seen = []
+
+    def spy(model, targets, mstep_spec):
+        seen.append(targets.copy())
+        return mstep(model, targets, mstep_spec)
+
+    monkeypatch.setattr(training, "mstep", spy)
+    em_iterate(tag_model, tag_task, success_event(), spec, CLOSED, seed=4, iteration=2)
+    jm = JointModel(tag_model)
+    rows = [run_estep(jm, x, success_event(), spec,
+                      stream(4, "estep", spec.backend, x, 2)).probs
+            for x in range(tag_task.n_prompts)]
+    assert np.array_equal(seen[0], np.stack(rows))
+
+
+def test_em_counts_a_skipped_prompt_as_total_variation_one():
+    # the dead event of check_esteps_rejection_soundness: prompt 0's truth
+    # latent with a wrong response, verified, which no draw can hit
+    task = make_carry_addition_task(1, 2)
+    truth = task.truth[0]
+    dead = EventSpec(latents=(truth[0],),
+                     responses=((truth[1] + 1) % task.n_responses,), obs=(1,))
+    model = uniform_model(task)
+    spec = EStepSpec("rejection", {"budget": 200})
+    _, report = em_iterate(model, task, dead, spec, CLOSED, seed=0, iteration=1)
+    assert 0 in report.skipped
+    jm = JointModel(model)
+    results = [run_estep(jm, x, dead, spec, stream(0, "estep", "rejection", x, 1))
+               for x in range(task.n_prompts)]
+    live = [r.tv_error for r in results if not r.empty]
+    assert report.tv_mean == float(np.mean(live + [1.0] * len(report.skipped)))
 
 
 @pytest.mark.parametrize("make", [
