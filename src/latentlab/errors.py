@@ -28,7 +28,7 @@ class FeatureMapMismatchError(LatentLabError):
     """Weight vector or companion model disagrees with the feature map."""
 
 
-class HorizonViolationError(LatentLabError):
+class HorizonViolationError(LatentLabError, ValueError):
     """A trajectory cannot terminate within the declared horizon."""
 
 
@@ -45,8 +45,8 @@ class CertificateError(LatentLabError, AssertionError):
 
 
 class EStepResultError(LatentLabError, ValueError):
-    """An E-step engine returned a support and weights that do not align or
-    do not form a distribution."""
+    """An E-step engine returned a row that does not span the joint space or
+    does not form a distribution."""
 
 
 class DivergenceError(LatentLabError):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import UnnormalizedVariationalError, ZeroMassEventError
+from .errors import TaskMismatchError, UnnormalizedVariationalError, ZeroMassEventError
 from .logspace import entropy, log_sum_exp, logsumexp_rows, safe_log
 from .models import LogitModel
 from .tasks import CompiledEvent, EventSpec, GenerativeTask, compile_event
@@ -34,13 +34,11 @@ def _joint_marginal(compiled: CompiledEvent, probs: np.ndarray) -> np.ndarray:
 class PosteriorTable:
     """Exact conditional distribution over an event's triples.
 
-    `support` lists (z_idx, y_idx, o) in event enumeration order; `probs`
-    aligns with it and sums to 1.  `log_normalizer` is the event log
-    probability that normalized the table, and `compiled` the compiled
-    event whose triples it lists.
+    `probs` follows the triple order of `compiled` (the compiled event)
+    and sums to 1.  `log_normalizer` is the event log probability that
+    normalized the table.
     """
 
-    support: list[tuple[int, int, int]]
     probs: np.ndarray
     log_normalizer: float
     compiled: CompiledEvent = field(repr=False)
@@ -67,7 +65,7 @@ class JointModel:
     def __init__(self, seq: LogitModel, task: GenerativeTask | None = None):
         task = task if task is not None else seq.task
         if task is not seq.task:
-            raise ValueError("sequence model belongs to a different task")
+            raise TaskMismatchError("sequence model belongs to a different task")
         self.seq = seq
         self.task = task
 
@@ -95,10 +93,7 @@ class JointModel:
             )
         with np.errstate(under="ignore"):
             probs = np.exp(terms - total)
-        return PosteriorTable(
-            support=list(compiled.triples), probs=probs, log_normalizer=total,
-            compiled=compiled,
-        )
+        return PosteriorTable(probs=probs, log_normalizer=total, compiled=compiled)
 
     def elbo(self, x_idx: int, event: EventSpec, q: np.ndarray) -> ElboReport:
         """Evidence lower bound E_q[log P(z, y, o | x)] + H(q).

@@ -30,6 +30,7 @@ from .models import (
 from .rng import stream
 from .tasks import (
     GenerativeTask,
+    check_soft_evaluator,
     full_event,
     make_automaton_trace_task,
     make_carry_addition_task,
@@ -62,6 +63,8 @@ _TASK_REQUIRED = {
     "automaton": ("num_states", "input_len"),
     "tag": ("n_prompts", "n_responses"),
 }
+# the factories' lower bounds on required sizes other than 1
+_TASK_MINIMUM = {"base": 2, "num_states": 2, "n_responses": 2}
 _TASK_OPTIONAL = {
     "carry": ("seed", "evaluator", "soft_beta", "wrong_penalty", "prompt_limit"),
     "automaton": ("seed", "evaluator", "soft_beta", "wrong_penalty", "prompt_limit"),
@@ -157,7 +160,7 @@ def _normalize_task(raw) -> dict:
     for key in _TASK_REQUIRED[kind]:
         if key not in raw:
             raise ConfigError(f"task.{key} is required for kind {kind!r}")
-        out[key] = _as_int("task", key, raw[key], minimum=1)
+        out[key] = _as_int("task", key, raw[key], minimum=_TASK_MINIMUM.get(key, 1))
     out["seed"] = _as_int("task", "seed", raw.get("seed", 0), minimum=0)
     evaluator = raw.get("evaluator", "binary")
     if evaluator not in ("binary", "soft"):
@@ -169,6 +172,11 @@ def _normalize_task(raw) -> dict:
     out["wrong_penalty"] = _as_float(
         "task", "wrong_penalty", raw.get("wrong_penalty", -3.0)
     )
+    if evaluator == "soft":
+        try:
+            check_soft_evaluator(out["soft_beta"], out["wrong_penalty"])
+        except ConfigError as exc:  # every message starts with the field name
+            raise ConfigError(f"task.{exc}") from exc
     if kind in ("carry", "automaton"):
         limit = raw.get("prompt_limit")
         out["prompt_limit"] = (
@@ -194,6 +202,8 @@ def _normalize_model(raw) -> dict:
             f"model.init must be 'uniform' or 'random', got {out['init']!r}"
         )
     out["scale"] = _as_float("model", "scale", out["scale"])
+    if not 0 <= out["scale"] < np.inf:
+        raise ConfigError(f"model.scale must be finite and >= 0, got {out['scale']!r}")
     out["ngram_n"] = _as_int("model", "ngram_n", out["ngram_n"], minimum=1)
     out["positional"] = _as_bool("model", "positional", out["positional"])
     out["per_prompt"] = _as_bool("model", "per_prompt", out["per_prompt"])

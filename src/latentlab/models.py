@@ -122,12 +122,6 @@ def _merged_entries(rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, ...
     return keys // width, keys % width, counts.astype(np.float64)
 
 
-def _column_major(rows: np.ndarray, cols: np.ndarray, counts: np.ndarray):
-    """(col, row, count): the same entries sorted by column, then row."""
-    order = np.lexsort((rows, cols))
-    return cols[order], rows[order], counts[order]
-
-
 class NgramFeatures(FeatureMap):
     """Token-window count features over the joint trajectory.
 
@@ -140,11 +134,14 @@ class NgramFeatures(FeatureMap):
     whose coordinates interact beyond the window width are not realizable,
     so likelihood ascent has a nontrivial fixed point.
 
-    Each block Phi_x is stored as index arrays (row, col, count): once
-    sorted by row for `logits` and once by column for `adjoint`, and both
-    ways over the [prompts * joint] stack.  `np.bincount` adds each output
-    entry's products in that order starting from zero, so the sums are
-    those of a CSR matrix-vector product, bit for bit.
+    One prompt's block is stored once, as index arrays (row, col, count)
+    sorted by row, then column, over `width` window ids; prompt x reads it
+    at column offset x * width when features are per prompt, 0 when they
+    are shared.  The [prompts * joint] stack holds the same entries,
+    prompt-major.  `np.bincount` adds each output entry's products in
+    input order, starting from zero.  Row-sorted entries reach every
+    column in row order too, so logits and adjoints alike sum as a
+    row-ordered running sum would, bit for bit.
     """
 
     def __init__(
@@ -162,8 +159,6 @@ class NgramFeatures(FeatureMap):
         self.positional = positional
         self.per_prompt = per_prompt
 
-        # one prompt's (position, window) ids; prompt px's block reads them
-        # shifted by px * width, which keeps the first-appearance order
         windows: dict[tuple, int] = {}
         rows: list[int] = []
         cols: list[int] = []
@@ -173,53 +168,46 @@ class NgramFeatures(FeatureMap):
                 rows.append(k)
                 key = (j if positional else -1, padded[j : j + self.n])
                 cols.append(windows.setdefault(key, len(windows)))
-        rows, cols, counts = _merged_entries(np.array(rows), np.array(cols))
-        cols_t, rows_t, counts_t = _column_major(rows, cols, counts)
-        width = len(windows)
-        slots = range(task.n_prompts) if per_prompt else (0,)
-        self.dim = width * len(slots)
-        self._blocks = {s: (rows, cols + s * width, counts) for s in slots}
-        self._blocks_t = {s: (cols_t + s * width, rows_t, counts_t) for s in slots}
-        stack = [self._blocks[self._slot(x)] for x in range(task.n_prompts)]
-        self._stacked = (
-            np.concatenate([r + x * task.n_joint for x, (r, _, _) in enumerate(stack)]),
-            np.concatenate([c for _, c, _ in stack]),
-            np.concatenate([v for _, _, v in stack]),
+        self._rows, self._cols, self._counts = _merged_entries(np.array(rows), np.array(cols))
+        self.width = len(windows)
+        self.dim = self.width * (task.n_prompts if per_prompt else 1)
+        # column offset from one prompt's block to the next
+        self._shift = self.width if per_prompt else 0
+        prompts = np.arange(task.n_prompts)[:, None]
+        self._stack = (
+            (prompts * task.n_joint + self._rows).ravel(),
+            (prompts * self._shift + self._cols).ravel(),
+            np.tile(self._counts, task.n_prompts),
         )
-        self._stacked_t = _column_major(*self._stacked)
-        self._own: dict[int, np.ndarray] = {}
-
-    def _slot(self, x_idx: int) -> int:
-        return x_idx if self.per_prompt else 0
+        self._own: np.ndarray | None = None
 
     def logits(self, x_idx: int, theta: np.ndarray) -> np.ndarray:
-        rows, cols, counts = self._blocks[self._slot(x_idx)]
-        return np.bincount(rows, counts * theta[cols], self.task.n_joint)
+        theta_x = theta[x_idx * self._shift : x_idx * self._shift + self.width]
+        return np.bincount(self._rows, self._counts * theta_x[self._cols], self.task.n_joint)
 
     def adjoint(self, x_idx: int, weights: np.ndarray) -> np.ndarray:
-        cols, rows, counts = self._blocks_t[self._slot(x_idx)]
-        return np.bincount(cols, counts * weights[rows], self.dim)
+        cols = self._cols + x_idx * self._shift
+        return np.bincount(cols, self._counts * weights[self._rows], self.dim)
 
     def logits_all(self, theta: np.ndarray) -> np.ndarray:
-        rows, cols, counts = self._stacked
+        rows, cols, counts = self._stack
         shape = (self.task.n_prompts, self.task.n_joint)
         return np.bincount(rows, counts * theta[cols], shape[0] * shape[1]).reshape(shape)
 
     def adjoint_all(self, weights: np.ndarray) -> np.ndarray:
-        cols, rows, counts = self._stacked_t
+        rows, cols, counts = self._stack
         return np.bincount(cols, counts * np.ravel(weights)[rows], self.dim)
 
     def own_block(self, x_idx: int) -> np.ndarray:
-        """Built on first use per block and kept, read-only."""
-        slot = self._slot(x_idx)
-        if slot not in self._own:
-            rows, cols, counts = self._blocks[slot]
-            own, column = np.unique(cols, return_inverse=True)
-            block = np.zeros((self.task.n_joint, len(own)))
-            block[rows, column] = counts
+        """The one read-only [joint, width] block, the same array for every
+        prompt (each window id is one of a prompt's own columns); built on
+        first use, as at large joint spaces it is big."""
+        if self._own is None:
+            block = np.zeros((self.task.n_joint, self.width))
+            block[self._rows, self._cols] = self._counts
             block.flags.writeable = False
-            self._own[slot] = block
-        return self._own[slot]
+            self._own = block
+        return self._own
 
     def descriptor(self) -> dict:
         return {

@@ -25,7 +25,9 @@ import numpy as np
 
 from .errors import (
     CapExceededError,
+    ConfigError,
     EmptyEventError,
+    HorizonViolationError,
     OutOfSpaceError,
     RecordFormatError,
 )
@@ -112,7 +114,7 @@ class GenerativeTask:
             default=0,
         )
         if joint_horizon > self.horizon:
-            raise ValueError(
+            raise HorizonViolationError(
                 f"joint sequences reach length {joint_horizon} > horizon {self.horizon}"
             )
         for seq in self.latents + self.responses:
@@ -277,17 +279,15 @@ def materialize_event(
 class CompiledEvent:
     """One event of one task as index arrays over the task's `obs_probs`.
 
-    `triples` are the event's (z_idx, y_idx, o_value) in enumeration order
-    and `pairs` its distinct (z_idx, y_idx) in the same order;
-    `triple_joint`, `triple_obs` and `pair_joint` index them into the
-    table, `obs` holds the event's observation indices and `inside` marks
-    the joint outcomes of its (z, y) rectangle.  The arrays are read-only:
-    engines hand `pair_joint` out as a support without copying it.
+    The event's (z, y, o) triples, in enumeration order, are the joint
+    indices `triple_joint` and observation indices `triple_obs`;
+    `pair_joint` lists its distinct (z, y) pairs as joint indices, in the
+    same order.  `obs` holds the event's observation indices and `inside`
+    marks the joint outcomes of its (z, y) rectangle.  The arrays are
+    read-only.
     """
 
     task: GenerativeTask = field(repr=False)
-    triples: tuple[tuple[int, int, int], ...]
-    pairs: tuple[tuple[int, int], ...]
     triple_joint: np.ndarray
     triple_obs: np.ndarray
     pair_joint: np.ndarray
@@ -316,8 +316,16 @@ class CompiledEvent:
         return table.reshape(len(table), -1).take(flat, axis=1)
 
 
-# most `EventSpec` values a task remembers in `spec_events`, oldest dropped first
+# most entries a task keeps in each of `spec_events` and `compiled_events`,
+# oldest dropped first
 SPEC_EVENTS_SIZE = 64
+
+
+def _remember(cache: dict, key, value) -> None:
+    """`cache[key] = value`, first dropping the oldest entry of a full cache."""
+    if len(cache) >= SPEC_EVENTS_SIZE:
+        del cache[next(iter(cache))]
+    cache[key] = value
 
 
 def _spec_key(event: EventSpec) -> tuple | None:
@@ -334,7 +342,8 @@ def _spec_key(event: EventSpec) -> tuple | None:
 
 
 def compile_event(task: GenerativeTask, event: EventSpec) -> CompiledEvent:
-    """The task's compiled form of `event`, cached by its materialized value.
+    """The task's compiled form of `event`, cached by its materialized value
+    in the task's bounded `compiled_events`.
 
     An event whose fields are hashable collections is first looked up by
     their value in the task's bounded `spec_events`, which skips the
@@ -349,33 +358,19 @@ def compile_event(task: GenerativeTask, event: EventSpec) -> CompiledEvent:
     compiled = task.compiled_events.get(key)
     if compiled is None:
         z_idx, y_idx, o_idx = key
+        z_sorted = sorted(z_idx, key=lambda i: task.latents[i].ids)
         y_sorted = sorted(y_idx, key=lambda i: task.responses[i].ids)
-        pairs = tuple(
-            (zi, yi)
-            for zi in sorted(z_idx, key=lambda i: task.latents[i].ids)
-            for yi in y_sorted
-        )
-        pair_joint = np.array([task.zy_index(zi, yi) for zi, yi in pairs], dtype=np.int64)
+        pair_joint = task.zy_index(np.array(z_sorted)[:, None], np.array(y_sorted)).ravel()
         inside = np.zeros(task.n_joint, dtype=bool)
         inside[pair_joint] = True
         triple_joint = np.repeat(pair_joint, len(o_idx))
-        triple_obs = np.tile(o_idx, len(pairs))
+        triple_obs = np.tile(o_idx, len(pair_joint))
         for array in (triple_joint, triple_obs, pair_joint, inside):
             array.flags.writeable = False
-        compiled = task.compiled_events[key] = CompiledEvent(
-            task=task,
-            triples=tuple((zi, yi, task.obs_values[oi]) for zi, yi in pairs for oi in o_idx),
-            pairs=pairs,
-            triple_joint=triple_joint,
-            triple_obs=triple_obs,
-            pair_joint=pair_joint,
-            obs=o_idx,
-            inside=inside,
-        )
+        compiled = CompiledEvent(task, triple_joint, triple_obs, pair_joint, o_idx, inside)
+        _remember(task.compiled_events, key, compiled)
     if spec is not None:
-        if len(task.spec_events) >= SPEC_EVENTS_SIZE:
-            del task.spec_events[next(iter(task.spec_events))]
-        task.spec_events[spec] = compiled
+        _remember(task.spec_events, spec, compiled)
     return compiled
 
 
@@ -400,13 +395,22 @@ def _binary_evaluator(verify: Callable[[int, int, int], bool]) -> Evaluator:
     return evaluator
 
 
+def check_soft_evaluator(beta: float, wrong_penalty: float) -> None:
+    """Raise `ConfigError`, naming the field, unless exp(R / beta) is a
+    probability for both rewards R in {0, wrong_penalty}: beta must be
+    positive and finite, wrong_penalty at most 0 (nan fails both)."""
+    if not wrong_penalty <= 0:
+        raise ConfigError(
+            f"wrong_penalty must be <= 0 so exp(R/beta) stays <= 1, got {wrong_penalty!r}"
+        )
+    if not 0 < beta < np.inf:
+        raise ConfigError(f"soft_beta must be positive and finite, got {beta!r}")
+
+
 def _soft_evaluator(
     verify: Callable[[int, int, int], bool], beta: float, wrong_penalty: float
 ) -> Evaluator:
-    if wrong_penalty > 0:
-        raise ValueError("wrong_penalty must be <= 0 so exp(R/beta) stays <= 1")
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    check_soft_evaluator(beta, wrong_penalty)
 
     def evaluator(x: int, z: int, y: int, o: int) -> float:
         reward = 0.0 if verify(x, z, y) else wrong_penalty

@@ -327,12 +327,24 @@ def _union_tv(pairs_a, probs_a, pairs_b, probs_b) -> float:
     return 0.5 * sum(abs(v) for v in mass.values())
 
 
+def _event_triples(task: GenerativeTask, event: EventSpec) -> list[tuple[int, int, int]]:
+    """The event's (z_idx, y_idx, o) triples, from `materialize_event` and
+    sorted into the documented enumeration order: lexicographic in (latent
+    tokens, response tokens, o).  Oracles enumerate events here, not
+    through the compiled arrays they check."""
+    z_idx, y_idx, o_idx = materialize_event(task, event)
+    return sorted(
+        ((zi, yi, task.obs_values[oi]) for zi in z_idx for yi in y_idx for oi in o_idx),
+        key=lambda t: (task.latents[t[0]].ids, task.responses[t[1]].ids, t[2]),
+    )
+
+
 def _posterior_pairs(jm: JointModel, x_idx: int, event: EventSpec):
     """Brute-force event posterior over (z, y) pairs: every triple's joint
     probability times its evaluator mass, summed per pair and normalized."""
     task = jm.task
     mass: dict[tuple[int, int], float] = {}
-    for zi, yi, o in compile_event(task, event).triples:
+    for zi, yi, o in _event_triples(task, event):
         w = math.exp(jm.seq.joint_logprob(x_idx, zi, yi)) * task.evaluator(x_idx, zi, yi, o)
         mass[(zi, yi)] = mass.get((zi, yi), 0.0) + w
     total = sum(mass.values())
@@ -708,12 +720,14 @@ def check_tasks_event_enumeration() -> CheckResult:
     if tuple(task.obs_values[i] for i in o_succ) != (1,):
         return _fail("success event does not pin o = 1")
     compiled = compile_event(task, succ)
-    triples = compiled.triples
+    triples = _event_triples(task, succ)
     if len(triples) != task.n_joint:
         return _fail(f"success event enumerates {len(triples)} triples")
-    pairs = list(compiled.pairs)
-    first_seen = list(dict.fromkeys((z, y) for z, y, _ in triples))
-    if pairs != first_seen:
+    if (compiled.triple_joint.tolist() != [task.zy_index(z, y) for z, y, _ in triples]
+            or [task.obs_values[i] for i in compiled.triple_obs] != [o for *_, o in triples]):
+        return _fail("compiled triples disagree with enumeration order")
+    first_seen = list(dict.fromkeys(task.zy_index(z, y) for z, y, _ in triples))
+    if compiled.pair_joint.tolist() != first_seen:
         return _fail("zy support order disagrees with enumeration order")
     pred = EventSpec(latents=lambda z: z.ids[0] == task.latents[0].ids[0])
     keep = tuple(i for i, z in enumerate(task.latents)
@@ -809,15 +823,15 @@ def check_tasks_sequence_validation() -> CheckResult:
 
     build()
     cases = [
-        dict(latents=(TokenSequence((3, 0, 3)),)),       # eos mid-sequence
-        dict(latents=(TokenSequence((9, 3)),)),           # out of vocabulary
-        dict(latents=(TokenSequence((0, 1)),)),           # missing eos
-        dict(horizon=3),                                  # joint length 4 > 3
-        dict(latents=(z, z)),                             # duplicate latent
-        dict(rho=np.array([0.5])),                        # rho not normalized
+        (ValueError, dict(latents=(TokenSequence((3, 0, 3)),))),   # eos mid-sequence
+        (ValueError, dict(latents=(TokenSequence((9, 3)),))),      # out of vocabulary
+        (ValueError, dict(latents=(TokenSequence((0, 1)),))),      # missing eos
+        (HorizonViolationError, dict(horizon=3)),                  # joint length 4 > 3
+        (ValueError, dict(latents=(z, z))),                        # duplicate latent
+        (ValueError, dict(rho=np.array([0.5]))),                   # rho not normalized
     ]
-    for i, overrides in enumerate(cases):
-        if not _expect_raises(ValueError, build, **overrides):
+    for i, (error, overrides) in enumerate(cases):
+        if not _expect_raises(error, build, **overrides):
             return _fail(f"malformed case {i} was accepted")
     if not _expect_raises(ValueError, Vocabulary, 2, 5):
         return _fail("eos outside the vocabulary was accepted")
@@ -1069,9 +1083,10 @@ def check_graph_posterior_oracle() -> CheckResult:
         model = random_model(task, stream(SEED, "oracle", k), scale=1.0)
         jm = JointModel(model)
         for event in inst.events:
+            triples = _event_triples(task, event)
             for x in range(task.n_prompts):
                 weights: list[float] = []
-                for zi, yi, o in compile_event(task, event).triples:
+                for zi, yi, o in triples:
                     w = math.exp(model.joint_logprob(x, zi, yi))
                     weights.append(w * task.evaluator(x, zi, yi, o))
                 total = sum(weights)
@@ -1734,9 +1749,10 @@ def _argmax_oracle(task: GenerativeTask, event: EventSpec) -> list[tuple[float, 
     """Per prompt, the largest event mass of a joint outcome and the joint
     indices attaining it, from nested loops over evaluator calls."""
     out = []
+    triples = _event_triples(task, event)
     for x in range(task.n_prompts):
         mass: dict[int, float] = {}
-        for zi, yi, o in compile_event(task, event).triples:
+        for zi, yi, o in triples:
             k = task.zy_index(zi, yi)
             mass[k] = mass.get(k, 0.0) + task.evaluator(x, zi, yi, o)
         top = max(mass.values())

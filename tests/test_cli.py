@@ -83,3 +83,28 @@ def test_verify_unknown_fault(capsys):
 
 def test_verify_no_match(capsys):
     assert main(["verify", "--filter", "zzz.*"]) == 2
+
+
+TAG = "task:\n  kind: tag\n  n_prompts: 2\n  n_responses: 5\n"
+
+
+@pytest.mark.parametrize("field, section", [
+    ("model.scale", TAG + "model:\n  init: random\n  scale: -1.0\n"),
+    ("model.scale", TAG + "model:\n  init: random\n  scale: .nan\n"),
+    ("task.soft_beta", TAG + "  evaluator: soft\n  soft_beta: -1.0\n"),
+    ("task.wrong_penalty", TAG + "  evaluator: soft\n  wrong_penalty: 2.0\n"),
+    ("task.base", "task:\n  kind: carry\n  digits: 1\n  base: 1\n"),
+    ("task.num_states", "task:\n  kind: automaton\n  num_states: 1\n  input_len: 2\n"),
+    ("task.n_responses", "task:\n  kind: tag\n  n_prompts: 2\n  n_responses: 1\n"),
+], ids=["negative-scale", "nan-scale", "negative-soft-beta", "positive-wrong-penalty",
+        "carry-base-1", "one-state-automaton", "one-response-tag"])
+def test_run_rejects_bad_values_before_making_a_run_directory(
+    tmp_path, capsys, field, section
+):
+    p = tmp_path / "bad.yaml"
+    p.write_text("algorithm: em\niterations: 1\nseeds: [0]\n" + section)
+    out = tmp_path / "run"
+    assert main(["run", str(p), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} ")
+    assert not out.exists()

@@ -1,9 +1,9 @@
 """Property tests of compiled events against brute-force enumeration.
 
 Random non-empty subsets of the latent, response and observation spaces of
-small factory tasks are compiled once per value.  Their triples, pairs and
-index arrays are compared with a nested-loop enumeration sorted by token
-ids, and their per-prompt event mass with direct evaluator calls.  Under
+small factory tasks are compiled once per value.  Their index arrays are
+compared with a nested-loop enumeration sorted by token ids, and their
+per-prompt event mass with direct evaluator calls.  Under
 random models, the joint-index marginal, total variation and closed-form
 M-step built on them are compared with the same computations in (z, y)
 pair form, and the closed-form comparator of the 1/T certificate with the
@@ -81,8 +81,6 @@ def test_compiled_event_matches_brute_force(case):
         key=lambda t: (task.latents[t[0]].ids, task.responses[t[1]].ids, t[2]),
     )
     pairs = list(dict.fromkeys((z, y) for z, y, _ in triples))
-    assert list(compiled.triples) == triples
-    assert list(compiled.pairs) == pairs
     assert compiled.triple_joint.tolist() == [task.zy_index(z, y) for z, y, _ in triples]
     assert compiled.triple_obs.tolist() == [task.obs_values.index(o) for *_, o in triples]
     assert compiled.pair_joint.tolist() == [task.zy_index(z, y) for z, y in pairs]
@@ -127,6 +125,25 @@ def test_spec_lookup_skips_materialization(monkeypatch):
         assert compile_event(task, EventSpec(obs=(1,) * (k + 1))) is first
     assert len(task.spec_events) == SPEC_EVENTS_SIZE
     assert len(task.compiled_events) == 1
+
+
+def test_compiled_events_are_bounded_and_recompile_correctly():
+    task = make_carry_addition_task(1, 10)
+    assert task.n_responses == 100
+    first = compile_event(task, EventSpec(responses=(0,)))
+    for k in range(1, 70):
+        compile_event(task, EventSpec(responses=(k,)))
+    assert len(task.compiled_events) <= SPEC_EVENTS_SIZE
+    assert len(task.spec_events) <= SPEC_EVENTS_SIZE
+    # the first event was dropped from both caches: compiling it again
+    # builds its arrays afresh
+    compiled = compile_event(task, EventSpec(responses=(0,)))
+    assert compiled is not first
+    joint = [task.zy_index(z, 0) for z in range(task.n_latents)]
+    assert compiled.pair_joint.tolist() == joint
+    assert compiled.triple_joint.tolist() == [k for k in joint for _ in task.obs_values]
+    assert compiled.triple_obs.tolist() == list(range(len(task.obs_values))) * len(joint)
+    assert np.flatnonzero(compiled.inside).tolist() == joint
 
 
 def test_compiled_arrays_are_read_only():

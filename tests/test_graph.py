@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
-from latentlab.errors import UnnormalizedVariationalError, ZeroMassEventError
+from latentlab.errors import (
+    TaskMismatchError,
+    UnnormalizedVariationalError,
+    ZeroMassEventError,
+)
 from latentlab.graph import JointModel
 from latentlab.models import uniform_model
 from latentlab.rng import stream
@@ -10,9 +14,10 @@ from latentlab.tasks import (
     compile_event,
     full_event,
     make_carry_addition_task,
+    make_reward_tag_task,
     success_event,
 )
-from latentlab.verification import event_logprob
+from latentlab.verification import _event_triples, event_logprob
 
 
 @pytest.fixture(scope="module")
@@ -47,9 +52,13 @@ def test_posterior_matches_bayes(jm, tag_task):
     # brute-force Bayes rule over the event enumeration
     ev = success_event()
     post = jm.exact_posterior(1, ev)
-    raw = np.exp([jm.triple_logprob(1, z, y, o) for z, y, o in post.support])
+    triples = _event_triples(tag_task, ev)
+    raw = np.exp([jm.triple_logprob(1, z, y, o) for z, y, o in triples])
     assert np.allclose(post.probs, raw / raw.sum(), atol=1e-12)
-    assert post.support == list(compile_event(tag_task, ev).triples)
+    assert post.compiled is compile_event(tag_task, ev)
+    assert post.compiled.triple_joint.tolist() == [
+        tag_task.zy_index(z, y) for z, y, _ in triples
+    ]
 
 
 def test_zy_marginal_sums_obs(jm):
@@ -135,7 +144,14 @@ def test_carry_posterior_concentrates_on_truth():
     task = make_carry_addition_task(1, 3)
     jm0 = JointModel(uniform_model(task))
     post = jm0.exact_posterior(0, success_event())
-    for (z, y, o), p in zip(post.support, post.probs):
+    for (z, y, o), p in zip(_event_triples(task, success_event()), post.probs, strict=True):
         assert o == 1
         if p > 0:
             assert task.evaluator_prob(0, z, y, 1) == 1.0
+
+
+def test_joint_model_rejects_another_task(tag_model):
+    # an equal-valued rebuild is still a different task object
+    other = make_reward_tag_task(3, 5, seed=2)
+    with pytest.raises(TaskMismatchError, match="different task"):
+        JointModel(tag_model, other)

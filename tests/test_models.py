@@ -13,7 +13,13 @@ from latentlab.models import (
     write_checkpoint,
 )
 from latentlab.rng import stream
-from latentlab.tasks import make_reward_tag_task, success_event
+from latentlab.tasks import (
+    make_automaton_trace_task,
+    make_carry_addition_task,
+    make_reward_tag_task,
+    success_event,
+)
+from latentlab.verification import dense_features
 
 
 def test_uniform_joint_is_flat(tag_task, tag_uniform):
@@ -155,3 +161,58 @@ def test_log_probs_all_is_computed_once_per_model(tag_task, monkeypatch):
     assert len(calls) == 1
     model.with_theta(model.theta).log_probs_all()
     assert len(calls) == 2
+
+
+def _running_sums(entries, values, size: int) -> list[float]:
+    """out[i] = 0.0 + c * values[j] + ... over (i, j, c) taken in the given
+    order, one plain float addition at a time."""
+    out = [0.0] * size
+    for i, j, c in entries:
+        out[i] += c * values[j]
+    return out
+
+
+@pytest.mark.parametrize("per_prompt", [True, False])
+@pytest.mark.parametrize("positional", [True, False])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("make", [lambda: make_automaton_trace_task(2, 3),
+                                  lambda: make_carry_addition_task(1, 3)],
+                         ids=["automaton-2-3", "carry-d1-b3"])
+def test_ngram_kernels_add_in_row_order_bit_for_bit(make, n, positional, per_prompt):
+    # every kernel must equal a running sum over the nonzero entries of Phi
+    # taken row by row (prompt-major over the stack), in the last bit
+    task = make()
+    features = NgramFeatures(task, n, positional=positional, per_prompt=per_prompt)
+    phi = dense_features(features)
+    n_joint, dim = task.n_joint, features.dim
+    rng = stream(11, "bit-order", n)
+    theta = rng.normal(size=dim)
+    weights = rng.normal(size=(task.n_prompts, n_joint))
+    # nonzero entries (x, joint, feature) in row-major order
+    nonzero = [(x, k, f, phi[x, k, f].item()) for x, k, f in zip(*np.nonzero(phi))]
+    th, w = theta.tolist(), weights.ravel().tolist()
+
+    stacked = [(x * n_joint + k, f, c) for x, k, f, c in nonzero]
+    want = np.array(_running_sums(stacked, th, task.n_prompts * n_joint))
+    assert features.logits_all(theta).tobytes() == want.tobytes()
+    want = np.array(_running_sums([(f, r, c) for r, f, c in stacked], w, dim))
+    assert features.adjoint_all(weights).tobytes() == want.tobytes()
+    for x in range(task.n_prompts):
+        rows = [(k, f, c) for px, k, f, c in nonzero if px == x]
+        want = np.array(_running_sums(rows, th, n_joint))
+        assert features.logits(x, theta).tobytes() == want.tobytes()
+        want = np.array(_running_sums([(f, k, c) for k, f, c in rows], w[x * n_joint:], dim))
+        assert features.adjoint(x, weights[x]).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("per_prompt", [True, False])
+def test_ngram_own_block_is_one_read_only_array(per_prompt):
+    task = make_automaton_trace_task(2, 3)
+    features = NgramFeatures(task, 2, per_prompt=per_prompt)
+    phi = dense_features(features)
+    block = features.own_block(0)
+    assert not block.flags.writeable
+    assert block.shape == (task.n_joint, features.width)
+    for x in range(task.n_prompts):
+        assert features.own_block(x) is block
+        assert np.array_equal(block, phi[x][:, phi[x].any(axis=0)])

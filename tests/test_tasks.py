@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
 
-from latentlab.errors import CapExceededError, EmptyEventError, OutOfSpaceError
+from latentlab.errors import (
+    CapExceededError,
+    EmptyEventError,
+    HorizonViolationError,
+    OutOfSpaceError,
+)
 from latentlab.tasks import (
     EventSpec,
+    GenerativeTask,
+    TokenSequence,
+    Vocabulary,
     compile_event,
     explicit_event,
     full_event,
@@ -57,13 +65,13 @@ def test_truth_is_verified(tag_task):
 
 def test_event_enumeration_order(tag_task):
     compiled = compile_event(tag_task, full_event())
-    pairs = [(z, y) for z, y, _ in compiled.triples]
-    seen = list(dict.fromkeys(pairs))
-    assert seen == list(compiled.pairs)
+    seen = list(dict.fromkeys(compiled.triple_joint.tolist()))
+    assert seen == compiled.pair_joint.tolist()
 
 
 def test_success_event_support(tag_task):
-    support = compile_event(tag_task, success_event()).pairs
+    support = [tag_task.zy_unindex(int(k))
+               for k in compile_event(tag_task, success_event()).pair_joint]
     assert all(tag_task.evaluator_prob(0, z, y, 1) in (0.0, 1.0) for z, y in support)
     # success support holds every pair that can emit the success observation
     verified = [(z, y) for z, y in support if tag_task.evaluator_prob(0, z, y, 1) > 0]
@@ -130,3 +138,14 @@ def test_rebuild_is_identical():
     a = make_automaton_trace_task(3, 2, seed=1)
     b = make_automaton_trace_task(3, 2, seed=1)
     assert task_document(a) == task_document(b)
+
+
+def test_joint_sequence_beyond_the_horizon_raises_typed_error():
+    z, y = TokenSequence((0, 3)), TokenSequence((1, 3))
+    with pytest.raises(HorizonViolationError, match="length 4 > horizon 3"):
+        GenerativeTask(
+            name="probe", vocab=Vocabulary(size=4, eos=3), prompts=("p",),
+            rho=np.array([1.0]), latents=(z,), responses=(y,), obs_values=(0, 1),
+            evaluator=lambda x, zi, yi, o: float(o == 1), evaluator_kind="binary",
+            horizon=3,
+        )
