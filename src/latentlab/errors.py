@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the type checks of
+"""Exception types shared across the package, and the checks of
 configuration values that raise them."""
 
+import math
 import numbers
 
 
@@ -81,13 +82,28 @@ class RecordFormatError(LatentLabError):
     """A persisted record or checkpoint file is malformed."""
 
 
-def require_integer(name: str, value) -> None:
-    """Raise `ConfigError` unless `value` is an integer (bools are not)."""
+def require_integer(name: str, value, minimum: int | None = None) -> int:
+    """`value` as an int; raise `ConfigError` unless it is an integer (bools
+    are not) of at least `minimum`."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
 
 
-def require_real(name: str, value) -> None:
-    """Raise `ConfigError` unless `value` is a real number (bools are not)."""
+def require_real(name: str, value) -> float:
+    """`value` as a float; raise `ConfigError` unless it is a real number
+    (bools are not)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def require_positive(name: str, value) -> float:
+    """`value` as a float; raise `ConfigError` unless it is a positive,
+    finite real number."""
+    value = require_real(name, value)
+    if not 0 < value < math.inf:  # nan too
+        raise ConfigError(f"{name} must be positive and finite, got {value!r}")
+    return value

@@ -32,6 +32,7 @@ from .errors import (
     EStepResultError,
     UnreachableEventError,
     require_integer,
+    require_positive,
     require_real,
 )
 from .graph import JointModel
@@ -82,18 +83,6 @@ def tv_to_exact(jm: JointModel, x_idx: int, event: EventSpec, row: np.ndarray) -
     return total_variation(row, jm.exact_posterior(x_idx, event).joint_marginal())
 
 
-def _check_beta(beta) -> None:
-    require_real("beta", beta)
-    if not beta > 0:  # nan too
-        raise ConfigError(f"beta must be positive, got {beta}")
-
-
-def _check_budget(budget) -> None:
-    require_integer("budget", budget)
-    if budget < 1:
-        raise ConfigError(f"budget must be >= 1, got {budget}")
-
-
 # -- exact enumeration -----------------------------------------------------
 
 
@@ -118,7 +107,7 @@ def estep_planning(
     posterior up to clamp leakage; other temperatures give a deliberately
     sharpened or flattened variant (useful as a diagnostic, not an E-step).
     """
-    _check_beta(beta)
+    require_positive("beta", beta)
     mdp = shape_rewards(jm, x_idx, event, beta=beta)
     plan = soft_value_iteration(mdp)
     support, probs = plan_posterior(plan, jm.task, x_idx, event)
@@ -150,7 +139,7 @@ def estep_rejection(
     ``importance_weighted``.  A budget that produces no usable draw returns
     the empty, ``zero_acceptance``-flagged result.
     """
-    _check_budget(budget)
+    require_integer("budget", budget, 1)
     task = jm.task
     compiled = compile_event(task, event)
     drawn = jm.seq.conditional_tables(x_idx).draws(rng, budget)
@@ -206,25 +195,16 @@ class PolicyGradConfig:
     divergence_patience: int = 50
 
     def __post_init__(self):
-        for name in ("step_size", "reward_floor"):
-            require_real(name, getattr(self, name))
-        for name in ("batch_size", "iterations", "divergence_patience"):
-            require_integer(name, getattr(self, name))
-        if not self.step_size > 0:  # nan too
-            raise ConfigError(f"step_size must be positive, got {self.step_size}")
-        if self.iterations < 0:
-            raise ConfigError(f"iterations must be >= 0, got {self.iterations}")
-        if self.batch_size < 0:
-            raise ConfigError(f"batch_size must be >= 0, got {self.batch_size}")
-        _check_beta(self.beta)
-        if not self.reward_floor < 0:
+        require_positive("step_size", self.step_size)
+        require_integer("batch_size", self.batch_size, 0)
+        require_integer("iterations", self.iterations, 0)
+        require_positive("beta", self.beta)
+        require_real("reward_floor", self.reward_floor)
+        if not -np.inf < self.reward_floor < 0:  # nan too
             raise ConfigError(
-                f"reward_floor must be negative, got {self.reward_floor}"
+                f"reward_floor must be negative and finite, got {self.reward_floor}"
             )
-        if self.divergence_patience < 1:
-            raise ConfigError(
-                f"divergence_patience must be >= 1, got {self.divergence_patience}"
-            )
+        require_integer("divergence_patience", self.divergence_patience, 1)
 
 
 # exact-mode ascent: stop "converged" at gap <= CONVERGED_GAP max(1, |soft
@@ -470,11 +450,11 @@ class EStepSpec:
             )
         try:
             if self.backend == "planning" and "beta" in self.params:
-                _check_beta(self.params["beta"])
+                require_positive("beta", self.params["beta"])
             elif self.backend == "rejection":
                 if "budget" not in self.params:
                     raise ConfigError("budget is required for backend 'rejection'")
-                _check_budget(self.params["budget"])
+                require_integer("budget", self.params["budget"], 1)
             elif self.backend == "policy_gradient":
                 object.__setattr__(self, "pg", PolicyGradConfig(**self.params))
         except ConfigError as exc:  # every message starts with the field name

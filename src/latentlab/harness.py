@@ -12,7 +12,9 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, fields
+from inspect import signature
 from io import StringIO
 from pathlib import Path
 
@@ -20,17 +22,18 @@ import numpy as np
 import yaml
 
 from .errors import ConfigError, TaskMismatchError, require_integer, require_real
-from .esteps import BACKEND_PARAMS, EStepSpec, PolicyGradConfig
+from .esteps import EStepSpec, PolicyGradConfig
 from .models import (
     LogitModel,
-    NgramFeatures,
-    TabularFeatures,
+    feature_map_from_descriptor,
+    random_model,
+    uniform_model,
     write_checkpoint,
 )
 from .rng import stream
 from .tasks import (
     GenerativeTask,
-    check_soft_evaluator,
+    check_task_args,
     full_event,
     make_automaton_trace_task,
     make_carry_addition_task,
@@ -40,6 +43,7 @@ from .tasks import (
 from .training import (
     TSV_COLUMNS,
     MStepSpec,
+    check_pref_fit,
     record_from_tsv,
     reference_optimum,
     run_cond_sft,
@@ -58,17 +62,10 @@ ALGORITHMS = (
     "posterior_dpo",
 )
 
-_TASK_REQUIRED = {
-    "carry": ("digits", "base"),
-    "automaton": ("num_states", "input_len"),
-    "tag": ("n_prompts", "n_responses"),
-}
-# the factories' lower bounds on required sizes other than 1
-_TASK_MINIMUM = {"base": 2, "num_states": 2, "n_responses": 2}
-_TASK_OPTIONAL = {
-    "carry": ("seed", "evaluator", "soft_beta", "wrong_penalty", "prompt_limit"),
-    "automaton": ("seed", "evaluator", "soft_beta", "wrong_penalty", "prompt_limit"),
-    "tag": ("seed", "evaluator", "soft_beta", "wrong_penalty"),
+_TASK_FACTORIES = {
+    "carry": make_carry_addition_task,
+    "automaton": make_automaton_trace_task,
+    "tag": make_reward_tag_task,
 }
 _MODEL_DEFAULTS = {
     "features": "tabular",
@@ -79,7 +76,6 @@ _MODEL_DEFAULTS = {
     "per_prompt": True,
 }
 _ESTEP_DEFAULTS = {"backend": "exact", "params": {}}
-_MSTEP_DEFAULTS = {"kind": "closed_form", "steps": 50, "rate": 0.5}
 _DPO_DEFAULTS = {
     "steps": 100,
     "rate": 0.5,
@@ -120,28 +116,27 @@ def _reject_unknown(section: str, given: dict, allowed) -> None:
         )
 
 
-def _as_int(section: str, key: str, value, minimum: int | None = None) -> int:
-    require_integer(f"{section}.{key}", value)
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{section}.{key} must be >= {minimum}, got {value}")
-    return int(value)
+def _section(name: str, raw, defaults: dict) -> dict:
+    """A section given as a mapping or null, over its `defaults`; a field
+    `defaults` does not name is an error."""
+    if raw is None:
+        raw = {}
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{name} must be a mapping")
+    _reject_unknown(name, raw, defaults)
+    return {**defaults, **raw}
 
 
-def _as_float(section: str, key: str, value) -> float:
-    require_real(f"{section}.{key}", value)
-    return float(value)
+def _defaults(spec) -> dict:
+    """{field: default} of a dataclass whose every field has a default."""
+    return {f.name: f.default for f in fields(spec)}
 
 
-def _as_bool(section: str, key: str, value) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{section}.{key} must be true or false, got {value!r}")
-    return value
-
-
-def _check_pg(section: str, params: dict) -> None:
-    _reject_unknown(section, params, BACKEND_PARAMS["policy_gradient"])
+@contextmanager
+def _fields_of(section: str):
+    """Prefix the field that a `ConfigError` names with its section."""
     try:
-        PolicyGradConfig(**params)  # validates types and values
+        yield
     except ConfigError as exc:  # every message starts with the field name
         raise ConfigError(f"{section}.{exc}") from exc
 
@@ -150,49 +145,26 @@ def _normalize_task(raw) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError("task must be a mapping with a 'kind'")
     kind = raw.get("kind")
-    if kind not in _TASK_REQUIRED:
+    if kind not in _TASK_FACTORIES:
         raise ConfigError(
-            f"task.kind must be one of {sorted(_TASK_REQUIRED)}, got {kind!r}"
+            f"task.kind must be one of {sorted(_TASK_FACTORIES)}, got {kind!r}"
         )
-    allowed = ("kind",) + _TASK_REQUIRED[kind] + _TASK_OPTIONAL[kind]
-    _reject_unknown("task", raw, allowed)
-    out: dict = {"kind": kind}
-    for key in _TASK_REQUIRED[kind]:
+    # the sizes a factory takes have no default; its other arguments but the
+    # enumeration cap are the optional task fields
+    params = signature(_TASK_FACTORIES[kind]).parameters.values()
+    required = [p.name for p in params if p.default is p.empty]
+    optional = {p.name: p.default for p in params
+                if p.default is not p.empty and p.name != "cap"}
+    _reject_unknown("task", raw, ("kind", *required, *optional))
+    for key in required:
         if key not in raw:
             raise ConfigError(f"task.{key} is required for kind {kind!r}")
-        out[key] = _as_int("task", key, raw[key], minimum=_TASK_MINIMUM.get(key, 1))
-    out["seed"] = _as_int("task", "seed", raw.get("seed", 0), minimum=0)
-    evaluator = raw.get("evaluator", "binary")
-    if evaluator not in ("binary", "soft"):
-        raise ConfigError(
-            f"task.evaluator must be 'binary' or 'soft', got {evaluator!r}"
-        )
-    out["evaluator"] = evaluator
-    out["soft_beta"] = _as_float("task", "soft_beta", raw.get("soft_beta", 1.0))
-    out["wrong_penalty"] = _as_float(
-        "task", "wrong_penalty", raw.get("wrong_penalty", -3.0)
-    )
-    if evaluator == "soft":
-        try:
-            check_soft_evaluator(out["soft_beta"], out["wrong_penalty"])
-        except ConfigError as exc:  # every message starts with the field name
-            raise ConfigError(f"task.{exc}") from exc
-    if kind in ("carry", "automaton"):
-        limit = raw.get("prompt_limit")
-        out["prompt_limit"] = (
-            None if limit is None else _as_int("task", "prompt_limit", limit, 1)
-        )
-    return out
+    with _fields_of("task"):
+        return check_task_args({**optional, **raw})
 
 
 def _normalize_model(raw) -> dict:
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
-        raise ConfigError("model must be a mapping")
-    _reject_unknown("model", raw, _MODEL_DEFAULTS)
-    out = dict(_MODEL_DEFAULTS)
-    out.update(raw)
+    out = _section("model", raw, _MODEL_DEFAULTS)
     if out["features"] not in ("tabular", "ngram"):
         raise ConfigError(
             f"model.features must be 'tabular' or 'ngram', got {out['features']!r}"
@@ -201,12 +173,13 @@ def _normalize_model(raw) -> dict:
         raise ConfigError(
             f"model.init must be 'uniform' or 'random', got {out['init']!r}"
         )
-    out["scale"] = _as_float("model", "scale", out["scale"])
+    out["scale"] = require_real("model.scale", out["scale"])
     if not 0 <= out["scale"] < np.inf:
         raise ConfigError(f"model.scale must be finite and >= 0, got {out['scale']!r}")
-    out["ngram_n"] = _as_int("model", "ngram_n", out["ngram_n"], minimum=1)
-    out["positional"] = _as_bool("model", "positional", out["positional"])
-    out["per_prompt"] = _as_bool("model", "per_prompt", out["per_prompt"])
+    out["ngram_n"] = require_integer("model.ngram_n", out["ngram_n"], 1)
+    for key in ("positional", "per_prompt"):
+        if not isinstance(out[key], bool):
+            raise ConfigError(f"model.{key} must be true or false, got {out[key]!r}")
     return out
 
 
@@ -215,7 +188,9 @@ def parse_config(text: str) -> RunConfig:
 
     Unknown fields are an error rather than a warning: a silently ignored
     typo (``mstpe:``) would run a different experiment than the one the
-    config reads as describing.
+    config reads as describing.  Each section's values are checked by the
+    object that uses them: the task factory, `EStepSpec`, `MStepSpec`,
+    `check_pref_fit` and `PolicyGradConfig`.
     """
     try:
         raw = yaml.safe_load(text)
@@ -243,57 +218,37 @@ def parse_config(text: str) -> RunConfig:
     data["event"] = event
 
     data["model"] = _normalize_model(raw.get("model"))
-    data["iterations"] = _as_int("config", "iterations",
-                                 raw.get("iterations", 5), minimum=0)
+    data["iterations"] = require_integer("config.iterations",
+                                         raw.get("iterations", 5), 0)
 
     seeds = raw.get("seeds", [0])
     if not isinstance(seeds, list) or not seeds:
         raise ConfigError("seeds must be a non-empty list of integers")
-    data["seeds"] = [_as_int("config", "seeds", s, minimum=0) for s in seeds]
+    data["seeds"] = [require_integer("config.seeds", s, 0) for s in seeds]
     if len(set(data["seeds"])) != len(data["seeds"]):
         raise ConfigError("seeds must not repeat")
 
-    data["sample_budget"] = _as_int(
-        "config", "sample_budget", raw.get("sample_budget", 100), minimum=1
+    data["sample_budget"] = require_integer(
+        "config.sample_budget", raw.get("sample_budget", 100), 1
     )
 
-    estep = dict(_ESTEP_DEFAULTS)
-    if raw.get("estep") is not None:
-        if not isinstance(raw["estep"], dict):
-            raise ConfigError("estep must be a mapping")
-        _reject_unknown("estep", raw["estep"], _ESTEP_DEFAULTS)
-        estep.update(raw["estep"])
-    try:
+    estep = _section("estep", raw.get("estep"), _ESTEP_DEFAULTS)
+    with _fields_of("estep"):
         EStepSpec(**estep)
-    except ConfigError as exc:  # every message starts with the field name
-        raise ConfigError(f"estep.{exc}") from exc
     data["estep"] = {"backend": estep["backend"], "params": dict(estep["params"])}
 
-    mstep = dict(_MSTEP_DEFAULTS)
-    if raw.get("mstep") is not None:
-        if not isinstance(raw["mstep"], dict):
-            raise ConfigError("mstep must be a mapping")
-        _reject_unknown("mstep", raw["mstep"], _MSTEP_DEFAULTS)
-        mstep.update(raw["mstep"])
-    mstep["steps"] = _as_int("mstep", "steps", mstep["steps"], minimum=1)
-    mstep["rate"] = _as_float("mstep", "rate", mstep["rate"])
-    MStepSpec(mstep["kind"], steps=mstep["steps"], rate=mstep["rate"])
-    data["mstep"] = mstep
+    mstep = _section("mstep", raw.get("mstep"), _defaults(MStepSpec))
+    with _fields_of("mstep"):
+        data["mstep"] = asdict(MStepSpec(**mstep))
 
-    dpo = dict(_DPO_DEFAULTS)
-    if raw.get("dpo") is not None:
-        if not isinstance(raw["dpo"], dict):
-            raise ConfigError("dpo must be a mapping")
-        _reject_unknown("dpo", raw["dpo"], _DPO_DEFAULTS)
-        dpo.update(raw["dpo"])
-    dpo["steps"] = _as_int("dpo", "steps", dpo["steps"], minimum=1)
-    dpo["rate"] = _as_float("dpo", "rate", dpo["rate"])
-    dpo["beta"] = _as_float("dpo", "beta", dpo["beta"])
-    dpo["candidates"] = _as_int("dpo", "candidates", dpo["candidates"], minimum=2)
+    dpo = _section("dpo", raw.get("dpo"), _DPO_DEFAULTS)
+    with _fields_of("dpo"):
+        dpo.update(check_pref_fit(dpo["steps"], dpo["rate"], dpo["beta"],
+                                  dpo["candidates"]))
     if dpo["pg"] is not None:
-        if not isinstance(dpo["pg"], dict):
-            raise ConfigError("dpo.pg must be a mapping")
-        _check_pg("dpo.pg", dpo["pg"])
+        pg = _section("dpo.pg", dpo["pg"], _defaults(PolicyGradConfig))
+        with _fields_of("dpo.pg"):
+            PolicyGradConfig(**pg)
     data["dpo"] = dpo
 
     reference = raw.get("reference", "none")
@@ -313,8 +268,8 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"out must be a path string, got {out!r}")
     data["out"] = out
 
-    data["checkpoint_every"] = _as_int(
-        "config", "checkpoint_every", raw.get("checkpoint_every", 0), minimum=0
+    data["checkpoint_every"] = require_integer(
+        "config.checkpoint_every", raw.get("checkpoint_every", 0), 0
     )
     return RunConfig(data)
 
@@ -325,39 +280,20 @@ def resolved_text(cfg: RunConfig) -> str:
 
 
 def build_task(tdata: dict) -> GenerativeTask:
-    kind = tdata["kind"]
-    common = {
-        "seed": tdata["seed"],
-        "evaluator": tdata["evaluator"],
-        "soft_beta": tdata["soft_beta"],
-        "wrong_penalty": tdata["wrong_penalty"],
-    }
-    if kind == "carry":
-        return make_carry_addition_task(
-            tdata["digits"], tdata["base"],
-            prompt_limit=tdata["prompt_limit"], **common,
-        )
-    if kind == "automaton":
-        return make_automaton_trace_task(
-            tdata["num_states"], tdata["input_len"],
-            prompt_limit=tdata["prompt_limit"], **common,
-        )
-    return make_reward_tag_task(tdata["n_prompts"], tdata["n_responses"], **common)
+    args = dict(tdata)
+    return _TASK_FACTORIES[args.pop("kind")](**args)
 
 
 def build_model(mdata: dict, task: GenerativeTask, seed: int) -> LogitModel:
-    if mdata["features"] == "tabular":
-        features = TabularFeatures(task)
-    else:
-        features = NgramFeatures(
-            task, n=mdata["ngram_n"],
-            positional=mdata["positional"], per_prompt=mdata["per_prompt"],
-        )
+    features = feature_map_from_descriptor(task, {
+        "kind": mdata["features"],
+        "n": mdata["ngram_n"],
+        "positional": mdata["positional"],
+        "per_prompt": mdata["per_prompt"],
+    })
     if mdata["init"] == "uniform":
-        theta = np.zeros(features.dim)
-    else:
-        theta = stream(seed, "init").normal(0.0, mdata["scale"], features.dim)
-    return LogitModel(features, theta)
+        return uniform_model(task, features)
+    return random_model(task, stream(seed, "init"), mdata["scale"], features)
 
 
 def _run_one_seed(args: tuple[dict, int]) -> dict:
@@ -379,46 +315,39 @@ def _run_one_seed(args: tuple[dict, int]) -> dict:
             write_checkpoint(m, buf)
             checkpoints.append((f"checkpoint.seed{seed}.t{t}.txt", buf.getvalue()))
 
+    # each loop is read from this module when called, so a wrapper set on
+    # the module's attribute sees the run
     algorithm = data["algorithm"]
-    iterations = data["iterations"]
-    started = time.perf_counter()
     if algorithm == "em":
-        _, record = run_em(
-            model, task, event,
-            EStepSpec(**data["estep"]),
-            MStepSpec(data["mstep"]["kind"], steps=data["mstep"]["steps"],
-                      rate=data["mstep"]["rate"]),
-            iterations=iterations, seed=seed, reference=reference,
-            on_iteration=hook,
-        )
-    elif algorithm == "filter_sft":
-        _, record = run_filter_sft(
-            model, task, iterations=iterations, budget=data["sample_budget"],
-            seed=seed, reference=reference, on_iteration=hook,
-        )
-    elif algorithm == "restem":
-        _, record = run_restem(
-            model, task, iterations=iterations, budget=data["sample_budget"],
-            seed=seed, reference=reference, on_iteration=hook,
-        )
-    elif algorithm == "cond_sft":
-        _, record = run_cond_sft(
-            model, task, iterations=iterations, budget=data["sample_budget"],
-            seed=seed, reference=reference, on_iteration=hook,
-        )
+        loop = run_em
+        inputs = (model, task, event,
+                  EStepSpec(**data["estep"]), MStepSpec(**data["mstep"]))
+        options = {}
+    elif algorithm in ("iter_dpo", "posterior_dpo"):
+        dpo = data["dpo"]
+        loop, inputs = run_pref_loop, (model, task)
+        options = {
+            "candidates": dpo["candidates"],
+            "sampler": "posterior" if algorithm == "posterior_dpo" else "model",
+            "dpo_steps": dpo["steps"],
+            "dpo_rate": dpo["rate"],
+            "dpo_beta": dpo["beta"],
+            "pg_params": dpo["pg"],
+        }
     else:
-        _, record = run_pref_loop(
-            model, task, iterations=iterations,
-            candidates=data["dpo"]["candidates"], seed=seed,
-            sampler="posterior" if algorithm == "posterior_dpo" else "model",
-            dpo_steps=data["dpo"]["steps"], dpo_rate=data["dpo"]["rate"],
-            dpo_beta=data["dpo"]["beta"], pg_params=data["dpo"]["pg"],
-            reference=reference, on_iteration=hook,
-        )
+        loop = {"filter_sft": run_filter_sft, "restem": run_restem,
+                "cond_sft": run_cond_sft}[algorithm]
+        inputs, options = (model, task), {"budget": data["sample_budget"]}
+    started = time.perf_counter()
+    _, record = loop(
+        *inputs, **options, iterations=data["iterations"], seed=seed,
+        reference=reference, on_iteration=hook,
+    )
     wall_s = time.perf_counter() - started
     final = record.rows[-1]
     return {
         "seed": seed,
+        "task": task.name,
         "algorithm": record.algorithm,
         "tsv": record.to_tsv(),
         "checkpoints": checkpoints,
@@ -447,9 +376,8 @@ def execute_run(cfg: RunConfig, out_dir: str | Path, jobs: int = 1) -> str:
     else:
         results = [_run_one_seed(item) for item in work]
 
-    task_name = build_task(cfg.data["task"]).name
     lines = [
-        f"algorithm={cfg.data['algorithm']} task={task_name} "
+        f"algorithm={cfg.data['algorithm']} task={results[0]['task']} "
         f"iterations={cfg.data['iterations']} seeds={len(seeds)}"
     ]
     for res in results:

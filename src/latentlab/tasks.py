@@ -30,6 +30,9 @@ from .errors import (
     HorizonViolationError,
     OutOfSpaceError,
     RecordFormatError,
+    require_integer,
+    require_positive,
+    require_real,
 )
 from .rng import stream
 from .trie import Trie
@@ -384,7 +387,7 @@ def explicit_event(task: GenerativeTask, event: EventSpec) -> EventSpec:
     )
 
 
-# -- evaluator constructors ------------------------------------------------
+# -- evaluators, factory arguments and factory tasks ------------------------
 
 
 def _binary_evaluator(verify: Callable[[int, int, int], bool]) -> Evaluator:
@@ -395,23 +398,9 @@ def _binary_evaluator(verify: Callable[[int, int, int], bool]) -> Evaluator:
     return evaluator
 
 
-def check_soft_evaluator(beta: float, wrong_penalty: float) -> None:
-    """Raise `ConfigError`, naming the field, unless exp(R / beta) is a
-    probability for both rewards R in {0, wrong_penalty}: beta must be
-    positive and finite, wrong_penalty at most 0 (nan fails both)."""
-    if not wrong_penalty <= 0:
-        raise ConfigError(
-            f"wrong_penalty must be <= 0 so exp(R/beta) stays <= 1, got {wrong_penalty!r}"
-        )
-    if not 0 < beta < np.inf:
-        raise ConfigError(f"soft_beta must be positive and finite, got {beta!r}")
-
-
 def _soft_evaluator(
     verify: Callable[[int, int, int], bool], beta: float, wrong_penalty: float
 ) -> Evaluator:
-    check_soft_evaluator(beta, wrong_penalty)
-
     def evaluator(x: int, z: int, y: int, o: int) -> float:
         reward = 0.0 if verify(x, z, y) else wrong_penalty
         p_one = float(np.exp(reward / beta))
@@ -420,24 +409,77 @@ def _soft_evaluator(
     return evaluator
 
 
-def _make_evaluator(
+# the least value of each size argument of a factory
+_SIZE_MINIMUM = {
+    "digits": 1,
+    "base": 2,
+    "num_states": 2,
+    "input_len": 1,
+    "n_prompts": 1,
+    "n_responses": 2,
+}
+
+
+def check_task_args(args: dict) -> dict:
+    """A factory's arguments with every size, seed and limit as an int and
+    the soft rewards as floats; raise `ConfigError`, naming the field,
+    unless each is valid.
+
+    A soft evaluator needs exp(R / soft_beta) to be a probability for both
+    rewards R in {0, wrong_penalty}: soft_beta positive and finite,
+    wrong_penalty at most 0 (nan fails both).
+    """
+    out = dict(args)
+    for name, least in _SIZE_MINIMUM.items():
+        if name in args:
+            out[name] = require_integer(name, args[name], least)
+    out["seed"] = require_integer("seed", args["seed"], 0)
+    if args["evaluator"] not in ("binary", "soft"):
+        raise ConfigError(
+            f"evaluator must be 'binary' or 'soft', got {args['evaluator']!r}"
+        )
+    out["soft_beta"] = require_real("soft_beta", args["soft_beta"])
+    out["wrong_penalty"] = require_real("wrong_penalty", args["wrong_penalty"])
+    if args["evaluator"] == "soft":
+        if not out["wrong_penalty"] <= 0:
+            raise ConfigError(
+                "wrong_penalty must be <= 0 so exp(R/beta) stays <= 1, "
+                f"got {out['wrong_penalty']!r}"
+            )
+        require_positive("soft_beta", out["soft_beta"])
+    if args.get("prompt_limit") is not None:
+        out["prompt_limit"] = require_integer("prompt_limit", args["prompt_limit"], 1)
+    return out
+
+
+def _factory_task(
+    args: dict,
     verify: Callable[[int, int, int], bool],
-    kind: str,
-    beta: float,
-    wrong_penalty: float,
-) -> tuple[Evaluator, str]:
-    if kind == "binary":
-        return _binary_evaluator(verify), "binary"
-    if kind == "soft":
-        return _soft_evaluator(verify, beta, wrong_penalty), "soft"
-    raise ValueError(f"unknown evaluator kind {kind!r}")
+    **spaces,
+) -> GenerativeTask:
+    """A factory's task over `spaces`: uniform rho over the prompts,
+    observations (0, 1), the evaluator `args` names for `verify`, and
+    `args` as its params.  `args` holds the factory's own arguments and,
+    under "factory", its registered name."""
+    if args["evaluator"] == "soft":
+        evaluator = _soft_evaluator(verify, args["soft_beta"], args["wrong_penalty"])
+    else:
+        evaluator = _binary_evaluator(verify)
+    n = len(spaces["prompts"])
+    return GenerativeTask(
+        rho=np.full(n, 1.0 / n),
+        obs_values=(0, 1),
+        evaluator=evaluator,
+        evaluator_kind=args["evaluator"],
+        seed=args["seed"],
+        params=args,
+        **spaces,
+    )
 
 
 def _subsample_prompts(n: int, limit: int | None, seed: int) -> list[int]:
     if limit is None or limit >= n:
         return list(range(n))
-    if limit <= 0:
-        raise ValueError("prompt_limit must be positive")
     picked = stream(seed, "prompt-subset").choice(n, size=limit, replace=False)
     return sorted(int(i) for i in picked)
 
@@ -473,8 +515,8 @@ def make_carry_addition_task(
     accepts exactly the latent that follows correct carry arithmetic for
     the prompt together with the response it implies.
     """
-    if digits < 1 or base < 2:
-        raise ValueError("need digits >= 1 and base >= 2")
+    args = {"factory": "carry_addition", **locals()}
+    check_task_args(args)
     n_latents = (2 * base) ** digits
     n_responses = base ** (digits + 1)
     if n_latents * n_responses > cap:
@@ -531,31 +573,14 @@ def make_carry_addition_task(
     def verify(x: int, z: int, y: int) -> bool:
         return (z, y) == truth[x]
 
-    ev, kind = _make_evaluator(verify, evaluator, soft_beta, wrong_penalty)
-    horizon = (2 * digits + 1) + (digits + 2)
-    return GenerativeTask(
+    return _factory_task(
+        args, verify,
         name=f"carry-addition-d{digits}-b{base}",
         vocab=vocab,
         prompts=prompts,
-        rho=np.full(len(prompts), 1.0 / len(prompts)),
         latents=latents,
         responses=responses,
-        obs_values=(0, 1),
-        evaluator=ev,
-        evaluator_kind=kind,
-        horizon=horizon,
-        seed=seed,
-        params={
-            "factory": "carry_addition",
-            "digits": digits,
-            "base": base,
-            "seed": seed,
-            "evaluator": evaluator,
-            "soft_beta": soft_beta,
-            "wrong_penalty": wrong_penalty,
-            "prompt_limit": prompt_limit,
-            "cap": cap,
-        },
+        horizon=(2 * digits + 1) + (digits + 2),
         truth=truth,
     )
 
@@ -590,8 +615,8 @@ def make_automaton_trace_task(
     a single accept/reject token.  The verifier accepts exactly the true
     state trace paired with the label the DFA assigns.
     """
-    if num_states < 2 or input_len < 1:
-        raise ValueError("need num_states >= 2 and input_len >= 1")
+    args = {"factory": "automaton_trace", **locals()}
+    check_task_args(args)
     n_latents = num_states**input_len
     if n_latents * 2 > cap:
         raise CapExceededError(f"|Z|*|Y| = {n_latents * 2} exceeds cap {cap}")
@@ -638,30 +663,14 @@ def make_automaton_trace_task(
     def verify(x: int, z: int, y: int) -> bool:
         return (z, y) == truth[x]
 
-    ev, kind = _make_evaluator(verify, evaluator, soft_beta, wrong_penalty)
-    return GenerativeTask(
+    return _factory_task(
+        args, verify,
         name=f"automaton-trace-s{num_states}-l{input_len}",
         vocab=vocab,
         prompts=prompts,
-        rho=np.full(len(prompts), 1.0 / len(prompts)),
         latents=latents,
         responses=responses,
-        obs_values=(0, 1),
-        evaluator=ev,
-        evaluator_kind=kind,
         horizon=(input_len + 1) + 2,
-        seed=seed,
-        params={
-            "factory": "automaton_trace",
-            "num_states": num_states,
-            "input_len": input_len,
-            "seed": seed,
-            "evaluator": evaluator,
-            "soft_beta": soft_beta,
-            "wrong_penalty": wrong_penalty,
-            "prompt_limit": prompt_limit,
-            "cap": cap,
-        },
         truth=truth,
     )
 
@@ -686,8 +695,8 @@ def make_reward_tag_task(
     and (tag=bad, incorrect y), so a tag is the reward annotation of the
     response it precedes.
     """
-    if n_prompts < 1 or n_responses < 2:
-        raise ValueError("need n_prompts >= 1 and n_responses >= 2")
+    args = {"factory": "reward_tag", **locals()}
+    check_task_args(args)
     if 2 * n_responses > cap:
         raise CapExceededError(f"|Z|*|Y| = {2 * n_responses} exceeds cap {cap}")
 
@@ -707,29 +716,14 @@ def make_reward_tag_task(
     def verify(x: int, z: int, y: int) -> bool:
         return (z == 1) == (y == correct[x])
 
-    ev, kind = _make_evaluator(verify, evaluator, soft_beta, wrong_penalty)
-    return GenerativeTask(
+    return _factory_task(
+        args, verify,
         name=f"reward-tag-p{n_prompts}-r{n_responses}",
         vocab=vocab,
         prompts=prompts,
-        rho=np.full(n_prompts, 1.0 / n_prompts),
         latents=latents,
         responses=responses,
-        obs_values=(0, 1),
-        evaluator=ev,
-        evaluator_kind=kind,
         horizon=4,
-        seed=seed,
-        params={
-            "factory": "reward_tag",
-            "n_prompts": n_prompts,
-            "n_responses": n_responses,
-            "seed": seed,
-            "evaluator": evaluator,
-            "soft_beta": soft_beta,
-            "wrong_penalty": wrong_penalty,
-            "cap": cap,
-        },
         truth={i: (1, correct[i]) for i in range(n_prompts)},
     )
 

@@ -33,7 +33,7 @@ from .errors import (
     ZeroMassEventError,
     ZeroProbabilityPairError,
     require_integer,
-    require_real,
+    require_positive,
 )
 from .esteps import (
     EStepSpec,
@@ -67,7 +67,8 @@ class MStepSpec:
     ``closed_form`` writes log-weights straight into tabular logits;
     ``gradient_ascent`` line-searches the weighted-likelihood surrogate and
     works for any feature map; ``weighted_mle_from_samples`` picks whichever
-    of the two the feature map supports.
+    of the two the feature map supports.  The fields are checked when the
+    spec is built, and a `ConfigError` names the field at fault first.
     """
 
     kind: str = "closed_form"
@@ -77,13 +78,9 @@ class MStepSpec:
     def __post_init__(self):
         kinds = ("closed_form", "gradient_ascent", "weighted_mle_from_samples")
         if self.kind not in kinds:
-            raise ConfigError(f"mstep kind {self.kind!r} not in {kinds}")
-        require_integer("mstep steps", self.steps)
-        require_real("mstep rate", self.rate)
-        if self.steps < 1:
-            raise ConfigError(f"mstep steps must be >= 1, got {self.steps}")
-        if not self.rate > 0:  # nan too
-            raise ConfigError(f"mstep rate must be positive, got {self.rate}")
+            raise ConfigError(f"kind must be one of {', '.join(kinds)}, got {self.kind!r}")
+        self.steps = require_integer("steps", self.steps, 1)
+        self.rate = require_positive("rate", self.rate)
 
 
 def mstep(model: LogitModel, targets: np.ndarray, spec: MStepSpec) -> LogitModel:
@@ -994,6 +991,19 @@ def _pick_pair(
     return PreferencePair(x_idx=x_idx, pos=int(best), neg=int(worst))
 
 
+def check_pref_fit(steps, rate, beta, candidates) -> dict:
+    """The preference loop's fit settings as ints and floats; raise
+    `ConfigError`, naming the field, unless `steps` is an integer >= 1,
+    `rate` and `beta` are positive and finite, and `candidates` is an
+    integer >= 2."""
+    return {
+        "steps": require_integer("steps", steps, 1),
+        "rate": require_positive("rate", rate),
+        "beta": require_positive("beta", beta),
+        "candidates": require_integer("candidates", candidates, 2),
+    }
+
+
 def run_pref_loop(
     model: LogitModel,
     task: GenerativeTask,
@@ -1022,6 +1032,7 @@ def run_pref_loop(
         raise TaskMismatchError("preference pairs need a binary evaluator")
     if sampler not in ("model", "posterior"):
         raise ConfigError(f"sampler must be 'model' or 'posterior', got {sampler!r}")
+    check_pref_fit(dpo_steps, dpo_rate, dpo_beta, candidates)
     event = success_event()
     pg_cfg = PolicyGradConfig(**(pg_params or {"iterations": 60}))
 

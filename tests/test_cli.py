@@ -96,13 +96,28 @@ TAG = "task:\n  kind: tag\n  n_prompts: 2\n  n_responses: 5\n"
     ("task.base", "task:\n  kind: carry\n  digits: 1\n  base: 1\n"),
     ("task.num_states", "task:\n  kind: automaton\n  num_states: 1\n  input_len: 2\n"),
     ("task.n_responses", "task:\n  kind: tag\n  n_prompts: 2\n  n_responses: 1\n"),
+    ("dpo.beta", TAG + "dpo:\n  beta: -1.0\n"),
+    ("dpo.rate", TAG + "dpo:\n  rate: -1.0\n"),
+    ("dpo.beta", TAG + "dpo:\n  beta: .nan\n"),
+    ("dpo.rate", TAG + "dpo:\n  rate: .inf\n"),
+    ("estep.params.beta", TAG + "estep: {backend: planning, params: {beta: .inf}}\n"),
+    ("estep.params.step_size",
+     TAG + "estep: {backend: policy_gradient, params: {step_size: .inf}}\n"),
+    ("estep.params.reward_floor",
+     TAG + "estep: {backend: policy_gradient, params: {reward_floor: -.inf}}\n"),
+    ("estep.params.beta", TAG + "estep: {backend: policy_gradient, params: {beta: .inf}}\n"),
+    ("mstep.rate", TAG + "mstep: {kind: gradient_ascent, rate: .inf}\n"),
 ], ids=["negative-scale", "nan-scale", "negative-soft-beta", "positive-wrong-penalty",
-        "carry-base-1", "one-state-automaton", "one-response-tag"])
+        "carry-base-1", "one-state-automaton", "one-response-tag",
+        "negative-dpo-beta", "negative-dpo-rate", "nan-dpo-beta", "inf-dpo-rate",
+        "inf-planning-beta", "inf-pg-step-size", "minus-inf-pg-reward-floor",
+        "inf-pg-beta", "inf-mstep-rate"])
 def test_run_rejects_bad_values_before_making_a_run_directory(
     tmp_path, capsys, field, section
 ):
     p = tmp_path / "bad.yaml"
-    p.write_text("algorithm: em\niterations: 1\nseeds: [0]\n" + section)
+    algorithm = "iter_dpo" if field.startswith("dpo.") else "em"
+    p.write_text(f"algorithm: {algorithm}\niterations: 1\nseeds: [0]\n" + section)
     out = tmp_path / "run"
     assert main(["run", str(p), "--out", str(out)]) == 2
     err = capsys.readouterr().err

@@ -151,9 +151,11 @@ def test_run_estep_unknown_backend(jm):
     ("rejection", {"budget": 0}, "params.budget"),
     ("policy_gradient", {"iterations": -1}, "params.iterations"),
     ("policy_gradient", {"batch_size": True}, "params.batch_size"),
+    ("planning", {"beta": float("inf")}, "params.beta"),
 ], ids=["unknown-backend", "planning-typo", "pg-unknown", "exact-takes-none",
         "budget-missing", "params-not-a-mapping", "beta-negative", "beta-string",
-        "budget-fractional", "budget-zero", "iterations-negative", "batch-size-bool"])
+        "budget-fractional", "budget-zero", "iterations-negative", "batch-size-bool",
+        "beta-infinite"])
 def test_spec_checks_backend_and_params_when_built(backend, params, field):
     with pytest.raises(ConfigError, match=rf"^{re.escape(field)} "):
         EStepSpec(backend, params)

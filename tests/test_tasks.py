@@ -3,6 +3,7 @@ import pytest
 
 from latentlab.errors import (
     CapExceededError,
+    ConfigError,
     EmptyEventError,
     HorizonViolationError,
     OutOfSpaceError,
@@ -35,6 +36,21 @@ def test_carry_counts():
 def test_automaton_counts():
     task = make_automaton_trace_task(2, 3)
     assert (task.n_prompts, task.n_latents, task.n_responses) == (8, 8, 2)
+
+
+@pytest.mark.parametrize("make, args, kwargs, field", [
+    (make_carry_addition_task, (0, 3), {}, "digits"),
+    (make_reward_tag_task, (2, 1), {}, "n_responses"),
+    (make_carry_addition_task, (1, 3), {"prompt_limit": 0}, "prompt_limit"),
+    (make_automaton_trace_task, (2, 2), {"prompt_limit": 0}, "prompt_limit"),
+    (make_reward_tag_task, (2, 3), {"evaluator": "bogus"}, "evaluator"),
+    (make_automaton_trace_task, (2, 2), {"evaluator": "soft", "soft_beta": 0.0},
+     "soft_beta"),
+], ids=["no-digits", "one-response", "carry-no-prompts", "automaton-no-prompts",
+        "unknown-evaluator", "zero-soft-beta"])
+def test_factories_raise_config_error_naming_the_field(make, args, kwargs, field):
+    with pytest.raises(ConfigError, match=rf"^{field} "):
+        make(*args, **kwargs)
 
 
 def test_tag_counts():

@@ -331,9 +331,16 @@ def test_gold_sft_is_not_the_comparator_on_a_tied_argmax_set():
     (PolicyGradConfig, {"step_size": math.nan}),
     (PolicyGradConfig, {"beta": math.nan}),
     (PolicyGradConfig, {"reward_floor": math.nan}),
+    (MStepSpec, {"rate": math.inf}),
+    (PolicyGradConfig, {"step_size": math.inf}),
+    (PolicyGradConfig, {"beta": math.inf}),
+    (PolicyGradConfig, {"reward_floor": -math.inf}),
+    (MStepSpec, {"kind": "bogus"}),
+    (MStepSpec, {"steps": 0}),
 ])
 def test_spec_fields_reject_the_wrong_type_or_nan(spec, kwargs):
-    with pytest.raises(ConfigError, match="must be"):
+    (field,) = kwargs
+    with pytest.raises(ConfigError, match=rf"^{field} .*must be"):
         spec(**kwargs)
 
 
@@ -593,6 +600,21 @@ def test_pref_loop_runs_both_samplers(tag_task, tag_uniform):
         )
         assert len(record.rows) == 3
         assert record.algorithm in ("iter_dpo", "posterior_dpo")
+
+
+@pytest.mark.parametrize("option, field", [
+    ({"dpo_beta": -1.0}, "beta"),
+    ({"dpo_rate": -1.0}, "rate"),
+    ({"dpo_beta": math.nan}, "beta"),
+    ({"dpo_rate": math.inf}, "rate"),
+    ({"dpo_steps": 0}, "steps"),
+    ({"candidates": 1}, "candidates"),
+], ids=["negative-beta", "negative-rate", "nan-beta", "inf-rate", "no-steps",
+        "one-candidate"])
+def test_pref_loop_rejects_bad_fit_settings(tag_task, tag_uniform, option, field):
+    kwargs = {"iterations": 1, "candidates": 8, "seed": 0, **option}
+    with pytest.raises(ConfigError, match=rf"^{field} "):
+        run_pref_loop(tag_uniform, tag_task, **kwargs)
 
 
 def test_run_record_final(tag_task, tag_model):
