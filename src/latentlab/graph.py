@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import TaskMismatchError, UnnormalizedVariationalError, ZeroMassEventError
+from .errors import UnnormalizedVariationalError, ZeroMassEventError
 from .logspace import entropy, log_sum_exp, logsumexp_rows, safe_log
 from .models import LogitModel
-from .tasks import CompiledEvent, EventSpec, GenerativeTask, compile_event
+from .tasks import CompiledEvent, EventSpec, compile_event
 
 
 def _joint_marginal(compiled: CompiledEvent, probs: np.ndarray) -> np.ndarray:
@@ -62,12 +62,9 @@ class ElboReport:
 class JointModel:
     """A sequence model coupled with a task's observation factor."""
 
-    def __init__(self, seq: LogitModel, task: GenerativeTask | None = None):
-        task = task if task is not None else seq.task
-        if task is not seq.task:
-            raise TaskMismatchError("sequence model belongs to a different task")
+    def __init__(self, seq: LogitModel):
         self.seq = seq
-        self.task = task
+        self.task = seq.task
 
     def triple_logprob(self, x_idx: int, z_idx: int, y_idx: int, o: int) -> float:
         """log P(z, y, o | x); -inf when the evaluator assigns o zero mass."""
@@ -123,15 +120,9 @@ class JointModel:
         return np.take(self.seq.log_probs_all(), compiled.triple_joint, axis=1) + log_eval
 
     def averaged_event_logprob(self, event: EventSpec) -> float:
-        """rho-weighted event log probability across all prompts, evaluated
-        once per model and event."""
-        compiled = compile_event(self.task, event)
-
-        def average() -> float:
-            rows = logsumexp_rows(self._all_event_terms(compiled))
-            return float(sum((self.task.rho * rows).tolist()))
-
-        return self.seq.remember(("objective", compiled), average)
+        """rho-weighted event log probability across all prompts."""
+        rows = logsumexp_rows(self._all_event_terms(compile_event(self.task, event)))
+        return float(sum((self.task.rho * rows).tolist()))
 
     def averaged_grad(self, event: EventSpec) -> np.ndarray:
         """rho-weighted d/dtheta log P(event | x): posterior minus model

@@ -41,9 +41,11 @@ from .tasks import (
     success_event,
 )
 from .training import (
+    SAMPLER_ITERATIONS,
     TSV_COLUMNS,
     MStepSpec,
     check_pref_fit,
+    check_task_fits,
     record_from_tsv,
     reference_optimum,
     run_cond_sft,
@@ -190,7 +192,8 @@ def parse_config(text: str) -> RunConfig:
     typo (``mstpe:``) would run a different experiment than the one the
     config reads as describing.  Each section's values are checked by the
     object that uses them: the task factory, `EStepSpec`, `MStepSpec`,
-    `check_pref_fit` and `PolicyGradConfig`.
+    `check_pref_fit` and `PolicyGradConfig`; the task is built once, so its
+    factory and `check_task_fits` see it before a run starts.
     """
     try:
         raw = yaml.safe_load(text)
@@ -249,6 +252,9 @@ def parse_config(text: str) -> RunConfig:
         pg = _section("dpo.pg", dpo["pg"], _defaults(PolicyGradConfig))
         with _fields_of("dpo.pg"):
             PolicyGradConfig(**pg)
+    if algorithm == "posterior_dpo":
+        # written out, so that config.resolved shows the iterations that run
+        dpo["pg"] = {"iterations": SAMPLER_ITERATIONS, **(dpo["pg"] or {})}
     data["dpo"] = dpo
 
     reference = raw.get("reference", "none")
@@ -271,6 +277,9 @@ def parse_config(text: str) -> RunConfig:
     data["checkpoint_every"] = require_integer(
         "config.checkpoint_every", raw.get("checkpoint_every", 0), 0
     )
+    # the factory's enumeration cap and the algorithm's needs of the task,
+    # checked on one build before any run directory exists
+    check_task_fits(algorithm, build_task(data["task"]))
     return RunConfig(data)
 
 

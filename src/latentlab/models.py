@@ -12,12 +12,13 @@ from __future__ import annotations
 import io
 import json
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, FeatureMapMismatchError, OutOfSpaceError, RecordFormatError
-from .logspace import logsumexp, logsumexp_rows, masked_row_sums
+# `bench/spans.py` counts `logsumexp` calls at this import site too
+from .logspace import logsumexp, logsumexp_rows, masked_row_sums  # noqa: F401
 from .tasks import GenerativeTask
 
 BOS = -1  # left-padding marker inside n-gram windows, never a real token
@@ -320,16 +321,13 @@ class LogitModel:
     """Linear-softmax joint model P(z, y | x) = exp(f - A).
 
     `theta` is copied on construction and read-only; updates produce new
-    models via `with_theta`.  Because a model cannot change, it keeps its
-    [prompts, joint] log-probability matrix and, in `memo`, a few scalars
-    derived from it (keyed by value, at most `MEMO_SIZE`).
+    models via `with_theta`.  Because a model cannot change, its
+    [prompts, joint] log-probability matrix is computed once, and every
+    per-prompt read is a row of it.
     """
 
     features: FeatureMap
     theta: np.ndarray
-    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    MEMO_SIZE = 16
 
     def __post_init__(self):
         self.theta = np.array(self.theta, dtype=np.float64)
@@ -337,26 +335,12 @@ class LogitModel:
         self.theta.flags.writeable = False
         self._log_probs: np.ndarray | None = None
 
-    def remember(self, key, compute):
-        """`compute()`, evaluated once per key while the key stays in `memo`."""
-        if key not in self.memo:
-            if len(self.memo) >= self.MEMO_SIZE:
-                del self.memo[next(iter(self.memo))]
-            self.memo[key] = compute()
-        return self.memo[key]
-
     @property
     def task(self) -> GenerativeTask:
         return self.features.task
 
     def with_theta(self, theta: np.ndarray) -> "LogitModel":
         return LogitModel(self.features, theta)
-
-    def joint_log_probs(self, x_idx: int) -> np.ndarray:
-        """log P(z, y | x) at one prompt, computed on its own: the same bits
-        as row x of `log_probs_all()`."""
-        logits = self.features.logits(x_idx, self.theta)
-        return logits - logsumexp(logits)
 
     def log_probs_all(self) -> np.ndarray:
         """Read-only [prompts, joint] matrix of log P(z, y | x), computed on
@@ -367,6 +351,13 @@ class LogitModel:
             self._log_probs = lp
         return self._log_probs
 
+    def joint_log_probs(self, x_idx: int) -> np.ndarray:
+        """log P(z, y | x) at one prompt: row x of `log_probs_all()`, a
+        read-only view."""
+        if not 0 <= x_idx < self.task.n_prompts:
+            raise OutOfSpaceError(f"prompt index {x_idx} out of range")
+        return self.log_probs_all()[x_idx]
+
     def joint_probs(self, x_idx: int) -> np.ndarray:
         with np.errstate(under="ignore"):
             return np.exp(self.joint_log_probs(x_idx))
@@ -376,8 +367,6 @@ class LogitModel:
         return float(self.joint_log_probs(x_idx)[self.task.zy_index(z_idx, y_idx)])
 
     def conditional_tables(self, x_idx: int) -> AutoregressiveView:
-        if not 0 <= x_idx < self.task.n_prompts:
-            raise OutOfSpaceError(f"prompt index {x_idx} out of range")
         return AutoregressiveView(self.task, x_idx, self.joint_log_probs(x_idx))
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -173,21 +173,18 @@ def mstep(model: LogitModel, targets: np.ndarray, spec: MStepSpec) -> LogitModel
 
 @dataclass
 class IterationReport:
-    """What one E+M pass did: objectives around it, movement, engine notes."""
+    """What one E+M pass did: the E-step's mean total variation, the
+    skipped prompts and the engines' notes.  The objective and the step KL
+    are the metric row's to compute."""
 
-    iteration: int
-    objective_before: float
-    objective_after: float
-    kl_step: float
     tv_mean: float
     skipped: tuple[int, ...] = ()
     flags: tuple[str, ...] = ()
 
 
 def _averaged_kl(new: LogitModel, old: LogitModel, rho: np.ndarray) -> float:
-    """rho-weighted KL(new || old), evaluated once per (new, old, rho) value."""
-    key = ("kl", old.features, old.theta.tobytes(), rho.tobytes())
-    return new.remember(key, lambda: float(sum((rho * kl_rows(new, old)).tolist())))
+    """rho-weighted KL(new || old)."""
+    return float(sum((rho * kl_rows(new, old)).tolist()))
 
 
 def em_iterate(
@@ -223,46 +220,15 @@ def em_iterate(
         targets[x_idx] = result.probs
         tvs.append(result.tv_error)
 
-    objective_before = jm.averaged_event_logprob(event)
     tv_mean = float(np.mean(tvs + [1.0] * len(skipped)))
     if len(skipped) == task.n_prompts:
-        report = IterationReport(
-            iteration=iteration,
-            objective_before=objective_before,
-            objective_after=objective_before,
-            kl_step=0.0,
-            tv_mean=tv_mean,
-            skipped=tuple(skipped),
-            flags=tuple(sorted(flags | {"all_prompts_skipped"})),
-        )
-        return model, report
-
+        flags.add("all_prompts_skipped")
+        return model, IterationReport(tv_mean, tuple(skipped), tuple(sorted(flags)))
     new_model = mstep(model, targets, mstep_spec)
-    report = IterationReport(
-        iteration=iteration,
-        objective_before=objective_before,
-        objective_after=JointModel(new_model).averaged_event_logprob(event),
-        kl_step=_averaged_kl(new_model, model, task.rho),
-        tv_mean=tv_mean,
-        skipped=tuple(skipped),
-        flags=tuple(sorted(flags)),
-    )
-    return new_model, report
+    return new_model, IterationReport(tv_mean, tuple(skipped), tuple(sorted(flags)))
 
 
 # -- metric rows ----------------------------------------------------------------
-
-TSV_COLUMNS = (
-    "t",
-    "objective",
-    "kl_step",
-    "kl_to_ref",
-    "tv_estep",
-    "acc_greedy",
-    "acc_sampled",
-    "wall_ms",
-)
-
 
 @dataclass
 class RunRow:
@@ -274,6 +240,9 @@ class RunRow:
     acc_greedy: float
     acc_sampled: float
     wall_ms: float
+
+
+TSV_COLUMNS = tuple(f.name for f in fields(RunRow))
 
 
 @dataclass
@@ -500,19 +469,18 @@ def run_em(
     if reference is not None and iterations > 0:
         ref_objective = JointModel(reference).averaged_event_logprob(event)
         probe_ok = True
-        for m in models[:-1]:
-            jm = JointModel(m)
+        for m, row in zip(models[:-1], record.rows):
             slope = float(
-                np.dot(jm.averaged_grad(event), reference.theta - m.theta)
+                np.dot(JointModel(m).averaged_grad(event), reference.theta - m.theta)
             )
-            gap = ref_objective - jm.averaged_event_logprob(event)
-            if slope < gap - 1e-9:
+            if slope < ref_objective - row.objective - 1e-9:
                 probe_ok = False
                 break
         best_gap = min(
             ref_objective - row.objective for row in record.rows[1:]
         )
-        budget = _averaged_kl(reference, models[0], task.rho) / iterations
+        # row 0's kl_to_ref is KL(reference || theta_0)
+        budget = record.rows[0].kl_to_ref / iterations
         record.certificates["reference_gap"] = {
             "best_gap": best_gap,
             "kl_budget": budget,
@@ -566,6 +534,28 @@ def reference_optimum(
     rows = np.where(top, log_p - log_top[:, None], LOG_CLAMP)
     # tabular theta is the [prompts, joint] logit matrix, row after row
     return model.with_theta(rows.ravel())
+
+
+# -- what each algorithm needs of the task ------------------------------------------
+
+
+def check_task_fits(algorithm: str, task: GenerativeTask) -> None:
+    """Raise `TaskMismatchError` unless `algorithm` can train on `task`:
+    filtered fine-tuning and preference pairs need a binary evaluator,
+    expectation weighting a soft one, and tag conditioning a two-tag latent
+    space with reference responses."""
+    kind = task.evaluator_kind
+    if algorithm == "filter_sft" and kind != "binary":
+        raise TaskMismatchError("filtered fine-tuning needs a binary pass/fail evaluator")
+    if algorithm == "restem" and kind != "soft":
+        raise TaskMismatchError("expectation-weighted self-training needs a soft evaluator")
+    if algorithm in ("iter_dpo", "posterior_dpo") and kind != "binary":
+        raise TaskMismatchError("preference pairs need a binary evaluator")
+    if algorithm == "cond_sft" and (task.n_latents != 2 or task.truth is None):
+        raise TaskMismatchError(
+            "tag-conditioned training needs a two-tag latent space "
+            "and reference responses"
+        )
 
 
 # -- filtered fine-tuning ---------------------------------------------------------
@@ -655,10 +645,7 @@ def filter_sft_update(
     That limit is one EM iteration in disguise, which the verification
     suite checks parameter by parameter.
     """
-    if task.evaluator_kind != "binary":
-        raise TaskMismatchError(
-            "filtered fine-tuning needs a binary pass/fail evaluator"
-        )
+    check_task_fits("filter_sft", task)
     return _success_weighted_update(
         model, task, budget, "filter", seed=seed, iteration=iteration,
         exact=exact_weights, mstep_spec=mstep_spec,
@@ -713,10 +700,7 @@ def restem_update(
     the success event.  A prompt whose weights concentrate on one pair
     beyond 0.999 is flagged degenerate: the update has become a hard filter.
     """
-    if task.evaluator_kind != "soft":
-        raise TaskMismatchError(
-            "expectation-weighted self-training needs a soft evaluator"
-        )
+    check_task_fits("restem", task)
     return _success_weighted_update(
         model, task, budget, "restem", seed=seed, iteration=iteration,
         exact=exact_expectation, mstep_spec=mstep_spec,
@@ -758,14 +742,6 @@ def run_restem(
 # -- tag-conditioned fine-tuning -----------------------------------------------------
 
 
-def _require_tag_task(task: GenerativeTask) -> None:
-    if task.n_latents != 2 or task.truth is None:
-        raise TaskMismatchError(
-            "tag-conditioned training needs a two-tag latent space "
-            "and reference responses"
-        )
-
-
 def build_tagged_corpus(
     model: LogitModel,
     task: GenerativeTask,
@@ -780,7 +756,7 @@ def build_tagged_corpus(
     (prompt, tag, response) rows.  The sampled latent is discarded; what the
     model said does not decide the tag, the reference response does.
     """
-    _require_tag_task(task)
+    check_task_fits("cond_sft", task)
     blocks = []
     for x_idx in range(task.n_prompts):
         rng = stream(seed, "tag-corpus", x_idx, iteration)
@@ -800,7 +776,7 @@ def conditional_sft_update(
     """Weighted MLE on (tag, response) pairs from a tagged corpus of
     (prompt, tag, response) items; each prompt's weights are its item
     counts, normalized."""
-    _require_tag_task(task)
+    check_task_fits("cond_sft", task)
     items = np.asarray(corpus, dtype=np.int64).reshape(-1, 3)
     bounds = (task.n_prompts, task.n_latents, task.n_responses)
     outside = ((items < 0) | (items >= bounds)).any(axis=1)
@@ -855,7 +831,7 @@ def run_cond_sft(
     Accuracy columns condition generation on the good tag, because that is
     how a tag-trained model is meant to be used.
     """
-    _require_tag_task(task)
+    check_task_fits("cond_sft", task)
     event = success_event()
 
     def tag_acc(m: LogitModel, tk: GenerativeTask, s: int, t: int) -> tuple[float, float]:
@@ -1004,6 +980,11 @@ def check_pref_fit(steps, rate, beta, candidates) -> dict:
     }
 
 
+# policy-gradient iterations of the posterior sampler when its parameters
+# leave them out
+SAMPLER_ITERATIONS = 60
+
+
 def run_pref_loop(
     model: LogitModel,
     task: GenerativeTask,
@@ -1025,16 +1006,17 @@ def run_pref_loop(
     current model itself; ``posterior`` first trains an inference sampler
     toward the success-event posterior and draws from that, which is what
     puts verified completions on the table when the model alone would
-    almost never produce one.  Each round fits a fresh policy against the
-    current model as reference, then adopts it.
+    almost never produce one; ``pg_params`` are its `PolicyGradConfig`
+    fields, with ``iterations`` `SAMPLER_ITERATIONS` unless given.  Each
+    round fits a fresh policy against the current model as reference, then
+    adopts it.
     """
-    if task.evaluator_kind != "binary":
-        raise TaskMismatchError("preference pairs need a binary evaluator")
+    check_task_fits("iter_dpo", task)
     if sampler not in ("model", "posterior"):
         raise ConfigError(f"sampler must be 'model' or 'posterior', got {sampler!r}")
     check_pref_fit(dpo_steps, dpo_rate, dpo_beta, candidates)
     event = success_event()
-    pg_cfg = PolicyGradConfig(**(pg_params or {"iterations": 60}))
+    pg_cfg = PolicyGradConfig(**{"iterations": SAMPLER_ITERATIONS, **(pg_params or {})})
 
     def step(current: LogitModel, t: int):
         jm = JointModel(current)

@@ -487,8 +487,15 @@ def _live_elbos(jm: JointModel, x_idx: int, event: EventSpec, live: np.ndarray,
         yield jm.elbo(x_idx, event, q)
 
 
-# prompt-by-prompt forms of the batched averages: oracles for
-# `JointModel.averaged_event_logprob`, `averaged_grad` and `_averaged_kl`
+# prompt-by-prompt forms of the batched matrix and averages: oracles for
+# `LogitModel.log_probs_all`, `JointModel.averaged_event_logprob`,
+# `averaged_grad` and `_averaged_kl`
+
+
+def _looped_log_probs(model: LogitModel, x_idx: int) -> np.ndarray:
+    """log P(z, y | x) at one prompt, its logits normalized on their own."""
+    logits = model.features.logits(x_idx, model.theta)
+    return logits - logsumexp(logits)
 
 
 def _looped_objective(jm: JointModel, event: EventSpec) -> float:
@@ -1179,8 +1186,9 @@ def check_graph_gradient_identity() -> CheckResult:
 def check_graph_batched_averages() -> CheckResult:
     """All-prompt matrices agree with the prompt-by-prompt oracles.
 
-    Rows of `log_probs_all`, the averaged objective and the averaged KL
-    match bit for bit; the averaged gradient too for tabular features, and
+    Rows of `log_probs_all` (against each prompt's logits normalized on
+    their own), the averaged objective and the averaged KL match bit for
+    bit; the averaged gradient too for tabular features, and
     within 1e-12 for n-gram features, whose stacked adjoint adds prompts in
     another order.
     """
@@ -1198,8 +1206,8 @@ def check_graph_batched_averages() -> CheckResult:
         a, b = (LogitModel(features, rng.normal(0.0, 0.9, features.dim)) for _ in "ab")
         rows = a.log_probs_all()
         for x in range(task.n_prompts):
-            if rows[x].tobytes() != a.joint_log_probs(x).tobytes():
-                return _fail(f"{name}: log_probs_all row {x} differs from joint_log_probs")
+            if rows[x].tobytes() != _looped_log_probs(a, x).tobytes():
+                return _fail(f"{name}: log_probs_all row {x} differs from its own softmax")
         if _averaged_kl(a, b, task.rho) != _looped_kl(a, b, task.rho):
             return _fail(f"{name}: averaged KL differs from the per-prompt sum")
         for event in inst.events:

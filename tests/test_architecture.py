@@ -6,11 +6,13 @@ Only the table compile in `tasks.py` and the brute-force oracles in
 engines, the samplers and the M-step an outcome is its joint index, so the
 modules on that path never turn an index back into a (z, y) tuple.  The
 averages over prompts read a model's [prompts, joint] matrix, never one
-prompt at a time, and the policy-gradient ascent builds no model.  Every
-function of a production module (every module but `verification.py`) has a
-caller in production or benchmark code, no production function takes a
-fault switch (faults are built in `verification.py`), a training run
-imports no scipy module, and every name the benchmark wraps exists.
+prompt at a time, and the policy-gradient ascent builds no model.  An
+update computes no averaged objective or KL: the metric row computes each
+number once.  Every function of a production module (every module but
+`verification.py`) has a caller in production or benchmark code, no
+production function takes a fault switch (faults are built in
+`verification.py`), a training run imports no scipy module, and every name
+the benchmark wraps exists.
 """
 
 import ast
@@ -29,6 +31,10 @@ BATCHED = {"graph.py": {"averaged_event_logprob", "averaged_grad"},
                            "conditional_sft_update"}}
 PER_PROMPT = {"joint_log_probs", "event_logprob", "grad_event_logprob", "kl_between",
               "adjoint"}
+# the updates leave the averaged objective and KL to the metric row
+UPDATES = {"em_iterate", "filter_sft_update", "restem_update", "_success_weighted_update",
+           "conditional_sft_update"}
+ROW_METRICS = {"averaged_event_logprob", "_averaged_kl"}
 # the policy-gradient ascent moves one prompt's logit vector, never a model
 MODEL_BUILDERS = {"with_theta", "LogitModel"}
 BENCH = PACKAGE.parents[1] / "bench"
@@ -132,6 +138,26 @@ def test_per_prompt_guard_sees_loop_forms():
                           PER_PROMPT)
     assert found == [("averaged_grad", "grad_event_logprob", 3),
                      ("_averaged_kl", "kl_between", 5), ("mstep", "adjoint", 8)]
+
+
+def test_updates_leave_row_metrics_to_the_row():
+    tree = ast.parse((PACKAGE / "training.py").read_text())
+    defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    assert UPDATES <= defined
+    found = _calls_inside(tree, UPDATES, ROW_METRICS)
+    assert not found, "an update computes a row metric: " + ", ".join(
+        f"training.py:{line} {func} calls {callee}" for func, callee, line in found)
+
+
+def test_row_metric_guard_sees_both_averages():
+    update = (
+        "def em_iterate(model, event, rho):\n"
+        "    before = JointModel(model).averaged_event_logprob(event)\n"
+        "    return _averaged_kl(mstep(model), model, rho)\n"
+    )
+    found = _calls_inside(ast.parse(update), UPDATES, ROW_METRICS)
+    assert found == [("em_iterate", "averaged_event_logprob", 2),
+                     ("em_iterate", "_averaged_kl", 3)]
 
 
 def test_policy_gradient_ascent_builds_no_model():

@@ -88,38 +88,65 @@ def test_verify_no_match(capsys):
 TAG = "task:\n  kind: tag\n  n_prompts: 2\n  n_responses: 5\n"
 
 
-@pytest.mark.parametrize("field, section", [
-    ("model.scale", TAG + "model:\n  init: random\n  scale: -1.0\n"),
-    ("model.scale", TAG + "model:\n  init: random\n  scale: .nan\n"),
-    ("task.soft_beta", TAG + "  evaluator: soft\n  soft_beta: -1.0\n"),
-    ("task.wrong_penalty", TAG + "  evaluator: soft\n  wrong_penalty: 2.0\n"),
-    ("task.base", "task:\n  kind: carry\n  digits: 1\n  base: 1\n"),
-    ("task.num_states", "task:\n  kind: automaton\n  num_states: 1\n  input_len: 2\n"),
-    ("task.n_responses", "task:\n  kind: tag\n  n_prompts: 2\n  n_responses: 1\n"),
-    ("dpo.beta", TAG + "dpo:\n  beta: -1.0\n"),
-    ("dpo.rate", TAG + "dpo:\n  rate: -1.0\n"),
-    ("dpo.beta", TAG + "dpo:\n  beta: .nan\n"),
-    ("dpo.rate", TAG + "dpo:\n  rate: .inf\n"),
-    ("estep.params.beta", TAG + "estep: {backend: planning, params: {beta: .inf}}\n"),
-    ("estep.params.step_size",
-     TAG + "estep: {backend: policy_gradient, params: {step_size: .inf}}\n"),
-    ("estep.params.reward_floor",
-     TAG + "estep: {backend: policy_gradient, params: {reward_floor: -.inf}}\n"),
-    ("estep.params.beta", TAG + "estep: {backend: policy_gradient, params: {beta: .inf}}\n"),
-    ("mstep.rate", TAG + "mstep: {kind: gradient_ascent, rate: .inf}\n"),
-], ids=["negative-scale", "nan-scale", "negative-soft-beta", "positive-wrong-penalty",
-        "carry-base-1", "one-state-automaton", "one-response-tag",
-        "negative-dpo-beta", "negative-dpo-rate", "nan-dpo-beta", "inf-dpo-rate",
-        "inf-planning-beta", "inf-pg-step-size", "minus-inf-pg-reward-floor",
-        "inf-pg-beta", "inf-mstep-rate"])
+SOFT = TAG + "  evaluator: soft\n"
+
+
+# (algorithm, config body, start of the error line): a bad field value, or a
+# task that the algorithm cannot train on or that its factory refuses
+@pytest.mark.parametrize("algorithm, section, error", [
+    pytest.param("em", TAG + "model:\n  init: random\n  scale: -1.0\n", "model.scale ",
+                 id="negative-scale"),
+    pytest.param("em", TAG + "model:\n  init: random\n  scale: .nan\n", "model.scale ",
+                 id="nan-scale"),
+    pytest.param("em", SOFT + "  soft_beta: -1.0\n", "task.soft_beta ",
+                 id="negative-soft-beta"),
+    pytest.param("em", SOFT + "  wrong_penalty: 2.0\n", "task.wrong_penalty ",
+                 id="positive-wrong-penalty"),
+    pytest.param("em", "task:\n  kind: carry\n  digits: 1\n  base: 1\n", "task.base ",
+                 id="carry-base-1"),
+    pytest.param("em", "task:\n  kind: automaton\n  num_states: 1\n  input_len: 2\n",
+                 "task.num_states ", id="one-state-automaton"),
+    pytest.param("em", "task:\n  kind: tag\n  n_prompts: 2\n  n_responses: 1\n",
+                 "task.n_responses ", id="one-response-tag"),
+    pytest.param("iter_dpo", TAG + "dpo:\n  beta: -1.0\n", "dpo.beta ",
+                 id="negative-dpo-beta"),
+    pytest.param("iter_dpo", TAG + "dpo:\n  rate: -1.0\n", "dpo.rate ",
+                 id="negative-dpo-rate"),
+    pytest.param("iter_dpo", TAG + "dpo:\n  beta: .nan\n", "dpo.beta ", id="nan-dpo-beta"),
+    pytest.param("iter_dpo", TAG + "dpo:\n  rate: .inf\n", "dpo.rate ", id="inf-dpo-rate"),
+    pytest.param("em", TAG + "estep: {backend: planning, params: {beta: .inf}}\n",
+                 "estep.params.beta ", id="inf-planning-beta"),
+    pytest.param("em", TAG + "estep: {backend: policy_gradient, params: {step_size: .inf}}\n",
+                 "estep.params.step_size ", id="inf-pg-step-size"),
+    pytest.param("em", TAG + "estep: {backend: policy_gradient, params: {reward_floor: -.inf}}\n",
+                 "estep.params.reward_floor ", id="minus-inf-pg-reward-floor"),
+    pytest.param("em", TAG + "estep: {backend: policy_gradient, params: {beta: .inf}}\n",
+                 "estep.params.beta ", id="inf-pg-beta"),
+    pytest.param("em", TAG + "mstep: {kind: gradient_ascent, rate: .inf}\n", "mstep.rate ",
+                 id="inf-mstep-rate"),
+    pytest.param("restem", TAG,
+                 "expectation-weighted self-training needs a soft evaluator\n",
+                 id="restem-binary"),
+    pytest.param("iter_dpo", SOFT, "preference pairs need a binary evaluator\n",
+                 id="iter-dpo-soft"),
+    pytest.param("posterior_dpo", SOFT, "preference pairs need a binary evaluator\n",
+                 id="posterior-dpo-soft"),
+    pytest.param("filter_sft", SOFT,
+                 "filtered fine-tuning needs a binary pass/fail evaluator\n",
+                 id="filter-sft-soft"),
+    pytest.param("cond_sft", "task:\n  kind: carry\n  digits: 1\n  base: 2\n",
+                 "tag-conditioned training needs a two-tag latent space "
+                 "and reference responses\n", id="cond-sft-carry"),
+    pytest.param("em", "task: {kind: carry, digits: 4, base: 10}\n",
+                 "|Z|*|Y| = 16000000000 exceeds cap ", id="carry-over-cap"),
+])
 def test_run_rejects_bad_values_before_making_a_run_directory(
-    tmp_path, capsys, field, section
+    tmp_path, capsys, algorithm, section, error
 ):
     p = tmp_path / "bad.yaml"
-    algorithm = "iter_dpo" if field.startswith("dpo.") else "em"
     p.write_text(f"algorithm: {algorithm}\niterations: 1\nseeds: [0]\n" + section)
     out = tmp_path / "run"
     assert main(["run", str(p), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {field} ")
+    assert err.startswith(f"error: {error}")
     assert not out.exists()

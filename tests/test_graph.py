@@ -1,11 +1,7 @@
 import numpy as np
 import pytest
 
-from latentlab.errors import (
-    TaskMismatchError,
-    UnnormalizedVariationalError,
-    ZeroMassEventError,
-)
+from latentlab.errors import UnnormalizedVariationalError, ZeroMassEventError
 from latentlab.graph import JointModel
 from latentlab.models import uniform_model
 from latentlab.rng import stream
@@ -14,7 +10,6 @@ from latentlab.tasks import (
     compile_event,
     full_event,
     make_carry_addition_task,
-    make_reward_tag_task,
     success_event,
 )
 from latentlab.verification import _event_triples, event_logprob
@@ -148,10 +143,3 @@ def test_carry_posterior_concentrates_on_truth():
         assert o == 1
         if p > 0:
             assert task.evaluator_prob(0, z, y, 1) == 1.0
-
-
-def test_joint_model_rejects_another_task(tag_model):
-    # an equal-valued rebuild is still a different task object
-    other = make_reward_tag_task(3, 5, seed=2)
-    with pytest.raises(TaskMismatchError, match="different task"):
-        JointModel(tag_model, other)

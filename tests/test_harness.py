@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from latentlab import training
 from latentlab.errors import ConfigError, TaskMismatchError
 from latentlab.harness import (
     build_model,
@@ -119,6 +120,20 @@ def test_parse_rejects_mistyped_spec_fields(edit):
     assert old in BASE
     with pytest.raises(ConfigError, match="must be an integer|must be a number"):
         parse_config(BASE.replace(old, new))
+
+
+@pytest.mark.parametrize("dpo, pg", [
+    ("", {}),
+    ("dpo: {pg: {}}\n", {}),
+    ("dpo: {pg: {step_size: 0.25}}\n", {"step_size": 0.25}),
+], ids=["no-pg", "empty-pg", "pg-without-iterations"])
+def test_parse_writes_the_sampler_iterations_for_posterior_dpo(dpo, pg):
+    text = BASE.replace("algorithm: em", "algorithm: posterior_dpo") + dpo
+    resolved = parse_config(text).data["dpo"]["pg"]
+    assert resolved == {"iterations": training.SAMPLER_ITERATIONS, **pg}
+    given = {"iterations": 25, **pg}
+    text = BASE.replace("algorithm: em", "algorithm: posterior_dpo") + f"dpo: {{pg: {given}}}\n"
+    assert parse_config(text).data["dpo"]["pg"] == given
 
 
 @pytest.mark.parametrize("estep", [

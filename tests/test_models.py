@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from latentlab.errors import ConfigError, RecordFormatError
+from latentlab.errors import ConfigError, OutOfSpaceError, RecordFormatError
 from latentlab.graph import JointModel
 from latentlab.models import (
     LogitModel,
@@ -161,6 +161,29 @@ def test_log_probs_all_is_computed_once_per_model(tag_task, monkeypatch):
     assert len(calls) == 1
     model.with_theta(model.theta).log_probs_all()
     assert len(calls) == 2
+
+
+FEATURES = [TabularFeatures, lambda task: NgramFeatures(task, 2)]
+
+
+@pytest.mark.parametrize("features", FEATURES, ids=["tabular", "ngram"])
+def test_joint_log_probs_is_a_read_only_row_of_the_matrix(tag_task, features):
+    model = random_model(tag_task, stream(6, "row"), scale=0.8, features=features(tag_task))
+    rows = model.log_probs_all()
+    for x in range(tag_task.n_prompts):
+        row = model.joint_log_probs(x)
+        assert np.shares_memory(row, rows)
+        assert not row.flags.writeable
+        assert row.tobytes() == rows[x].tobytes()
+
+
+@pytest.mark.parametrize("features", FEATURES, ids=["tabular", "ngram"])
+@pytest.mark.parametrize("x", [-1, 3])
+def test_joint_log_probs_rejects_a_prompt_outside_the_task(tag_task, features, x):
+    model = uniform_model(tag_task, features(tag_task))
+    assert tag_task.n_prompts == 3
+    with pytest.raises(OutOfSpaceError, match="prompt index"):
+        model.joint_log_probs(x)
 
 
 def _running_sums(entries, values, size: int) -> list[float]:

@@ -602,6 +602,25 @@ def test_pref_loop_runs_both_samplers(tag_task, tag_uniform):
         assert record.algorithm in ("iter_dpo", "posterior_dpo")
 
 
+@pytest.mark.parametrize("pg_params", [None, {}, {"step_size": 0.25}],
+                         ids=["none", "empty", "default-step-size"])
+def test_posterior_sampler_runs_the_default_iterations_unless_given(
+    tag_task, tag_uniform, monkeypatch, pg_params
+):
+    # 0.25 is PolicyGradConfig's own step size, so naming it changes nothing
+    iterations = []
+    ascent = training.estep_policy_gradient
+
+    def recorded(*args, cfg, **kwargs):
+        iterations.append(cfg.iterations)
+        return ascent(*args, cfg=cfg, **kwargs)
+
+    monkeypatch.setattr(training, "estep_policy_gradient", recorded)
+    run_pref_loop(tag_uniform, tag_task, iterations=1, candidates=4, seed=0,
+                  sampler="posterior", dpo_steps=2, pg_params=pg_params)
+    assert iterations == [training.SAMPLER_ITERATIONS] * tag_task.n_prompts
+
+
 @pytest.mark.parametrize("option, field", [
     ({"dpo_beta": -1.0}, "beta"),
     ({"dpo_rate": -1.0}, "rate"),

@@ -27,7 +27,8 @@ FLIPS = {
     "obs-table": ("graph.factorization", "graph.posterior_oracle",
                   "planner.shaping_telescoping"),
     "joint-marginal": ("esteps.backend_agreement", "graph.gradient_identity"),
-    "batched-rows": ("graph.batched_averages", "graph.gradient_identity"),
+    "batched-rows": ("graph.batched_averages", "graph.gradient_identity",
+                     "models.partition_oracle"),
     "comparator-set": ("training.reference_gap", "training.reference_closed_form"),
     "stale-fisher": ("esteps.fisher_step",),
     "ngram-counts": ("models.feature_adjoint",),
