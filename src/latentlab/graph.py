@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UnnormalizedVariationalError, ZeroMassEventError
-from .logspace import entropy, log_sum_exp, logsumexp_rows, safe_log
+from .logspace import entropy, log_sum_exp, logsumexp_rows
 from .models import LogitModel
 from .tasks import CompiledEvent, EventSpec, compile_event
 
@@ -65,11 +65,6 @@ class JointModel:
     def __init__(self, seq: LogitModel):
         self.seq = seq
         self.task = seq.task
-
-    def triple_logprob(self, x_idx: int, z_idx: int, y_idx: int, o: int) -> float:
-        """log P(z, y, o | x); -inf when the evaluator assigns o zero mass."""
-        lp_zy = self.seq.joint_logprob(x_idx, z_idx, y_idx)
-        return lp_zy + safe_log(self.task.evaluator_prob(x_idx, z_idx, y_idx, o))
 
     def _event_terms(
         self, x_idx: int, event: EventSpec

@@ -85,6 +85,16 @@ _DPO_DEFAULTS = {
     "candidates": 16,
     "pg": None,
 }
+# the settings each algorithm reads besides those every run reads; a config
+# that sets another one is refused, as a typo would be
+_READS = {
+    "em": ("estep", "mstep"),
+    "filter_sft": ("sample_budget",),
+    "restem": ("sample_budget",),
+    "cond_sft": ("sample_budget",),
+    "iter_dpo": ("dpo",),
+    "posterior_dpo": ("dpo",),
+}
 _TOP_FIELDS = (
     "task",
     "event",
@@ -190,7 +200,9 @@ def parse_config(text: str) -> RunConfig:
 
     Unknown fields are an error rather than a warning: a silently ignored
     typo (``mstpe:``) would run a different experiment than the one the
-    config reads as describing.  Each section's values are checked by the
+    config reads as describing.  For the same reason a setting the
+    algorithm never reads (`_READS`) is refused, and the resolved config
+    holds only what the run reads.  Each section's values are checked by the
     object that uses them: the task factory, `EStepSpec`, `MStepSpec`,
     `check_pref_fit` and `PolicyGradConfig`; the task is built once, so its
     factory and `check_task_fits` see it before a run starts.
@@ -213,11 +225,23 @@ def parse_config(text: str) -> RunConfig:
             f"unknown algorithm {algorithm!r}; available: {', '.join(ALGORITHMS)}"
         )
 
+    reads = _READS[algorithm]
+    unread = sorted({key for keys in _READS.values() for key in keys} & set(raw) - set(reads))
+    if unread:
+        raise ConfigError(
+            f"{unread[0]} is not read by algorithm {algorithm!r}, which reads "
+            f"{' and '.join(reads)}"
+        )
     data: dict = {"task": _normalize_task(raw["task"]), "algorithm": algorithm}
 
     event = raw.get("event", "success")
     if event not in ("success", "full"):
         raise ConfigError(f"event must be 'success' or 'full', got {event!r}")
+    if event != "success" and algorithm != "em":
+        raise ConfigError(
+            f"event must be 'success' for algorithm {algorithm!r}, which trains "
+            f"on the success event, got {event!r}"
+        )
     data["event"] = event
 
     data["model"] = _normalize_model(raw.get("model"))
@@ -231,31 +255,39 @@ def parse_config(text: str) -> RunConfig:
     if len(set(data["seeds"])) != len(data["seeds"]):
         raise ConfigError("seeds must not repeat")
 
-    data["sample_budget"] = require_integer(
-        "config.sample_budget", raw.get("sample_budget", 100), 1
-    )
+    if "sample_budget" in reads:
+        data["sample_budget"] = require_integer(
+            "config.sample_budget", raw.get("sample_budget", 100), 1
+        )
 
-    estep = _section("estep", raw.get("estep"), _ESTEP_DEFAULTS)
-    with _fields_of("estep"):
-        EStepSpec(**estep)
-    data["estep"] = {"backend": estep["backend"], "params": dict(estep["params"])}
+    if "estep" in reads:
+        estep = _section("estep", raw.get("estep"), _ESTEP_DEFAULTS)
+        with _fields_of("estep"):
+            EStepSpec(**estep)
+        data["estep"] = {"backend": estep["backend"], "params": dict(estep["params"])}
 
-    mstep = _section("mstep", raw.get("mstep"), _defaults(MStepSpec))
-    with _fields_of("mstep"):
-        data["mstep"] = asdict(MStepSpec(**mstep))
+        mstep = _section("mstep", raw.get("mstep"), _defaults(MStepSpec))
+        with _fields_of("mstep"):
+            data["mstep"] = asdict(MStepSpec(**mstep))
 
-    dpo = _section("dpo", raw.get("dpo"), _DPO_DEFAULTS)
-    with _fields_of("dpo"):
-        dpo.update(check_pref_fit(dpo["steps"], dpo["rate"], dpo["beta"],
-                                  dpo["candidates"]))
-    if dpo["pg"] is not None:
-        pg = _section("dpo.pg", dpo["pg"], _defaults(PolicyGradConfig))
-        with _fields_of("dpo.pg"):
-            PolicyGradConfig(**pg)
-    if algorithm == "posterior_dpo":
-        # written out, so that config.resolved shows the iterations that run
-        dpo["pg"] = {"iterations": SAMPLER_ITERATIONS, **(dpo["pg"] or {})}
-    data["dpo"] = dpo
+    if "dpo" in reads:
+        dpo = _section("dpo", raw.get("dpo"), _DPO_DEFAULTS)
+        with _fields_of("dpo"):
+            dpo.update(check_pref_fit(dpo["steps"], dpo["rate"], dpo["beta"],
+                                      dpo["candidates"]))
+        pg = dpo.pop("pg")
+        if algorithm == "iter_dpo" and "pg" in (raw.get("dpo") or {}):
+            raise ConfigError(
+                "dpo.pg is not read by algorithm 'iter_dpo', whose candidates the "
+                "model itself draws"
+            )
+        if algorithm == "posterior_dpo":
+            given = _section("dpo.pg", pg, _defaults(PolicyGradConfig))
+            with _fields_of("dpo.pg"):
+                PolicyGradConfig(**given)
+            # written out, so that config.resolved shows the iterations that run
+            dpo["pg"] = {"iterations": SAMPLER_ITERATIONS, **(pg or {})}
+        data["dpo"] = dpo
 
     reference = raw.get("reference", "none")
     if reference not in ("none", "optimum"):
@@ -341,8 +373,9 @@ def _run_one_seed(args: tuple[dict, int]) -> dict:
             "dpo_steps": dpo["steps"],
             "dpo_rate": dpo["rate"],
             "dpo_beta": dpo["beta"],
-            "pg_params": dpo["pg"],
         }
+        if algorithm == "posterior_dpo":
+            options["pg_params"] = dpo["pg"]
     else:
         loop = {"filter_sft": run_filter_sft, "restem": run_restem,
                 "cond_sft": run_cond_sft}[algorithm]

@@ -86,15 +86,6 @@ def log_sum_exp(values) -> float:
     return float(logsumexp(values))
 
 
-def safe_log(p: float) -> float:
-    """log(p) with log(0) = -inf instead of a domain error."""
-    if p < 0.0:
-        raise ValueError(f"negative probability: {p}")
-    if p == 0.0:
-        return -np.inf
-    return float(np.log(p))
-
-
 def total_variation(p, q) -> float:
     """0.5 * L1 distance between two aligned probability vectors."""
     p = np.asarray(p, dtype=np.float64)

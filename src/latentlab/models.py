@@ -258,14 +258,6 @@ class AutoregressiveView:
         """Every internal node's prefix, in node order."""
         return [self.trie.prefixes[n] for n in self.trie.internal]
 
-    def conditional(self, prefix: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        """(actions, conditional log probs) available after `prefix`."""
-        node = self.trie.index.get(prefix)
-        if node is None or self.trie.node_seq[node] >= 0 or self.mass[node] == -np.inf:
-            raise OutOfSpaceError(f"prefix {prefix} has no continuation mass")
-        run = self.trie.children(node)
-        return self.trie.token[run], self.logp[run]
-
     def sample(self, rng: np.random.Generator) -> tuple[int, int]:
         """One exact (z_idx, y_idx) draw via inverse CDF at every node; a
         draw at or above a run's last running sum (a rounding artefact)
@@ -361,10 +353,6 @@ class LogitModel:
     def joint_probs(self, x_idx: int) -> np.ndarray:
         with np.errstate(under="ignore"):
             return np.exp(self.joint_log_probs(x_idx))
-
-    def joint_logprob(self, x_idx: int, z_idx: int, y_idx: int) -> float:
-        self.task.check_indices(x_idx, z_idx, y_idx)
-        return float(self.joint_log_probs(x_idx)[self.task.zy_index(z_idx, y_idx)])
 
     def conditional_tables(self, x_idx: int) -> AutoregressiveView:
         return AutoregressiveView(self.task, x_idx, self.joint_log_probs(x_idx))

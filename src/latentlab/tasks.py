@@ -147,16 +147,6 @@ class GenerativeTask:
     def zy_unindex(self, k: int) -> tuple[int, int]:
         return divmod(k, self.n_responses)
 
-    def check_indices(self, x_idx: int, z_idx: int, y_idx: int) -> None:
-        if not 0 <= x_idx < self.n_prompts:
-            raise OutOfSpaceError(f"prompt index {x_idx} outside [0, {self.n_prompts})")
-        if not 0 <= z_idx < self.n_latents:
-            raise OutOfSpaceError(f"latent index {z_idx} outside [0, {self.n_latents})")
-        if not 0 <= y_idx < self.n_responses:
-            raise OutOfSpaceError(
-                f"response index {y_idx} outside [0, {self.n_responses})"
-            )
-
     @cached_property
     def joint_sequences(self) -> tuple[tuple[int, ...], ...]:
         """All joint trajectories in (z_idx, y_idx) lexicographic order."""
@@ -184,13 +174,6 @@ class GenerativeTask:
         ).reshape(self.n_prompts, self.n_joint, len(self.obs_values))
         table.flags.writeable = False
         return table
-
-    def evaluator_prob(self, x_idx: int, z_idx: int, y_idx: int, o: int) -> float:
-        self.check_indices(x_idx, z_idx, y_idx)
-        if o not in self.obs_values:
-            raise OutOfSpaceError(f"observation value {o} not in {self.obs_values}")
-        row = _prompt_obs(self, x_idx)
-        return float(row[self.zy_index(z_idx, y_idx), self.obs_values.index(o)])
 
 
 def _obs_table(task: GenerativeTask) -> np.ndarray:

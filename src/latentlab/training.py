@@ -2,11 +2,10 @@
 
 The centerpiece alternates an E-step (any engine from `esteps`) with an
 M-step (closed form on tabular features, otherwise line-searched ascent on
-the weighted-likelihood surrogate).  The baselines reuse the same M-step
-machinery so the unification identities can be tested literally: filtered
-fine-tuning and expectation-weighted self-training are the same update with
-weights obtained a different way, and the preference loop trains against
-pairwise logits of the same joint model.
+the weighted-likelihood surrogate).  Filtered and reweighted self-training
+are that EM step with the rejection E-step at `sample_budget` draws on the
+success event; the preference loop trains against pairwise logits of the
+same joint model.
 
 Every loop emits `RunRecord` rows with one fixed metric schema, so runs of
 different algorithms can be tabulated against each other byte for byte.
@@ -40,8 +39,9 @@ from .esteps import (
     PolicyGradConfig,
     estep_policy_gradient,
     run_estep,
-    tv_to_exact,
 )
+# `bench/spans.py` wraps `tv_to_exact` at this import site too
+from .esteps import tv_to_exact  # noqa: F401
 from .graph import JointModel
 # `bench/spans.py` counts `logsumexp` calls at this import site too
 from .logspace import LOG_CLAMP, logsumexp, logsumexp_rows  # noqa: F401
@@ -173,11 +173,14 @@ def mstep(model: LogitModel, targets: np.ndarray, spec: MStepSpec) -> LogitModel
 
 @dataclass
 class IterationReport:
-    """What one E+M pass did: the E-step's mean total variation, the
-    skipped prompts and the engines' notes.  The objective and the step KL
-    are the metric row's to compute."""
+    """What one E+M pass did: the [prompts, joint] M-step target, the
+    E-step's mean total variation, each prompt's acceptance rate (engines
+    that sample only), the skipped prompts and the engines' notes.  The
+    objective and the step KL are the metric row's to compute."""
 
+    targets: np.ndarray
     tv_mean: float
+    acceptance: dict[int, float] = field(default_factory=dict)
     skipped: tuple[int, ...] = ()
     flags: tuple[str, ...] = ()
 
@@ -196,24 +199,30 @@ def em_iterate(
     *,
     seed: int,
     iteration: int,
+    streams: tuple[str, ...] | None = None,
 ) -> tuple[LogitModel, IterationReport]:
     """One E-step across prompts followed by one M-step.
 
-    Each engine's row is its prompt's row of the M-step target.  Prompts
-    whose engine returns empty-handed are skipped for this round and count
-    as total variation 1 in `tv_mean`, as in `_weights_tv`; if every prompt
-    is skipped the model comes back unchanged with the
-    ``all_prompts_skipped`` flag.
+    Each engine's row is its prompt's row of the M-step target.  Prompt x's
+    engine draws from `stream(seed, *streams, x, iteration)`, with
+    `streams` ("estep", backend) unless given.  Prompts whose engine returns
+    empty-handed are skipped for this round and count as total variation 1
+    in `tv_mean`; if every prompt is skipped the model comes back unchanged
+    with the ``all_prompts_skipped`` flag.
     """
+    streams = streams or ("estep", estep_spec.backend)
     jm = JointModel(model)
     targets = np.zeros((task.n_prompts, task.n_joint))
     tvs: list[float] = []
+    acceptance: dict[int, float] = {}
     flags: set[str] = set()
     skipped: list[int] = []
     for x_idx in range(task.n_prompts):
-        rng = stream(seed, "estep", estep_spec.backend, x_idx, iteration)
+        rng = stream(seed, *streams, x_idx, iteration)
         result = run_estep(jm, x_idx, event, estep_spec, rng)
         flags.update(result.flags)
+        if result.acceptance_rate is not None:
+            acceptance[x_idx] = result.acceptance_rate
         if result.empty:
             skipped.append(x_idx)
             continue
@@ -223,9 +232,11 @@ def em_iterate(
     tv_mean = float(np.mean(tvs + [1.0] * len(skipped)))
     if len(skipped) == task.n_prompts:
         flags.add("all_prompts_skipped")
-        return model, IterationReport(tv_mean, tuple(skipped), tuple(sorted(flags)))
-    new_model = mstep(model, targets, mstep_spec)
-    return new_model, IterationReport(tv_mean, tuple(skipped), tuple(sorted(flags)))
+    else:
+        model = mstep(model, targets, mstep_spec)
+    return model, IterationReport(
+        targets, tv_mean, acceptance, tuple(skipped), tuple(sorted(flags))
+    )
 
 
 # -- metric rows ----------------------------------------------------------------
@@ -558,185 +569,87 @@ def check_task_fits(algorithm: str, task: GenerativeTask) -> None:
         )
 
 
-# -- filtered fine-tuning ---------------------------------------------------------
+# -- filtered and reweighted self-training ------------------------------------------
 
 
-def _success(task: GenerativeTask, x_idx: int) -> np.ndarray:
-    """P(o = 1 | x, z, y) for every joint outcome at one prompt."""
-    return compile_event(task, success_event()).mass(x_idx)
+def _rejection_em_update(model: LogitModel, task: GenerativeTask, budget: int, label: str,
+                         *, seed: int, iteration: int) -> tuple[LogitModel, dict]:
+    """One EM step on the success event with the rejection E-step at
+    `budget` draws per prompt from stream `label`, fitted by weighted MLE.
 
-
-def _weights_tv(model: LogitModel, event: EventSpec, weights: np.ndarray) -> float:
-    """Mean distance of an update's [prompts, joint] weights from the true
-    posterior.
-
-    Prompts with an all-zero row produced no usable weights and count as
-    maximal error: the update did nothing there, which is as far from the
-    posterior as an approximation can be.
+    Each prompt's weights are the success probabilities of its draws summed
+    per outcome, normalized.  The report holds the [prompts, joint]
+    weights, the E-step's mean total variation, the skipped (all-zero)
+    prompts, each prompt's acceptance (the share of draws with positive
+    success probability) and the prompts whose weights put more than 0.999
+    on one outcome.
     """
-    jm = JointModel(model)
-    live = weights.any(axis=1)
-    tvs = [tv_to_exact(jm, x_idx, event, weights[x_idx])
-           for x_idx in np.flatnonzero(live).tolist()]
-    tvs += [1.0] * int((~live).sum())
-    return float(np.mean(tvs)) if tvs else math.nan
-
-
-def _success_weighted_update(
-    model: LogitModel,
-    task: GenerativeTask,
-    budget: int,
-    label: str,
-    *,
-    seed: int,
-    iteration: int,
-    exact: bool,
-    mstep_spec: MStepSpec | None,
-) -> tuple[LogitModel, dict]:
-    """Weight each prompt's outcomes by success probability, normalize, and
-    fit by weighted MLE: summed over `budget` draws from stream `label` (with
-    a binary evaluator, the verified draws counted), or model probability
-    times success probability when `exact`.  The report holds the
-    [prompts, joint] weights, the skipped (all-zero) prompts, each prompt's
-    acceptance (the weights' total, per draw when sampled) and the prompts
-    whose weights put more than 0.999 on one outcome."""
-    targets = np.zeros((task.n_prompts, task.n_joint))
-    acceptance: dict[int, float] = {}
-    for x_idx in range(task.n_prompts):
-        success = _success(task, x_idx)
-        if exact:
-            w = model.joint_probs(x_idx) * success
-        else:
-            rng = stream(seed, label, x_idx, iteration)
-            drawn = model.conditional_tables(x_idx).draws(rng, budget)
-            # bincount adds in draw order, as a running sum per outcome would
-            w = np.bincount(drawn, success[drawn], task.n_joint)
-        total = float(w[w > 0.0].sum())
-        acceptance[x_idx] = total if exact else total / budget
-        if total > 0.0:
-            targets[x_idx] = w / total
-    new_model = mstep(
-        model, targets, mstep_spec or MStepSpec(kind="weighted_mle_from_samples")
+    new_model, step = em_iterate(
+        model, task, success_event(), EStepSpec("rejection", {"budget": budget}),
+        MStepSpec(kind="weighted_mle_from_samples"),
+        seed=seed, iteration=iteration, streams=(label,),
     )
-    report = {
-        "mode": "exact" if exact else "sampled",
-        "acceptance": acceptance,
-        "skipped": tuple(np.flatnonzero(~targets.any(axis=1)).tolist()),
-        "degenerate": tuple(np.flatnonzero(targets.max(axis=1) > 0.999).tolist()),
-        "weights": targets,
+    return new_model, {
+        "mode": "sampled",
+        "acceptance": step.acceptance,
+        "skipped": step.skipped,
+        "degenerate": tuple(np.flatnonzero(step.targets.max(axis=1) > 0.999).tolist()),
+        "weights": step.targets,
+        "tv_mean": step.tv_mean,
     }
-    return new_model, report
 
 
-def filter_sft_update(
-    model: LogitModel,
-    task: GenerativeTask,
-    budget: int,
-    *,
-    seed: int,
-    iteration: int,
-    exact_weights: bool = False,
-    mstep_spec: MStepSpec | None = None,
-) -> tuple[LogitModel, dict]:
-    """Sample, keep verified draws, fit the kept set by weighted MLE.
-
-    With ``exact_weights`` the empirical filter is replaced by its exact
-    expectation: every verified pair weighted by its model probability.
-    That limit is one EM iteration in disguise, which the verification
-    suite checks parameter by parameter.
-    """
+def filter_sft_update(model: LogitModel, task: GenerativeTask, budget: int, *, seed: int,
+                      iteration: int) -> tuple[LogitModel, dict]:
+    """Sample, keep verified draws, fit the kept set by weighted MLE: one
+    EM step whose E-step is rejection sampling (`_rejection_em_update`)."""
     check_task_fits("filter_sft", task)
-    return _success_weighted_update(
-        model, task, budget, "filter", seed=seed, iteration=iteration,
-        exact=exact_weights, mstep_spec=mstep_spec,
-    )
+    return _rejection_em_update(model, task, budget, "filter", seed=seed, iteration=iteration)
 
 
-def run_filter_sft(
-    model: LogitModel,
-    task: GenerativeTask,
-    *,
-    iterations: int,
-    budget: int,
-    seed: int,
-    exact_weights: bool = False,
-    reference: LogitModel | None = None,
-    on_iteration=None,
-) -> tuple[LogitModel, RunRecord]:
-    event = success_event()
-
-    def step(current: LogitModel, t: int):
-        new_model, report = filter_sft_update(
-            current, task, budget,
-            seed=seed, iteration=t, exact_weights=exact_weights,
-        )
-        flags = ("prompts_skipped",) if report["skipped"] else ()
-        return new_model, _weights_tv(current, event, report["weights"]), flags
-
-    return _run_loop(
-        "filter_sft", model, task, event, step,
-        iterations=iterations, seed=seed, reference=reference,
-        on_iteration=on_iteration,
-    )
-
-
-# -- expectation-weighted self-training --------------------------------------------
-
-
-def restem_update(
-    model: LogitModel,
-    task: GenerativeTask,
-    budget: int,
-    *,
-    seed: int,
-    iteration: int,
-    exact_expectation: bool = False,
-    mstep_spec: MStepSpec | None = None,
-) -> tuple[LogitModel, dict]:
-    """Weight draws by the soft evaluator's success probability, then fit.
-
-    With ``exact_expectation`` every pair is weighted by model probability
-    times success probability, which again collapses to one EM iteration on
-    the success event.  A prompt whose weights concentrate on one pair
-    beyond 0.999 is flagged degenerate: the update has become a hard filter.
-    """
+def restem_update(model: LogitModel, task: GenerativeTask, budget: int, *, seed: int,
+                  iteration: int) -> tuple[LogitModel, dict]:
+    """Weight draws by the soft evaluator's success probability, then fit:
+    the same EM step with a self-normalized importance-weighted E-step.  A
+    prompt whose weights concentrate on one pair beyond 0.999 is flagged
+    degenerate: the update has become a hard filter."""
     check_task_fits("restem", task)
-    return _success_weighted_update(
-        model, task, budget, "restem", seed=seed, iteration=iteration,
-        exact=exact_expectation, mstep_spec=mstep_spec,
-    )
+    return _rejection_em_update(model, task, budget, "restem", seed=seed, iteration=iteration)
 
 
-def run_restem(
-    model: LogitModel,
-    task: GenerativeTask,
-    *,
-    iterations: int,
-    budget: int,
-    seed: int,
-    exact_expectation: bool = False,
-    reference: LogitModel | None = None,
-    on_iteration=None,
-) -> tuple[LogitModel, RunRecord]:
-    event = success_event()
+def _run_rejection_em(algorithm, update, model, task, iterations, budget, seed,
+                      reference, on_iteration) -> tuple[LogitModel, RunRecord]:
+    """`update` once per iteration, in the loop of `run_filter_sft` and
+    `run_restem`."""
 
     def step(current: LogitModel, t: int):
-        new_model, report = restem_update(
-            current, task, budget,
-            seed=seed, iteration=t, exact_expectation=exact_expectation,
-        )
+        new_model, report = update(current, task, budget, seed=seed, iteration=t)
         flags = ()
-        if report["degenerate"]:
+        # a filter's weights are a hard filter by design
+        if algorithm == "restem" and report["degenerate"]:
             flags += ("degenerate_weights",)
         if report["skipped"]:
             flags += ("prompts_skipped",)
-        return new_model, _weights_tv(current, event, report["weights"]), flags
+        return new_model, report["tv_mean"], flags
 
-    return _run_loop(
-        "restem", model, task, event, step,
-        iterations=iterations, seed=seed, reference=reference,
-        on_iteration=on_iteration,
-    )
+    return _run_loop(algorithm, model, task, success_event(), step, iterations=iterations,
+                     seed=seed, reference=reference, on_iteration=on_iteration)
+
+
+def run_filter_sft(
+    model: LogitModel, task: GenerativeTask, *, iterations: int, budget: int, seed: int,
+    reference: LogitModel | None = None, on_iteration=None,
+) -> tuple[LogitModel, RunRecord]:
+    return _run_rejection_em("filter_sft", filter_sft_update, model, task, iterations,
+                             budget, seed, reference, on_iteration)
+
+
+def run_restem(
+    model: LogitModel, task: GenerativeTask, *, iterations: int, budget: int, seed: int,
+    reference: LogitModel | None = None, on_iteration=None,
+) -> tuple[LogitModel, RunRecord]:
+    return _run_rejection_em("restem", restem_update, model, task, iterations,
+                             budget, seed, reference, on_iteration)
 
 
 # -- tag-conditioned fine-tuning -----------------------------------------------------
@@ -958,7 +871,7 @@ def _pick_pair(
     Ties break deterministically: highest (then smallest index) for the
     preferred side, lowest (then smallest) for the rejected side.
     """
-    ok = _success(task, x_idx)[candidates] == 1.0
+    ok = compile_event(task, success_event()).mass(x_idx)[candidates] == 1.0
     verified, unverified = candidates[ok], candidates[~ok]
     if not verified.size or not unverified.size:
         return None

@@ -86,9 +86,6 @@ class Trie:
             slot < (self.child_hi - self.child_lo)[:, None], self.child_lo[:, None] + slot, -1
         )
 
-    def children(self, node: int) -> range:
-        return range(self.child_lo[node], self.child_hi[node])
-
     def upward(
         self, leaf_values: np.ndarray, edge: np.ndarray | None = None, beta: float = 1.0
     ) -> np.ndarray:

@@ -61,6 +61,7 @@ from .graph import JointModel
 from .logspace import LOG_CLAMP, entropy, log_sum_exp, logsumexp, total_variation
 from .models import (
     BOS,
+    AutoregressiveView,
     LogitModel,
     NgramFeatures,
     TabularFeatures,
@@ -345,7 +346,7 @@ def _posterior_pairs(jm: JointModel, x_idx: int, event: EventSpec):
     task = jm.task
     mass: dict[tuple[int, int], float] = {}
     for zi, yi, o in _event_triples(task, event):
-        w = math.exp(jm.seq.joint_logprob(x_idx, zi, yi)) * task.evaluator(x_idx, zi, yi, o)
+        w = math.exp(joint_logprob(jm.seq, x_idx, zi, yi)) * task.evaluator(x_idx, zi, yi, o)
         mass[(zi, yi)] = mass.get((zi, yi), 0.0) + w
     total = sum(mass.values())
     return list(mass), np.array([w / total for w in mass.values()])
@@ -353,6 +354,57 @@ def _posterior_pairs(jm: JointModel, x_idx: int, event: EventSpec):
 
 def _as_pairs(task: GenerativeTask, support) -> list[tuple[int, int]]:
     return [task.zy_unindex(int(k)) for k in support]
+
+
+def joint_logprob(model: LogitModel, x_idx: int, z_idx: int, y_idx: int) -> float:
+    """log P(z, y | x) of one pair, from its prompt's logits normalized on
+    their own."""
+    return float(_looped_log_probs(model, x_idx)[model.task.zy_index(z_idx, y_idx)])
+
+
+def evaluator_prob(task: GenerativeTask, x_idx: int, z_idx: int, y_idx: int, o: int) -> float:
+    """P(o | x, z, y) of one triple, read from the observation table."""
+    row = task_tables._prompt_obs(task, x_idx)
+    return float(row[task.zy_index(z_idx, y_idx), task.obs_values.index(o)])
+
+
+def triple_logprob(jm: JointModel, x_idx: int, z_idx: int, y_idx: int, o: int) -> float:
+    """log P(z, y, o | x), one triple at a time: the factorization that the
+    event terms vectorize; -inf when the evaluator assigns o zero mass."""
+    mass = evaluator_prob(jm.task, x_idx, z_idx, y_idx, o)
+    return joint_logprob(jm.seq, x_idx, z_idx, y_idx) + (
+        math.log(mass) if mass > 0.0 else -math.inf)
+
+
+def children(trie: Trie, node: int) -> range:
+    """The node range of `node`'s children, one contiguous sibling run."""
+    return range(trie.child_lo[node], trie.child_hi[node])
+
+
+def conditional(view: AutoregressiveView,
+                prefix: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(actions, conditional log probs) available after `prefix`, looked up
+    one prefix at a time; `OutOfSpaceError` when it has no continuation
+    mass."""
+    node = view.trie.index.get(prefix)
+    if node is None or view.trie.node_seq[node] >= 0 or view.mass[node] == -np.inf:
+        raise OutOfSpaceError(f"prefix {prefix} has no continuation mass")
+    run = children(view.trie, node)
+    return view.trie.token[run], view.logp[run]
+
+
+def success_weights(model: LogitModel) -> np.ndarray:
+    """[prompts, joint] target of filtered and reweighted self-training at
+    an unbounded budget, pair by pair: p(z, y | x) P(o = 1 | x, z, y),
+    normalized per prompt.  It is the exact E-step's target on the success
+    event."""
+    task = model.task
+    weights = np.array([
+        [math.exp(joint_logprob(model, x, zi, yi)) * task.evaluator(x, zi, yi, 1)
+         for zi, yi in _as_pairs(task, range(task.n_joint))]
+        for x in range(task.n_prompts)
+    ])
+    return weights / weights.sum(axis=1, keepdims=True)
 
 
 def truth_one_hot(task: GenerativeTask) -> np.ndarray:
@@ -540,7 +592,7 @@ def from_sequences(
         raise HorizonViolationError(f"{too_long} trajectories exceed horizon {horizon}")
     reward = np.zeros(trie.n_nodes)
     for prefix, node in sorted((trie.prefixes[n], n) for n in trie.internal):
-        for child in trie.children(node):
+        for child in children(trie, node):
             reward[child] = reward_fn(prefix, int(trie.token[child]))
     return ShapedMdp(trie=trie, reward=reward, beta=beta)
 
@@ -596,12 +648,12 @@ def softmax_total_rewards(
     stack = [(trie.index[from_prefix], (), 0.0)]
     while stack:
         node, suffix, acc = stack.pop()
-        children = trie.children(node)
-        if not children:
+        run = children(trie, node)
+        if not run:
             suffixes.append(suffix)
             totals.append(acc)
             continue
-        for c in reversed(children):
+        for c in reversed(run):
             stack.append((c, suffix + (int(trie.token[c]),), acc + float(mdp.reward[c])))
     scaled = np.array(totals) / mdp.beta
     with np.errstate(under="ignore"):
@@ -628,7 +680,7 @@ def regularized_return(
 
     def value(node: int) -> float:
         total = 0.0
-        for c in trie.children(node):
+        for c in children(trie, node):
             lp = float(log_policy[c])
             p = np.exp(lp)
             if p == 0.0:
@@ -644,9 +696,9 @@ def random_policy(mdp: ShapedMdp, rng: np.random.Generator) -> np.ndarray:
     drawn in node (level) order."""
     out = np.zeros(mdp.trie.n_nodes)
     for node in mdp.trie.internal:
-        children = mdp.trie.children(node)
-        probs = rng.dirichlet(np.ones(len(children)))
-        out[children] = np.log(np.maximum(probs, 1e-300))
+        run = children(mdp.trie, node)
+        probs = rng.dirichlet(np.ones(len(run)))
+        out[run] = np.log(np.maximum(probs, 1e-300))
     return out
 
 
@@ -697,7 +749,7 @@ def check_tasks_unique_truth() -> CheckResult:
                 (zi, yi)
                 for zi in range(task.n_latents)
                 for yi in range(task.n_responses)
-                if task.evaluator_prob(x, zi, yi, 1) == 1.0
+                if evaluator_prob(task, x, zi, yi, 1) == 1.0
             ]
             if task.name.startswith("reward-tag"):
                 # good tag on the correct response, bad tag on all others
@@ -1038,8 +1090,8 @@ def check_graph_factorization() -> CheckResult:
             o = int(rng.integers(2))
             ev = task.evaluator(x, zi, yi, o)
             expected = -math.inf if ev == 0.0 else (
-                model.joint_logprob(x, zi, yi) + math.log(ev))
-            got = jm.triple_logprob(x, zi, yi, o)
+                float(model.joint_log_probs(x)[task.zy_index(zi, yi)]) + math.log(ev))
+            got = triple_logprob(jm, x, zi, yi, o)
             if expected == -math.inf:
                 if got != -math.inf:
                     return _fail(f"{name}: zero-evaluator triple scored {got!r}")
@@ -1094,7 +1146,7 @@ def check_graph_posterior_oracle() -> CheckResult:
             for x in range(task.n_prompts):
                 weights: list[float] = []
                 for zi, yi, o in triples:
-                    w = math.exp(model.joint_logprob(x, zi, yi))
+                    w = math.exp(joint_logprob(model, x, zi, yi))
                     weights.append(w * task.evaluator(x, zi, yi, o))
                 total = sum(weights)
                 table = jm.exact_posterior(x, event)
@@ -1234,7 +1286,7 @@ def check_planner_closed_forms() -> CheckResult:
     # beta=1, rewards (0, ln 3): value ln 4, policy (1/4, 3/4)
     if abs(plan.root_value() - 1.3862943611198906) > 1e-12:
         return _fail(f"one-step value {plan.root_value()!r} != ln 4")
-    root = mdp.trie.children(0)
+    root = children(mdp.trie, 0)
     policy = np.exp(plan.log_policy[root])
     if float(np.max(np.abs(policy - np.array([0.25, 0.75])))) > 1e-12:
         return _fail(f"one-step policy {policy}")
@@ -1281,7 +1333,7 @@ def check_planner_bellman_consistency() -> CheckResult:
     plan = soft_value_iteration(mdp)
     trie = mdp.trie
     for node in trie.internal:
-        prefix, acts = trie.prefixes[node], trie.children(node)
+        prefix, acts = trie.prefixes[node], children(trie, node)
         q = mdp.reward[acts] + plan.v[acts]
         if float(np.max(np.abs(q - plan.q[acts]))) > 1e-12:
             return _fail(f"q mismatch at {prefix}")
@@ -1364,7 +1416,7 @@ def check_planner_shaping_telescoping() -> CheckResult:
                         total += float(mdp.reward[mdp.trie.index[seq[:pos + 1]]])
                     mass = sum(task.evaluator(x, zi, yi, o) for o in obs)
                     term = math.log(mass) if mass > 0.0 else LOG_CLAMP
-                    expected = model.joint_logprob(x, zi, yi) + term
+                    expected = joint_logprob(model, x, zi, yi) + term
                     if abs(total - expected) > 1e-9:
                         return _fail(
                             f"{name} x={x} ({zi},{yi}): rewards sum to {total:.6g}, "
@@ -1787,7 +1839,7 @@ def check_training_reference_closed_form() -> CheckResult:
             for x, (top, argmax) in enumerate(tops):
                 p0 = np.zeros(task.n_joint)
                 for k in argmax:
-                    p0[k] = math.exp(model.joint_logprob(x, *task.zy_unindex(k)))
+                    p0[k] = math.exp(joint_logprob(model, x, *task.zy_unindex(k)))
                 supremum += task.rho[x] * math.log(top)
                 budget -= task.rho[x] * math.log(p0.sum())
                 tv = max(tv, total_variation(ref.joint_probs(x), p0 / p0.sum()))
@@ -1835,43 +1887,35 @@ def _compare_updates(a: LogitModel, b: LogitModel) -> float:
     return worst
 
 
-def _unification_gap(model: LogitModel, task: GenerativeTask, seed: int,
-                     update: Callable, **exact) -> tuple[float, str]:
-    """Gap between one exact alternation step and a baseline `update` run
-    with its `exact` switch, and the mode that update reports."""
+def _unification_gap(model: LogitModel, task: GenerativeTask, seed: int) -> float:
+    """Gap between one exact alternation step and the closed-form fit of
+    `success_weights`, the target of filtered and reweighted self-training
+    as their budget grows without bound."""
     em_next, _ = em_iterate(model, task, success_event(), EStepSpec("exact"),
                             MStepSpec("closed_form"), seed=seed, iteration=1)
-    other, rep = update(model, task, budget=1, seed=seed, iteration=1,
-                        mstep_spec=MStepSpec("closed_form"), **exact)
-    return _compare_updates(em_next, other), rep["mode"]
+    limit = mstep(model, success_weights(model), MStepSpec("closed_form"))
+    return _compare_updates(em_next, limit)
 
 
 def check_training_unification_filter() -> CheckResult:
-    """Exact-weight filtered fine-tuning is one exact alternation step."""
+    """Filtered fine-tuning's exact-weight limit is one exact alternation step."""
     worst = 0.0
     for k, name in enumerate(("carry-d1-b2", "automaton-2-3")):
         task = instance_by_name(name).task
         model = random_model(task, stream(SEED, "unify-f", k), scale=0.9)
-        gap, mode = _unification_gap(model, task, 11, filter_sft_update, exact_weights=True)
-        if mode != "exact":
-            return _fail("exact weights not reported as exact mode")
-        worst = max(worst, gap)
+        worst = max(worst, _unification_gap(model, task, 11))
     if worst > 1e-10:
         return _fail(f"filter and alternation updates differ by {worst:.3e}")
     return _ok(f"updates coincide to {worst:.2e}")
 
 
 def check_training_unification_restem() -> CheckResult:
-    """Exact-expectation reweighted training is the same alternation step."""
+    """Reweighted training's exact-expectation limit is the same alternation step."""
     worst = 0.0
     for k, name in enumerate(("tag-5-4-soft", "automaton-2-5-soft")):
         task = instance_by_name(name).task
         model = random_model(task, stream(SEED, "unify-r", k), scale=0.9)
-        gap, mode = _unification_gap(model, task, 13, restem_update,
-                                     exact_expectation=True)
-        if mode != "exact":
-            return _fail("exact expectation not reported as exact mode")
-        worst = max(worst, gap)
+        worst = max(worst, _unification_gap(model, task, 13))
     if worst > 1e-10:
         return _fail(f"reweighted and alternation updates differ by {worst:.3e}")
     return _ok(f"updates coincide to {worst:.2e}")
@@ -1887,7 +1931,7 @@ def check_training_filter_properties() -> CheckResult:
     for x in np.flatnonzero(rep["weights"].any(axis=1)).tolist():
         support = np.flatnonzero(rep["weights"][x])
         probs = rep["weights"][x, support]
-        if any(task.evaluator_prob(x, zi, yi, 1) != 1.0
+        if any(evaluator_prob(task, x, zi, yi, 1) != 1.0
                for zi, yi in _as_pairs(task, support)):
             return _fail(f"unverified pair kept at x={x}")
         if abs(float(np.sum(probs)) - 1.0) > 1e-12:
@@ -1918,35 +1962,31 @@ def check_training_restem_properties() -> CheckResult:
     """Exact reweighting matches hand arithmetic and flags hard filters."""
     task = instance_by_name("tag-5-4-soft").task
     model = uniform_model(task)
-    _, rep = restem_update(model, task, budget=1, seed=43, iteration=1,
-                           exact_expectation=True)
-    for x in np.flatnonzero(rep["weights"].any(axis=1)).tolist():
-        # exact weights cover every joint outcome, zeros included
-        support, probs = np.arange(task.n_joint), rep["weights"][x]
-        p = model.joint_probs(x)
-        hand = np.array([p[task.zy_index(zi, yi)] * task.evaluator_prob(x, zi, yi, 1)
-                         for zi, yi in _as_pairs(task, support)])
-        hand = hand / hand.sum()
-        if float(np.max(np.abs(hand - probs))) > 1e-12:
-            return _fail(f"weights at x={x} deviate from hand arithmetic")
+    _, step = em_iterate(model, task, success_event(), EStepSpec("exact"),
+                         MStepSpec("closed_form"), seed=43, iteration=1)
+    # exact weights cover every joint outcome, zeros included
+    gap = float(np.max(np.abs(step.targets - success_weights(model))))
+    if gap > 1e-12:
+        return _fail(f"exact weights deviate from hand arithmetic by {gap:.3e}")
     # a model already concentrated on the truth makes every weight vector a
     # point mass, the regime the degenerate flag exists for
     truth_model = mstep(uniform_model(task), truth_one_hot(task), MStepSpec("closed_form"))
-    _, rep2 = restem_update(truth_model, task, budget=1, seed=43, iteration=1,
-                            exact_expectation=True)
+    _, rep2 = restem_update(truth_model, task, budget=50, seed=43, iteration=1)
     if set(rep2["degenerate"]) != set(range(task.n_prompts)):
         return _fail(f"point-mass model flagged only {rep2['degenerate']}")
     _, rep3 = restem_update(model, task, budget=50, seed=43, iteration=2)
+    if rep3["degenerate"]:
+        return _fail(f"uniform model flagged degenerate at {rep3['degenerate']}")
     for x in np.flatnonzero(rep3["weights"].any(axis=1)).tolist():
         support = np.flatnonzero(rep3["weights"][x])
-        if any(task.evaluator_prob(x, zi, yi, 1) <= 0.0
+        if any(evaluator_prob(task, x, zi, yi, 1) <= 0.0
                for zi, yi in _as_pairs(task, support)):
             return _fail(f"zero-success pair weighted at x={x}")
     binary = instance_by_name("tag-3-8").task
     if not _expect_raises(TaskMismatchError, restem_update,
                           uniform_model(binary), binary, 10, seed=1, iteration=1):
         return _fail("binary task accepted by the soft reweighter")
-    return _ok("exact weights match hand arithmetic; "
+    return _ok(f"exact weights match hand arithmetic to {gap:.1e}; "
                f"degenerate flags on {len(rep2['degenerate'])} prompts")
 
 
@@ -2563,7 +2603,7 @@ def acceptance_06() -> AcceptanceResult:
 
 
 def acceptance_07() -> AcceptanceResult:
-    """Exact-weight baselines coincide with the alternation update."""
+    """The baselines' exact-weight limits coincide with the alternation update."""
     started = time.perf_counter()
     worst_f = 0.0
     worst_r = 0.0
@@ -2571,14 +2611,11 @@ def acceptance_07() -> AcceptanceResult:
         for name in ("carry-d1-b2", "automaton-2-3", "tag-3-8"):
             task = instance_by_name(name).task
             model = random_model(task, stream(SEED, "acc7f", name, k), scale=0.9)
-            gap, _ = _unification_gap(model, task, 71, filter_sft_update, exact_weights=True)
-            worst_f = max(worst_f, gap)
+            worst_f = max(worst_f, _unification_gap(model, task, 71))
         for name in ("carry-d1-b3-soft", "tag-5-4-soft", "automaton-2-5-soft"):
             task = instance_by_name(name).task
             model = random_model(task, stream(SEED, "acc7r", name, k), scale=0.9)
-            gap, _ = _unification_gap(model, task, 73, restem_update,
-                                      exact_expectation=True)
-            worst_r = max(worst_r, gap)
+            worst_r = max(worst_r, _unification_gap(model, task, 73))
     ok = worst_f <= 1e-10 and worst_r <= 1e-10
     return _accept(7, "baseline-unification", started, ok,
                    f"filter within {worst_f:.2e}, "

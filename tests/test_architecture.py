@@ -8,7 +8,9 @@ modules on that path never turn an index back into a (z, y) tuple.  The
 averages over prompts read a model's [prompts, joint] matrix, never one
 prompt at a time, and the policy-gradient ascent builds no model.  An
 update computes no averaged objective or KL: the metric row computes each
-number once.  Every function of a production module (every module but
+number once.  In `training.py` one loop runs E-steps, `em_iterate`, and
+only the tagged corpus and the preference loop draw samples outside it.
+Every function of a production module (every module but
 `verification.py`) has a caller in production or benchmark code, no
 production function takes a fault switch (faults are built in
 `verification.py`), a training run imports no scipy module, and every name
@@ -32,7 +34,7 @@ BATCHED = {"graph.py": {"averaged_event_logprob", "averaged_grad"},
 PER_PROMPT = {"joint_log_probs", "event_logprob", "grad_event_logprob", "kl_between",
               "adjoint"}
 # the updates leave the averaged objective and KL to the metric row
-UPDATES = {"em_iterate", "filter_sft_update", "restem_update", "_success_weighted_update",
+UPDATES = {"em_iterate", "filter_sft_update", "restem_update", "_rejection_em_update",
            "conditional_sft_update"}
 ROW_METRICS = {"averaged_event_logprob", "_averaged_kl"}
 # the policy-gradient ascent moves one prompt's logit vector, never a model
@@ -41,9 +43,6 @@ BENCH = PACKAGE.parents[1] / "bench"
 # functions that production and benchmark code never call, kept on purpose
 UNCALLED = {
     "elbo": "JointModel.elbo: the only ELBO implementation, with typed input checks",
-    "triple_logprob": "JointModel.triple_logprob: the factorization, one triple at a time",
-    "conditional": "AutoregressiveView.conditional: the per-prefix lookup, tested by a "
-                   "hypothesis property",
 }
 
 # fault switches a production function keeps on purpose
@@ -158,6 +157,39 @@ def test_row_metric_guard_sees_both_averages():
     found = _calls_inside(ast.parse(update), UPDATES, ROW_METRICS)
     assert found == [("em_iterate", "averaged_event_logprob", 2),
                      ("em_iterate", "_averaged_kl", 3)]
+
+
+def _top_level_callers(tree: ast.AST, callee: str) -> set[str]:
+    """Names of the module-level functions and classes in which `callee` is
+    called, as a name or an attribute, nested functions included."""
+    found = set()
+    for node in tree.body:
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call) and callee == getattr(
+                    call.func, "attr", getattr(call.func, "id", None)):
+                found.add(getattr(node, "name", "<module>"))
+    return found
+
+
+def test_em_iterate_is_the_only_estep_loop():
+    tree = ast.parse((PACKAGE / "training.py").read_text())
+    assert _top_level_callers(tree, "run_estep") == {"em_iterate"}
+    assert _top_level_callers(tree, "draws") == {"build_tagged_corpus", "run_pref_loop"}
+
+
+def test_estep_loop_guard_sees_a_second_loop():
+    source = (
+        "def _sampled_update(model, budget):\n"
+        "    return model.conditional_tables(0).draws(rng, budget)\n"
+        "def run_restem(model):\n"
+        "    def step(current, t):\n"
+        "        return esteps.run_estep(jm, 0, event, spec, rng)\n"
+        "    return step\n"
+        "drawn = run_estep(jm, 0, event, spec)\n"
+    )
+    tree = ast.parse(source)
+    assert _top_level_callers(tree, "draws") == {"_sampled_update"}
+    assert _top_level_callers(tree, "run_estep") == {"run_restem", "<module>"}
 
 
 def test_policy_gradient_ascent_builds_no_model():

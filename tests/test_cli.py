@@ -139,6 +139,33 @@ SOFT = TAG + "  evaluator: soft\n"
                  "and reference responses\n", id="cond-sft-carry"),
     pytest.param("em", "task: {kind: carry, digits: 4, base: 10}\n",
                  "|Z|*|Y| = 16000000000 exceeds cap ", id="carry-over-cap"),
+    pytest.param("filter_sft", TAG + "event: full\n",
+                 "event must be 'success' for algorithm 'filter_sft', ",
+                 id="filter-sft-full-event"),
+    pytest.param("restem", SOFT + "event: full\n",
+                 "event must be 'success' for algorithm 'restem', ", id="restem-full-event"),
+    pytest.param("cond_sft", TAG + "event: full\n",
+                 "event must be 'success' for algorithm 'cond_sft', ", id="cond-sft-full-event"),
+    pytest.param("iter_dpo", TAG + "event: full\n",
+                 "event must be 'success' for algorithm 'iter_dpo', ", id="iter-dpo-full-event"),
+    pytest.param("posterior_dpo", TAG + "event: full\n",
+                 "event must be 'success' for algorithm 'posterior_dpo', ",
+                 id="posterior-dpo-full-event"),
+    pytest.param("em", TAG + "sample_budget: 10\n",
+                 "sample_budget is not read by algorithm 'em', ", id="em-sample-budget"),
+    pytest.param("em", TAG + "dpo: {steps: 3}\n",
+                 "dpo is not read by algorithm 'em', ", id="em-dpo"),
+    pytest.param("filter_sft", TAG + "estep: {backend: exact}\n",
+                 "estep is not read by algorithm 'filter_sft', ", id="filter-sft-estep"),
+    pytest.param("restem", SOFT + "mstep: {kind: closed_form}\n",
+                 "mstep is not read by algorithm 'restem', ", id="restem-mstep"),
+    pytest.param("cond_sft", TAG + "dpo: {steps: 3}\n",
+                 "dpo is not read by algorithm 'cond_sft', ", id="cond-sft-dpo"),
+    pytest.param("posterior_dpo", TAG + "sample_budget: 10\n",
+                 "sample_budget is not read by algorithm 'posterior_dpo', ",
+                 id="posterior-dpo-sample-budget"),
+    pytest.param("iter_dpo", TAG + "dpo: {pg: {iterations: 3}}\n",
+                 "dpo.pg is not read by algorithm 'iter_dpo', ", id="iter-dpo-pg"),
 ])
 def test_run_rejects_bad_values_before_making_a_run_directory(
     tmp_path, capsys, algorithm, section, error

@@ -40,7 +40,7 @@ from latentlab.training import (
     reference_optimum,
     run_em,
 )
-from latentlab.verification import _posterior_pairs, _union_tv, event_logprob
+from latentlab.verification import _posterior_pairs, _union_tv, event_logprob, joint_logprob
 
 TASKS = (
     make_reward_tag_task(3, 4, seed=1),
@@ -244,7 +244,7 @@ def test_closed_form_comparator_certifies_one_over_t(case, scale, seed, iteratio
             with pytest.raises(ZeroMassEventError, match=f"prompt {x}"):
                 reference_optimum(model, task, event)
             return
-        p_top = sum(math.exp(model.joint_logprob(x, *task.zy_unindex(k)))
+        p_top = sum(math.exp(joint_logprob(model, x, *task.zy_unindex(k)))
                     for k, m in mass.items() if m == top)
         supremum += task.rho[x] * math.log(top)
         kl_to_init -= task.rho[x] * math.log(p_top)

@@ -12,7 +12,13 @@ from latentlab.tasks import (
     make_carry_addition_task,
     success_event,
 )
-from latentlab.verification import _event_triples, event_logprob
+from latentlab.verification import (
+    _event_triples,
+    evaluator_prob,
+    event_logprob,
+    joint_logprob,
+    triple_logprob,
+)
 
 
 @pytest.fixture(scope="module")
@@ -24,10 +30,10 @@ def test_triple_prob_factorizes(jm, tag_task):
     # P(z, y, o | x) = P(z, y | x) * P(o | x, z, y)
     x, z, y = 1, 0, 2
     for o in tag_task.obs_values:
-        expected = np.exp(jm.seq.joint_logprob(x, z, y)) * tag_task.evaluator_prob(
-            x, z, y, o
+        expected = np.exp(joint_logprob(jm.seq, x, z, y)) * evaluator_prob(
+            tag_task, x, z, y, o
         )
-        assert np.exp(jm.triple_logprob(x, z, y, o)) == pytest.approx(expected, abs=1e-14)
+        assert np.exp(triple_logprob(jm, x, z, y, o)) == pytest.approx(expected, abs=1e-14)
 
 
 def test_full_event_logprob_is_zero(jm, tag_task):
@@ -48,7 +54,7 @@ def test_posterior_matches_bayes(jm, tag_task):
     ev = success_event()
     post = jm.exact_posterior(1, ev)
     triples = _event_triples(tag_task, ev)
-    raw = np.exp([jm.triple_logprob(1, z, y, o) for z, y, o in triples])
+    raw = np.exp([triple_logprob(jm, 1, z, y, o) for z, y, o in triples])
     assert np.allclose(post.probs, raw / raw.sum(), atol=1e-12)
     assert post.compiled is compile_event(tag_task, ev)
     assert post.compiled.triple_joint.tolist() == [
@@ -71,7 +77,7 @@ def test_zero_mass_event(tag_task):
     wrong = 1 - tag_task.truth[0][0]
     ev = EventSpec(latents=(wrong,), responses=(tag_task.truth[0][1],), obs=(1,))
     if all(
-        tag_task.evaluator_prob(0, wrong, y, 1) == 0.0
+        evaluator_prob(tag_task, 0, wrong, y, 1) == 0.0
         for y in range(tag_task.n_responses)
     ):
         with pytest.raises(ZeroMassEventError):
@@ -142,4 +148,4 @@ def test_carry_posterior_concentrates_on_truth():
     for (z, y, o), p in zip(_event_triples(task, success_event()), post.probs, strict=True):
         assert o == 1
         if p > 0:
-            assert task.evaluator_prob(0, z, y, 1) == 1.0
+            assert evaluator_prob(task, 0, z, y, 1) == 1.0

@@ -1,4 +1,5 @@
 import os
+from collections.abc import Mapping
 from pathlib import Path
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from latentlab import training
 from latentlab.errors import ConfigError, TaskMismatchError
 from latentlab.harness import (
+    _run_one_seed,
     build_model,
     build_task,
     compare_runs,
@@ -34,6 +36,8 @@ estep:
 mstep:
   kind: closed_form
 """
+# BASE without the estep and mstep sections, which only em reads
+BASE_NO_STEPS = BASE[:BASE.index("estep:")]
 
 
 def test_parse_fixed_point():
@@ -102,24 +106,25 @@ def test_parse_rejects_bad_estep_params(estep):
 
 
 @pytest.mark.parametrize("edit", [
-    ("estep:\n  backend: exact",
+    (BASE, "estep:\n  backend: exact",
      "estep: {backend: policy_gradient, params: {iterations: 2.5}}"),
-    ("estep:\n  backend: exact",
+    (BASE, "estep:\n  backend: exact",
      "estep: {backend: policy_gradient, params: {batch_size: true}}"),
-    ("estep:\n  backend: exact",
+    (BASE, "estep:\n  backend: exact",
      "estep: {backend: policy_gradient, params: {step_size: fast}}"),
-    ("estep:\n  backend: exact",
+    (BASE, "estep:\n  backend: exact",
      "estep: {backend: policy_gradient, params: {divergence_patience: 5.0}}"),
-    ("algorithm: em", "algorithm: posterior_dpo\ndpo: {pg: {iterations: 1.5}}"),
-    ("algorithm: em", "algorithm: posterior_dpo\ndpo: {pg: {reward_floor: false}}"),
-    ("kind: closed_form", "kind: closed_form\n  steps: 2.5"),
-    ("kind: closed_form", "kind: closed_form\n  rate: true"),
+    (BASE_NO_STEPS, "algorithm: em", "algorithm: posterior_dpo\ndpo: {pg: {iterations: 1.5}}"),
+    (BASE_NO_STEPS, "algorithm: em",
+     "algorithm: posterior_dpo\ndpo: {pg: {reward_floor: false}}"),
+    (BASE, "kind: closed_form", "kind: closed_form\n  steps: 2.5"),
+    (BASE, "kind: closed_form", "kind: closed_form\n  rate: true"),
 ])
 def test_parse_rejects_mistyped_spec_fields(edit):
-    old, new = edit
-    assert old in BASE
+    base, old, new = edit
+    assert old in base
     with pytest.raises(ConfigError, match="must be an integer|must be a number"):
-        parse_config(BASE.replace(old, new))
+        parse_config(base.replace(old, new))
 
 
 @pytest.mark.parametrize("dpo, pg", [
@@ -128,11 +133,12 @@ def test_parse_rejects_mistyped_spec_fields(edit):
     ("dpo: {pg: {step_size: 0.25}}\n", {"step_size": 0.25}),
 ], ids=["no-pg", "empty-pg", "pg-without-iterations"])
 def test_parse_writes_the_sampler_iterations_for_posterior_dpo(dpo, pg):
-    text = BASE.replace("algorithm: em", "algorithm: posterior_dpo") + dpo
+    text = BASE_NO_STEPS.replace("algorithm: em", "algorithm: posterior_dpo") + dpo
     resolved = parse_config(text).data["dpo"]["pg"]
     assert resolved == {"iterations": training.SAMPLER_ITERATIONS, **pg}
     given = {"iterations": 25, **pg}
-    text = BASE.replace("algorithm: em", "algorithm: posterior_dpo") + f"dpo: {{pg: {given}}}\n"
+    text = (BASE_NO_STEPS.replace("algorithm: em", "algorithm: posterior_dpo")
+            + f"dpo: {{pg: {given}}}\n")
     assert parse_config(text).data["dpo"]["pg"] == given
 
 
@@ -145,6 +151,74 @@ def test_valid_estep_params_reach_the_engine(estep, tmp_path):
     cfg = parse_config(BASE.replace("estep:\n  backend: exact", f"estep: {estep}"))
     execute_run(cfg, tmp_path / "run")
     assert (tmp_path / "run" / "record.seed0.tsv").exists()
+
+
+class _Reads(Mapping):
+    """A resolved config, or a section of one, that records the dotted path
+    of every key read from it; copying or unpacking it reads every key."""
+
+    def __init__(self, data: dict, seen: set, prefix: str = ""):
+        self.data, self.seen, self.prefix = data, seen, prefix
+
+    def __getitem__(self, key):
+        value = self.data[key]
+        self.seen.add(self.prefix + key)
+        if isinstance(value, dict):
+            return _Reads(value, self.seen, f"{self.prefix}{key}.")
+        return value
+
+    def __iter__(self):
+        return iter(self.data)
+
+    def __len__(self):
+        return len(self.data)
+
+
+def _paths(data: dict, prefix: str = ""):
+    for key, value in data.items():
+        yield prefix + key
+        if isinstance(value, dict):
+            yield from _paths(value, f"{prefix}{key}.")
+
+
+# read around the per-seed worker: `execute_run` runs each seed, the command
+# line picks the output directory
+RUN_LEVEL = {"seeds", "out"}
+TAG_RUN = ("task: {kind: tag, n_prompts: 2, n_responses: 5, seed: 1}\n"
+           "model: {init: random, scale: 0.6}\niterations: 1\nseeds: [0]\n"
+           "reference: optimum\ncheckpoint_every: 1\n")
+
+
+# the settings each algorithm reads, one non-default value in each
+SETTINGS = {
+    "em": "estep: {backend: planning, params: {beta: 1.0}}\n"
+          "mstep: {kind: gradient_ascent, steps: 2}\n",
+    "filter_sft": "sample_budget: 20\n",
+    "restem": "sample_budget: 20\n",
+    "cond_sft": "sample_budget: 20\n",
+    "iter_dpo": "dpo: {steps: 2, candidates: 4}\n",
+    "posterior_dpo": "dpo: {steps: 2, candidates: 4, pg: {iterations: 3}}\n",
+}
+
+
+@pytest.mark.parametrize("algorithm", SETTINGS)
+def test_a_run_reads_every_resolved_setting(algorithm):
+    text = f"algorithm: {algorithm}\n" + TAG_RUN + SETTINGS[algorithm]
+    if algorithm == "restem":
+        text = text.replace("seed: 1}", "seed: 1, evaluator: soft}")
+    data = parse_config(text).data
+    seen: set = set()
+    _run_one_seed((_Reads(data, seen), 0))
+    unread = sorted(set(_paths(data)) - seen - RUN_LEVEL)
+    assert not unread, f"{algorithm} resolves settings its run never reads: {unread}"
+
+
+def test_read_recorder_sees_an_unread_key():
+    data = {"a": 1, "b": {"c": 2, "d": {"e": 3}}, "f": {"g": 4}}
+    seen: set = set()
+    reads = _Reads(data, seen)
+    assert reads["b"]["c"] == 2 and dict(reads["f"]) == {"g": 4}
+    assert sorted(set(_paths(data)) - seen) == ["a", "b.d", "b.d.e"]
 
 
 def test_build_task_dispatch():
@@ -209,7 +283,7 @@ def test_checkpoints_written(tmp_path):
 
 def test_compare_runs(tmp_path):
     cfg_a = parse_config(BASE)
-    cfg_b = parse_config(BASE.replace("algorithm: em", "algorithm: filter_sft"))
+    cfg_b = parse_config(BASE_NO_STEPS.replace("algorithm: em", "algorithm: filter_sft"))
     a, b = tmp_path / "a", tmp_path / "b"
     execute_run(cfg_a, a)
     execute_run(cfg_b, b)

@@ -9,6 +9,7 @@ from latentlab.rng import stream
 from latentlab.tasks import make_reward_tag_task, success_event
 from latentlab.verification import (
     _negated_bonus_rewards,
+    children,
     from_sequences,
     random_policy,
     random_shaped_mdp,
@@ -26,7 +27,7 @@ def mdp():
 def test_policy_rows_normalize(mdp):
     plan = soft_value_iteration(mdp)
     for node in mdp.trie.internal:
-        logp = plan.log_policy[mdp.trie.children(node)]
+        logp = plan.log_policy[children(mdp.trie, node)]
         assert np.exp(logp).sum() == pytest.approx(1.0, abs=1e-12)
 
 

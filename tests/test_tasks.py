@@ -24,7 +24,7 @@ from latentlab.tasks import (
     task_document,
     task_from_document,
 )
-from latentlab.verification import evaluator_normalization_gap
+from latentlab.verification import evaluator_normalization_gap, evaluator_prob
 
 
 def test_carry_counts():
@@ -76,7 +76,7 @@ def test_evaluator_rows_normalize(tag_task):
 
 def test_truth_is_verified(tag_task):
     for x, (z, y) in tag_task.truth.items():
-        assert tag_task.evaluator_prob(x, z, y, 1) == 1.0
+        assert evaluator_prob(tag_task, x, z, y, 1) == 1.0
 
 
 def test_event_enumeration_order(tag_task):
@@ -88,9 +88,9 @@ def test_event_enumeration_order(tag_task):
 def test_success_event_support(tag_task):
     support = [tag_task.zy_unindex(int(k))
                for k in compile_event(tag_task, success_event()).pair_joint]
-    assert all(tag_task.evaluator_prob(0, z, y, 1) in (0.0, 1.0) for z, y in support)
+    assert all(evaluator_prob(tag_task, 0, z, y, 1) in (0.0, 1.0) for z, y in support)
     # success support holds every pair that can emit the success observation
-    verified = [(z, y) for z, y in support if tag_task.evaluator_prob(0, z, y, 1) > 0]
+    verified = [(z, y) for z, y in support if evaluator_prob(tag_task, 0, z, y, 1) > 0]
     assert len(verified) == tag_task.n_responses
 
 
@@ -120,9 +120,9 @@ def test_out_of_space_raises(tag_task):
     # table reads must not wrap a negative prompt index
     for x in (-1, tag_task.n_prompts):
         with pytest.raises(OutOfSpaceError):
-            tag_task.evaluator_prob(x, 0, 0, 1)
+            evaluator_prob(tag_task, x, 0, 0, 1)
         with pytest.raises(OutOfSpaceError):
-            tag_task.evaluator_prob(x, 0, 0, 0)
+            evaluator_prob(tag_task, x, 0, 0, 0)
 
 
 def test_cap_enforced():

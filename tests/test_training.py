@@ -53,7 +53,12 @@ from latentlab.training import (
     run_pref_loop,
     run_restem,
 )
-from latentlab.verification import preference_loss_by_prompt, truth_one_hot
+from latentlab.verification import (
+    evaluator_prob,
+    preference_loss_by_prompt,
+    success_weights,
+    truth_one_hot,
+)
 
 EXACT = EStepSpec("exact")
 CLOSED = MStepSpec("closed_form")
@@ -392,9 +397,7 @@ def test_reference_optimum_improves(tag_task, tag_model):
 
 
 def test_filter_exact_weights_is_em_step(tag_task, tag_model):
-    new_f, _ = filter_sft_update(
-        tag_model, tag_task, budget=10, seed=0, iteration=0, exact_weights=True
-    )
+    new_f = mstep(tag_model, success_weights(tag_model), CLOSED)
     new_em, _ = em_iterate(
         tag_model, tag_task, success_event(), EXACT, CLOSED, seed=0, iteration=0
     )
@@ -405,9 +408,7 @@ def test_filter_exact_weights_is_em_step(tag_task, tag_model):
 def test_restem_exact_expectation_is_em_step(tag_task):
     soft = make_reward_tag_task(3, 5, seed=2, evaluator="soft")
     model = uniform_model(soft)
-    new_r, _ = restem_update(
-        model, soft, budget=10, seed=0, iteration=0, exact_expectation=True
-    )
+    new_r = mstep(model, success_weights(model), CLOSED)
     new_em, _ = em_iterate(
         model, soft, success_event(), EXACT, CLOSED, seed=0, iteration=0
     )
@@ -488,6 +489,24 @@ def test_filter_weights_are_the_verified_draw_counts(tag_task, tag_model):
             assert np.array_equal(report["weights"][x], counts / len(kept))
         else:
             assert x in report["skipped"] and not report["weights"][x].any()
+
+
+def test_restem_weights_are_the_success_weighted_draw_counts():
+    soft = make_reward_tag_task(3, 5, seed=2, evaluator="soft")
+    model = random_model(soft, stream(2, "init"), scale=0.8)
+    _, report = restem_update(model, soft, 40, seed=6, iteration=1)
+    success = compile_event(soft, success_event()).mass_all()
+    assert report["mode"] == "sampled"
+    for x in range(soft.n_prompts):
+        rng = stream(6, "restem", x, 1)
+        view = model.conditional_tables(x)
+        drawn = [soft.zy_index(*view.sample(rng)) for _ in range(40)]
+        sums = np.zeros(soft.n_joint)
+        for k in drawn:
+            sums[k] += success[x, k]
+        # the acceptance is the share of draws with positive success mass
+        assert report["acceptance"][x] == sum(success[x, k] > 0.0 for k in drawn) / 40
+        assert np.allclose(report["weights"][x], sums / sums.sum(), rtol=1e-15, atol=0.0)
 
 
 def test_conditional_decode_unseen_tag(tag_task):
@@ -572,7 +591,7 @@ def test_pick_pair_matches_pair_form_tie_break(tag_task, draws):
     for k, value in draws:
         lp[k] = value
     candidates = [task.zy_unindex(k) for k, _ in draws]
-    ok = [task.evaluator_prob(1, z, y, 1) == 1.0 for z, y in candidates]
+    ok = [evaluator_prob(task, 1, z, y, 1) == 1.0 for z, y in candidates]
     verified = [c for c, good in zip(candidates, ok) if good]
     unverified = [c for c, good in zip(candidates, ok) if not good]
     picked = training._pick_pair(task, 1, np.array([k for k, _ in draws]), lp)

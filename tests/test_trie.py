@@ -20,7 +20,12 @@ from latentlab.errors import OutOfSpaceError
 from latentlab.models import AutoregressiveView
 from latentlab.planner import soft_value_iteration
 from latentlab.trie import Trie
-from latentlab.verification import from_sequences, softmax_total_rewards, trajectory_distribution
+from latentlab.verification import (
+    conditional,
+    from_sequences,
+    softmax_total_rewards,
+    trajectory_distribution,
+)
 
 EXAMPLES = settings(max_examples=60, deadline=None)
 
@@ -105,9 +110,9 @@ def test_positive_mass_conditionals_normalize(case):
         live = any(log_probs[k] > -math.inf for k in _below(seqs, prefix))
         if not live:
             with pytest.raises(OutOfSpaceError):
-                view.conditional(prefix)
+                conditional(view, prefix)
             continue
-        _, logp = view.conditional(prefix)
+        _, logp = conditional(view, prefix)
         assert abs(float(np.exp(logp).sum()) - 1.0) <= 1e-10
 
 
