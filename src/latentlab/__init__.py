@@ -48,8 +48,6 @@ from .tasks import (
     make_carry_addition_task,
     make_reward_tag_task,
     success_event,
-    task_document,
-    task_from_document,
 )
 from .training import (
     MStepSpec,
@@ -106,8 +104,6 @@ __all__ = [
     "shape_rewards",
     "soft_value_iteration",
     "success_event",
-    "task_document",
-    "task_from_document",
     "uniform_model",
     "write_checkpoint",
 ]

@@ -77,6 +77,13 @@ _MODEL_DEFAULTS = {
     "positional": True,
     "per_prompt": True,
 }
+# model settings read only when another setting has one value
+_MODEL_NEEDS = {
+    "scale": ("init", "random"),
+    "ngram_n": ("features", "ngram"),
+    "positional": ("features", "ngram"),
+    "per_prompt": ("features", "ngram"),
+}
 _ESTEP_DEFAULTS = {"backend": "exact", "params": {}}
 _DPO_DEFAULTS = {
     "steps": 100,
@@ -185,13 +192,24 @@ def _normalize_model(raw) -> dict:
         raise ConfigError(
             f"model.init must be 'uniform' or 'random', got {out['init']!r}"
         )
-    out["scale"] = require_real("model.scale", out["scale"])
-    if not 0 <= out["scale"] < np.inf:
-        raise ConfigError(f"model.scale must be finite and >= 0, got {out['scale']!r}")
-    out["ngram_n"] = require_integer("model.ngram_n", out["ngram_n"], 1)
-    for key in ("positional", "per_prompt"):
-        if not isinstance(out[key], bool):
-            raise ConfigError(f"model.{key} must be true or false, got {out[key]!r}")
+    for key, (on, value) in _MODEL_NEEDS.items():
+        if out[on] != value:
+            if key in (raw or {}):
+                raise ConfigError(
+                    f"model.{key} is read only with {on}: {value}, got {on}: {out[on]}"
+                )
+            del out[key]
+    if "scale" in out:
+        out["scale"] = require_real("model.scale", out["scale"])
+        if not 0 <= out["scale"] < np.inf:
+            raise ConfigError(
+                f"model.scale must be finite and >= 0, got {out['scale']!r}"
+            )
+    if "ngram_n" in out:
+        out["ngram_n"] = require_integer("model.ngram_n", out["ngram_n"], 1)
+        for key in ("positional", "per_prompt"):
+            if not isinstance(out[key], bool):
+                raise ConfigError(f"model.{key} must be true or false, got {out[key]!r}")
     return out
 
 
@@ -200,9 +218,9 @@ def parse_config(text: str) -> RunConfig:
 
     Unknown fields are an error rather than a warning: a silently ignored
     typo (``mstpe:``) would run a different experiment than the one the
-    config reads as describing.  For the same reason a setting the
-    algorithm never reads (`_READS`) is refused, and the resolved config
-    holds only what the run reads.  Each section's values are checked by the
+    config reads as describing.  For the same reason a setting the run
+    never reads (`_READS`, `_MODEL_NEEDS`) is refused, and the resolved
+    config holds only what the run reads.  Each section's values are checked by the
     object that uses them: the task factory, `EStepSpec`, `MStepSpec`,
     `check_pref_fit` and `PolicyGradConfig`; the task is built once, so its
     factory and `check_task_fits` see it before a run starts.
@@ -326,12 +344,11 @@ def build_task(tdata: dict) -> GenerativeTask:
 
 
 def build_model(mdata: dict, task: GenerativeTask, seed: int) -> LogitModel:
-    features = feature_map_from_descriptor(task, {
-        "kind": mdata["features"],
-        "n": mdata["ngram_n"],
-        "positional": mdata["positional"],
-        "per_prompt": mdata["per_prompt"],
-    })
+    desc = {"kind": mdata["features"]}
+    if desc["kind"] == "ngram":
+        desc.update(n=mdata["ngram_n"], positional=mdata["positional"],
+                    per_prompt=mdata["per_prompt"])
+    features = feature_map_from_descriptor(task, desc)
     if mdata["init"] == "uniform":
         return uniform_model(task, features)
     return random_model(task, stream(seed, "init"), mdata["scale"], features)
@@ -403,17 +420,20 @@ def _run_one_seed(args: tuple[dict, int]) -> dict:
 def execute_run(cfg: RunConfig, out_dir: str | Path, jobs: int = 1) -> str:
     """Run every seed of a config into `out_dir` and return the summary.
 
-    Workers receive the config data, not live objects, because evaluator
-    closures do not pickle; results are written in seed order regardless
-    of completion order so listings stay deterministic.
+    At most `jobs` worker processes run, and never more than there are
+    seeds.  Workers receive the config data, not live objects, because
+    evaluator closures do not pickle; results are written in seed order
+    regardless of completion order so listings stay deterministic.
     """
+    jobs = require_integer("jobs", jobs, 1)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.resolved").write_text(resolved_text(cfg))
     seeds = cfg.data["seeds"]
     work = [(cfg.data, seed) for seed in seeds]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(seeds))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_one_seed, work))
     else:
         results = [_run_one_seed(item) for item in work]

@@ -245,9 +245,8 @@ class AutoregressiveView:
     `rng.random()` per node, so a fixed generator state fixes the draw.
     """
 
-    def __init__(self, task: GenerativeTask, x_idx: int, joint_log_probs: np.ndarray):
+    def __init__(self, task: GenerativeTask, joint_log_probs: np.ndarray):
         self.task = task
-        self.x_idx = x_idx
         self.trie = task.trie
         self.mass = self.trie.upward(joint_log_probs)
         self.logp = self.trie.child_minus_parent(self.mass)
@@ -355,7 +354,7 @@ class LogitModel:
             return np.exp(self.joint_log_probs(x_idx))
 
     def conditional_tables(self, x_idx: int) -> AutoregressiveView:
-        return AutoregressiveView(self.task, x_idx, self.joint_log_probs(x_idx))
+        return AutoregressiveView(self.task, self.joint_log_probs(x_idx))
 
 
 def uniform_model(task: GenerativeTask, features: FeatureMap | None = None) -> LogitModel:

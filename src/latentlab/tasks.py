@@ -6,7 +6,9 @@ are small enough to enumerate exactly, which is what makes every
 downstream quantity (partition functions, posteriors, KL divergences)
 checkable against brute force.  The evaluator is compiled once per task
 into the table `obs_probs`, and each event once per value into a
-`CompiledEvent` over it; everything downstream reads those arrays.
+`CompiledEvent` over it; everything downstream reads those arrays.  A
+task is serialized as the arguments of the factory that built it: the task
+section of a run's `config.resolved`, which `harness.build_task` rebuilds.
 
 Token conventions: every latent and response is a token sequence that ends
 with the task's eos token and contains no earlier eos, so the concatenation
@@ -16,7 +18,6 @@ autoregressive trajectory.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Collection, Sequence
@@ -29,7 +30,6 @@ from .errors import (
     EmptyEventError,
     HorizonViolationError,
     OutOfSpaceError,
-    RecordFormatError,
     require_integer,
     require_positive,
     require_real,
@@ -96,8 +96,6 @@ class GenerativeTask:
     evaluator: Evaluator
     evaluator_kind: str
     horizon: int
-    seed: int = 0
-    params: dict | None = None
     truth: dict[int, tuple[int, int]] | None = field(default=None, repr=False)
     compiled_events: dict = field(default_factory=dict, init=False, repr=False)
     spec_events: dict = field(default_factory=dict, init=False, repr=False)
@@ -360,16 +358,6 @@ def compile_event(task: GenerativeTask, event: EventSpec) -> CompiledEvent:
     return compiled
 
 
-def explicit_event(task: GenerativeTask, event: EventSpec) -> EventSpec:
-    """Equivalent event with all axes materialized to explicit sets."""
-    z_idx, y_idx, o_idx = materialize_event(task, event)
-    return EventSpec(
-        latents=z_idx,
-        responses=y_idx,
-        obs=tuple(task.obs_values[i] for i in o_idx),
-    )
-
-
 # -- evaluators, factory arguments and factory tasks ------------------------
 
 
@@ -441,9 +429,8 @@ def _factory_task(
     **spaces,
 ) -> GenerativeTask:
     """A factory's task over `spaces`: uniform rho over the prompts,
-    observations (0, 1), the evaluator `args` names for `verify`, and
-    `args` as its params.  `args` holds the factory's own arguments and,
-    under "factory", its registered name."""
+    observations (0, 1) and the evaluator that the factory's arguments
+    `args` name for `verify`."""
     if args["evaluator"] == "soft":
         evaluator = _soft_evaluator(verify, args["soft_beta"], args["wrong_penalty"])
     else:
@@ -454,8 +441,6 @@ def _factory_task(
         obs_values=(0, 1),
         evaluator=evaluator,
         evaluator_kind=args["evaluator"],
-        seed=args["seed"],
-        params=args,
         **spaces,
     )
 
@@ -498,7 +483,7 @@ def make_carry_addition_task(
     accepts exactly the latent that follows correct carry arithmetic for
     the prompt together with the response it implies.
     """
-    args = {"factory": "carry_addition", **locals()}
+    args = dict(locals())
     check_task_args(args)
     n_latents = (2 * base) ** digits
     n_responses = base ** (digits + 1)
@@ -598,7 +583,7 @@ def make_automaton_trace_task(
     a single accept/reject token.  The verifier accepts exactly the true
     state trace paired with the label the DFA assigns.
     """
-    args = {"factory": "automaton_trace", **locals()}
+    args = dict(locals())
     check_task_args(args)
     n_latents = num_states**input_len
     if n_latents * 2 > cap:
@@ -678,7 +663,7 @@ def make_reward_tag_task(
     and (tag=bad, incorrect y), so a tag is the reward annotation of the
     response it precedes.
     """
-    args = {"factory": "reward_tag", **locals()}
+    args = dict(locals())
     check_task_args(args)
     if 2 * n_responses > cap:
         raise CapExceededError(f"|Z|*|Y| = {2 * n_responses} exceeds cap {cap}")
@@ -713,78 +698,3 @@ def make_reward_tag_task(
 
 GOOD_TAG = 1
 BAD_TAG = 0
-
-
-# -- serialization ------------------------------------------------------------
-
-_FACTORIES = {
-    "carry_addition": make_carry_addition_task,
-    "automaton_trace": make_automaton_trace_task,
-    "reward_tag": make_reward_tag_task,
-}
-
-
-def task_document(task: GenerativeTask, event: EventSpec | None = None) -> str:
-    """Structured text (JSON) describing a factory-built task.
-
-    Events are stored materialized; predicate events are made explicit
-    first so the document round-trips without executable content.
-    """
-    if task.params is None or "factory" not in task.params:
-        raise RecordFormatError(
-            f"task {task.name} was not built by a registered factory and "
-            "cannot be serialized"
-        )
-    doc = {
-        "name": task.name,
-        "seed": task.seed,
-        "factory_params": task.params,
-        "vocab": {"size": task.vocab.size, "eos": task.vocab.eos},
-        "horizon": task.horizon,
-        "sizes": {
-            "prompts": task.n_prompts,
-            "latents": task.n_latents,
-            "responses": task.n_responses,
-        },
-        "evaluator_kind": task.evaluator_kind,
-    }
-    if event is not None:
-        ev = explicit_event(task, event)
-        doc["event"] = {
-            "latents": list(ev.latents),
-            "responses": list(ev.responses),
-            "obs": list(ev.obs),
-        }
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
-def task_from_document(text: str) -> tuple[GenerativeTask, EventSpec | None]:
-    """Rebuild a task (and optional event) from `task_document` output."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise RecordFormatError(f"task document is not valid JSON: {exc}") from exc
-    try:
-        params = dict(doc["factory_params"])
-        factory_name = params.pop("factory")
-        factory = _FACTORIES[factory_name]
-    except KeyError as exc:
-        raise RecordFormatError(f"task document missing factory info: {exc}") from exc
-    task = factory(**params)
-    sizes = doc.get("sizes", {})
-    got = {
-        "prompts": task.n_prompts,
-        "latents": task.n_latents,
-        "responses": task.n_responses,
-    }
-    if sizes != got:
-        raise RecordFormatError(f"document sizes {sizes} disagree with rebuilt {got}")
-    event = None
-    if "event" in doc:
-        ev = doc["event"]
-        event = EventSpec(
-            latents=tuple(ev["latents"]),
-            responses=tuple(ev["responses"]),
-            obs=tuple(ev["obs"]),
-        )
-    return task, event

@@ -684,7 +684,6 @@ def conditional_sft_update(
     model: LogitModel,
     task: GenerativeTask,
     corpus,
-    mstep_spec: MStepSpec | None = None,
 ) -> LogitModel:
     """Weighted MLE on (tag, response) pairs from a tagged corpus of
     (prompt, tag, response) items; each prompt's weights are its item
@@ -703,9 +702,7 @@ def conditional_sft_update(
         xs * task.n_joint + task.zy_index(tags, ys), minlength=shape[0] * shape[1]
     ).reshape(shape)
     targets = counts / np.maximum(counts.sum(axis=1, keepdims=True), 1)
-    return mstep(
-        model, targets, mstep_spec or MStepSpec(kind="weighted_mle_from_samples")
-    )
+    return mstep(model, targets, MStepSpec(kind="weighted_mle_from_samples"))
 
 
 def conditional_decode(
@@ -832,10 +829,9 @@ def dpo_fit(
     steps: int = 100,
     rate: float = 0.5,
     beta: float = 1.0,
-    init: LogitModel | None = None,
 ) -> tuple[LogitModel, list[float]]:
     """Line-searched descent on the pairwise loss, starting at the reference."""
-    policy = init if init is not None else reference.with_theta(reference.theta)
+    policy = reference.with_theta(reference.theta)
     value, grad = latent_dpo_loss_and_grad(policy, reference, pairs, beta)
     history = [value]
     for _ in range(steps):

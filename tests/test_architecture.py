@@ -43,6 +43,7 @@ BENCH = PACKAGE.parents[1] / "bench"
 # functions that production and benchmark code never call, kept on purpose
 UNCALLED = {
     "elbo": "JointModel.elbo: the only ELBO implementation, with typed input checks",
+    "read_checkpoint": "reads the checkpoint files that `latentlab run` writes",
 }
 
 # fault switches a production function keeps on purpose
@@ -224,19 +225,30 @@ def _definitions(node: ast.AST, prefix: str = ""):
             yield from _definitions(child, prefix)
 
 
+def _exports(statement: ast.stmt) -> bool:
+    """Whether a statement assigns or extends `__all__`, which re-exports
+    names and calls none."""
+    targets = getattr(statement, "targets", [getattr(statement, "target", None)])
+    return any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets)
+
+
 def _unreferenced(defining: dict[str, str], referencing: list[str]) -> dict[str, str]:
     """{`module:qualname`: name} of every non-dunder function defined in a
     `defining` source whose name no `referencing` source uses as a name, an
-    attribute or an identifier string (as `__all__` and `getattr` name it)."""
+    attribute or an identifier string (as `getattr` names it).  A re-export
+    is no use: imports name no `ast.Name`, and `__all__` is skipped."""
     used = set()
     for source in referencing:
-        for node in ast.walk(ast.parse(source)):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                used.add(node.value)
+        for statement in ast.parse(source).body:
+            if _exports(statement):
+                continue
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    used.add(node.value)
     return {f"{module}:{qualname}": name
             for module, source in defining.items()
             for qualname, name in _definitions(ast.parse(source))
@@ -258,9 +270,14 @@ def test_caller_guard_sees_an_unreferenced_def():
     defining = {"m.py": "class A:\n    def used(self):\n        pass\n"
                         "    def unused(self):\n        pass\n"
                         "    def __repr__(self):\n        pass\n"
-                        "def helper():\n    return A().used()\n"}
-    caller = "__all__ = ['helper']\n"
-    assert _unreferenced(defining, [*defining.values(), caller]) == {"m.py:A.unused": "unused"}
+                        "def helper():\n    return A().used()\n"
+                        "def exported():\n    pass\n"}
+    # a re-export is no caller; a name string elsewhere (getattr) is one
+    caller = ("from m import exported, helper\n"
+              "__all__ = ['exported', 'helper']\n"
+              "wrapped = getattr(m, 'helper')\n")
+    assert _unreferenced(defining, [*defining.values(), caller]) == {
+        "m.py:A.unused": "unused", "m.py:exported": "exported"}
 
 
 def _fault_switches(module: str, source: str) -> set[str]:
@@ -311,7 +328,7 @@ from latentlab.training import MStepSpec, em_iterate
 for features in ("tabular", "ngram"):
     cfg = harness.parse_config(
         "task: {kind: automaton, num_states: 2, input_len: 3}\\n"
-        f"model: {{features: {features}, ngram_n: 2, init: random}}\\n"
+        f"model: {{features: {features}, init: random}}\\n"
         "algorithm: em\\n"
         "estep: {backend: policy_gradient, params: {iterations: 3}}\\n"
         "mstep: {kind: gradient_ascent, steps: 3}\\n").data

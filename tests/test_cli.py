@@ -62,6 +62,14 @@ def test_run_bad_config(tmp_path, capsys):
     assert "bogus_key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_run_refuses_jobs_below_one(tmp_path, config_path, capsys, jobs):
+    out = tmp_path / "run"
+    assert main(["run", str(config_path), "--out", str(out), "--jobs", jobs]) == 2
+    assert capsys.readouterr().err == f"error: jobs must be >= 1, got {jobs}\n"
+    assert not out.exists()
+
+
 def test_verify_single_check(capsys):
     assert main(["verify", "--filter", "tasks.factory_counts"]) == 0
     out = capsys.readouterr().out
@@ -166,6 +174,18 @@ SOFT = TAG + "  evaluator: soft\n"
                  id="posterior-dpo-sample-budget"),
     pytest.param("iter_dpo", TAG + "dpo: {pg: {iterations: 3}}\n",
                  "dpo.pg is not read by algorithm 'iter_dpo', ", id="iter-dpo-pg"),
+    pytest.param("em", TAG + "model: {init: uniform, scale: 0.6}\n",
+                 "model.scale is read only with init: random, ", id="uniform-init-scale"),
+    pytest.param("em", TAG + "model: {scale: 0.6}\n",
+                 "model.scale is read only with init: random, ", id="default-init-scale"),
+    pytest.param("em", TAG + "model: {features: tabular, ngram_n: 3}\n",
+                 "model.ngram_n is read only with features: ngram, ", id="tabular-ngram-n"),
+    pytest.param("filter_sft", TAG + "model: {positional: false}\n",
+                 "model.positional is read only with features: ngram, ",
+                 id="tabular-positional"),
+    pytest.param("cond_sft", TAG + "model: {init: random, per_prompt: true}\n",
+                 "model.per_prompt is read only with features: ngram, ",
+                 id="tabular-per-prompt"),
 ])
 def test_run_rejects_bad_values_before_making_a_run_directory(
     tmp_path, capsys, algorithm, section, error

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from latentlab import training
+from latentlab import harness, training
 from latentlab.errors import ConfigError, TaskMismatchError
 from latentlab.harness import (
     _run_one_seed,
@@ -48,7 +48,7 @@ def test_parse_fixed_point():
 
 
 def test_parse_fills_defaults():
-    cfg = parse_config(BASE)
+    cfg = parse_config(BASE.replace("init: uniform", "init: random"))
     assert cfg.data["model"]["scale"] == 0.5
     assert cfg.data["mstep"]["steps"] == 50
     assert cfg.data["event"] == "success"
@@ -185,8 +185,8 @@ def _paths(data: dict, prefix: str = ""):
 # line picks the output directory
 RUN_LEVEL = {"seeds", "out"}
 TAG_RUN = ("task: {kind: tag, n_prompts: 2, n_responses: 5, seed: 1}\n"
-           "model: {init: random, scale: 0.6}\niterations: 1\nseeds: [0]\n"
-           "reference: optimum\ncheckpoint_every: 1\n")
+           "iterations: 1\nseeds: [0]\ncheckpoint_every: 1\n")
+RANDOM_INIT = "model: {init: random, scale: 0.6}\nreference: optimum\n"
 
 
 # the settings each algorithm reads, one non-default value in each
@@ -199,11 +199,19 @@ SETTINGS = {
     "iter_dpo": "dpo: {steps: 2, candidates: 4}\n",
     "posterior_dpo": "dpo: {steps: 2, candidates: 4, pg: {iterations: 3}}\n",
 }
+# model sections beside the random tabular one, whose settings the run reads
+# only in part
+MODELS = {
+    "uniform-init": ("filter_sft", "model: {init: uniform}\nreference: optimum\n"),
+    "ngram": ("em", "model: {features: ngram, ngram_n: 3, positional: false}\n"),
+}
 
 
-@pytest.mark.parametrize("algorithm", SETTINGS)
-def test_a_run_reads_every_resolved_setting(algorithm):
-    text = f"algorithm: {algorithm}\n" + TAG_RUN + SETTINGS[algorithm]
+@pytest.mark.parametrize("algorithm, model", [
+    *((algorithm, RANDOM_INIT) for algorithm in SETTINGS), *MODELS.values(),
+], ids=[*SETTINGS, *MODELS])
+def test_a_run_reads_every_resolved_setting(algorithm, model):
+    text = f"algorithm: {algorithm}\n" + TAG_RUN + model + SETTINGS[algorithm]
     if algorithm == "restem":
         text = text.replace("seed: 1}", "seed: 1, evaluator: soft}")
     data = parse_config(text).data
@@ -271,6 +279,32 @@ def test_parallel_matches_serial(tmp_path):
         assert (a / f"record.seed{k}.tsv").read_bytes() == (
             b / f"record.seed{k}.tsv"
         ).read_bytes()
+
+
+def test_worker_processes_are_bounded_by_the_seed_count(tmp_path, monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Records the worker count asked of the pool; maps in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    for jobs, seeds, asked in ((64, 3, [3]), (2, 3, [2]), (4, 1, [])):
+        sizes.clear()
+        cfg = parse_config(BASE.replace("seeds: [0]", f"seeds: {list(range(seeds))}"))
+        execute_run(cfg, tmp_path / f"j{jobs}-s{seeds}", jobs=jobs)
+        assert sizes == asked, (jobs, seeds)
 
 
 def test_checkpoints_written(tmp_path):

@@ -14,16 +14,14 @@ from latentlab.tasks import (
     TokenSequence,
     Vocabulary,
     compile_event,
-    explicit_event,
     full_event,
     make_automaton_trace_task,
     make_carry_addition_task,
     make_reward_tag_task,
     materialize_event,
     success_event,
-    task_document,
-    task_from_document,
 )
+from latentlab.harness import build_task, parse_config, resolved_text
 from latentlab.verification import evaluator_normalization_gap, evaluator_prob
 
 
@@ -100,13 +98,6 @@ def test_predicate_event(tag_task):
     assert all(tag_task.latents[i].ids[0] == 1 for i in z_idx)
 
 
-def test_explicit_event_idempotent(tag_task):
-    ev = EventSpec(latents=lambda z: z.ids[0] == 1)
-    explicit = explicit_event(tag_task, ev)
-    assert isinstance(explicit.latents, tuple)
-    assert materialize_event(tag_task, explicit) == materialize_event(tag_task, ev)
-
-
 def test_empty_event_raises(tag_task):
     with pytest.raises(EmptyEventError):
         materialize_event(tag_task, EventSpec(latents=()))
@@ -131,9 +122,10 @@ def test_cap_enforced():
 
 
 def test_document_roundtrip(tag_task):
-    doc = task_document(tag_task)
-    again, event = task_from_document(doc)
-    assert event is None
+    # the task section of config.resolved is the task's serialized form
+    cfg = parse_config("task: {kind: tag, n_prompts: 3, n_responses: 5, seed: 2}\n"
+                       "algorithm: em\n")
+    again = build_task(parse_config(resolved_text(cfg)).data["task"])
     assert again.name == tag_task.name
     assert again.truth == tag_task.truth
     assert np.array_equal(again.rho, tag_task.rho)
@@ -153,7 +145,8 @@ def test_seed_changes_truth():
 def test_rebuild_is_identical():
     a = make_automaton_trace_task(3, 2, seed=1)
     b = make_automaton_trace_task(3, 2, seed=1)
-    assert task_document(a) == task_document(b)
+    assert a.prompts == b.prompts and a.truth == b.truth
+    assert np.array_equal(a.obs_probs, b.obs_probs)
 
 
 def test_joint_sequence_beyond_the_horizon_raises_typed_error():

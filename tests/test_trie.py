@@ -64,7 +64,7 @@ def _view(seqs, log_probs):
     # the two things a view reads from its task: the trie and joint index -> pair
     task = SimpleNamespace(trie=Trie(seqs), zy_unindex=lambda k: (k, 0),
                            zy_index=lambda z, y: z)
-    return AutoregressiveView(task, 0, log_probs)
+    return AutoregressiveView(task, log_probs)
 
 
 def _below(seqs, prefix):
