@@ -80,7 +80,7 @@ class EStepResult:
 def tv_to_exact(jm: JointModel, x_idx: int, event: EventSpec, row: np.ndarray) -> float:
     """Total variation between a candidate row over joint outcomes and the
     posterior; mass outside the event counts against the candidate."""
-    return total_variation(row, jm.exact_posterior(x_idx, event).joint_marginal())
+    return total_variation(row, jm.exact_posterior(x_idx, event))
 
 
 # -- exact enumeration -----------------------------------------------------
@@ -88,8 +88,7 @@ def tv_to_exact(jm: JointModel, x_idx: int, event: EventSpec, row: np.ndarray) -
 
 def estep_exact(jm: JointModel, x_idx: int, event: EventSpec) -> EStepResult:
     """Posterior over (z, y) by direct enumeration of the event."""
-    table = jm.exact_posterior(x_idx, event)
-    return EStepResult(backend="exact", probs=table.joint_marginal(), tv_error=0.0)
+    return EStepResult(backend="exact", probs=jm.exact_posterior(x_idx, event), tv_error=0.0)
 
 
 # -- soft planning ---------------------------------------------------------

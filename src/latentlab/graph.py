@@ -2,15 +2,17 @@
 event-restricted log likelihood.
 
 The graph factorizes as P(z, y, o | x) = P(z, y | x, theta) * P(o | x, z, y)
-with the second factor fixed by the task's observation table.  The central
-scalar is the log probability of an event (a restriction of the three
-spaces); its exact posterior, evidence lower bound, and parameter gradient
+with the second factor fixed by the task's observation table.  The
+observation is summed out: an event's term at joint outcome (z, y) is
+log P(z, y | x) + log m_x(z, y), m_x the compiled event's mass row.  The
+central scalar is the log probability of an event, the log-sum-exp of its
+terms; its exact posterior, evidence lower bound, and parameter gradient
 are all available by enumeration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,33 +22,10 @@ from .models import LogitModel
 from .tasks import CompiledEvent, EventSpec, compile_event
 
 
-def _joint_marginal(compiled: CompiledEvent, probs: np.ndarray) -> np.ndarray:
-    """Triple weights `probs` ([triples] or [prompts, triples]) summed onto
-    joint outcomes in triple order, one row per prompt."""
-    n_joint = compiled.task.n_joint
-    rows = probs.reshape(-1, len(compiled.triple_joint))
-    bins = (np.arange(len(rows))[:, None] * n_joint + compiled.triple_joint).ravel()
-    out = np.bincount(bins, rows.ravel(), len(rows) * n_joint)
-    return out.reshape(probs.shape[:-1] + (n_joint,))
-
-
-@dataclass
-class PosteriorTable:
-    """Exact conditional distribution over an event's triples.
-
-    `probs` follows the triple order of `compiled` (the compiled event)
-    and sums to 1.  `log_normalizer` is the event log probability that
-    normalized the table.
-    """
-
-    probs: np.ndarray
-    log_normalizer: float
-    compiled: CompiledEvent = field(repr=False)
-
-    def joint_marginal(self) -> np.ndarray:
-        """Marginal over every joint outcome, observations summed out in
-        enumeration order; 0 outside the event."""
-        return _joint_marginal(self.compiled, self.probs)
+def _posterior_rows(terms: np.ndarray, totals) -> np.ndarray:
+    """Posterior rows exp(terms - totals) of event terms and their log totals."""
+    with np.errstate(under="ignore"):
+        return np.exp(terms - np.expand_dims(totals, -1))
 
 
 @dataclass
@@ -66,53 +45,50 @@ class JointModel:
         self.seq = seq
         self.task = seq.task
 
-    def _event_terms(
-        self, x_idx: int, event: EventSpec
-    ) -> tuple[CompiledEvent, np.ndarray]:
+    def _event_terms(self, x_idx: int, event: EventSpec) -> np.ndarray:
+        """log P(z, y | x) + log m_x(z, y) for every joint outcome; -inf
+        outside the event and where its mass is 0."""
         compiled = compile_event(self.task, event)
-        lp_zy = self.seq.joint_log_probs(x_idx)
         with np.errstate(divide="ignore"):
-            log_eval = np.log(compiled.triple_probs(x_idx))
-        return compiled, lp_zy[compiled.triple_joint] + log_eval
+            return self.seq.joint_log_probs(x_idx) + np.log(compiled.mass(x_idx))
 
-    def exact_posterior(self, x_idx: int, event: EventSpec) -> PosteriorTable:
-        """Q(z, y, o) proportional to P(z, y, o | x) restricted to the event."""
-        compiled, terms = self._event_terms(x_idx, event)
+    def exact_posterior(self, x_idx: int, event: EventSpec) -> np.ndarray:
+        """The posterior row P(z, y | x, o in the event) over every joint
+        outcome; 0 outside the event."""
+        terms = self._event_terms(x_idx, event)
         total = log_sum_exp(terms)
         if total == -np.inf:
             raise ZeroMassEventError(
                 f"event {event.describe()} has zero mass at prompt {x_idx}"
             )
-        with np.errstate(under="ignore"):
-            probs = np.exp(terms - total)
-        return PosteriorTable(probs=probs, log_normalizer=total, compiled=compiled)
+        return _posterior_rows(terms, total)
 
     def elbo(self, x_idx: int, event: EventSpec, q: np.ndarray) -> ElboReport:
-        """Evidence lower bound E_q[log P(z, y, o | x)] + H(q).
+        """Evidence lower bound E_q[log P(z, y | x) + log m_x(z, y)] + H(q),
+        the observation summed out.
 
-        `q` aligns with the event enumeration.  Equals the event log
-        probability exactly when q is the exact posterior; never exceeds it.
+        `q` is a distribution over every joint outcome.  The bound equals
+        the event log probability exactly when q is the exact posterior and
+        never exceeds it; mass outside the event gives -inf.
         """
-        _, terms = self._event_terms(x_idx, event)
+        terms = self._event_terms(x_idx, event)
         q = np.asarray(q, dtype=np.float64)
         if q.shape != terms.shape:
             raise UnnormalizedVariationalError(
-                f"variational weights have shape {q.shape}, event has {len(terms)} triples"
+                f"variational weights have shape {q.shape}, event has {len(terms)} outcomes"
             )
-        if np.any(q < -1e-12) or abs(q.sum() - 1.0) > 1e-9:
+        if not np.isfinite(q).all() or np.any(q < -1e-12) or abs(q.sum() - 1.0) > 1e-9:
             raise UnnormalizedVariationalError(
-                f"variational weights sum to {q.sum():.12g}, expected 1"
+                f"variational weights sum to {q.sum():.12g}, expected 1 and finite weights"
             )
         mask = q > 0.0
         value = float(np.dot(q[mask], terms[mask])) + entropy(q)
         return ElboReport(value=value, log_likelihood=log_sum_exp(terms))
 
     def _all_event_terms(self, compiled: CompiledEvent) -> np.ndarray:
-        """[prompts, triples] log P(z, y, o | x) over the event's triples."""
+        """[prompts, joint] `_event_terms` of every prompt."""
         with np.errstate(divide="ignore"):
-            log_eval = np.log(compiled.triple_probs_all())
-        # `take` gathers columns several times faster than `[:, index]`
-        return np.take(self.seq.log_probs_all(), compiled.triple_joint, axis=1) + log_eval
+            return self.seq.log_probs_all() + np.log(compiled.mass_all())
 
     def averaged_event_logprob(self, event: EventSpec) -> float:
         """rho-weighted event log probability across all prompts."""
@@ -122,15 +98,14 @@ class JointModel:
     def averaged_grad(self, event: EventSpec) -> np.ndarray:
         """rho-weighted d/dtheta log P(event | x): posterior minus model
         feature means, all prompts in one adjoint product."""
-        compiled = compile_event(self.task, event)
-        terms = self._all_event_terms(compiled)
+        terms = self._all_event_terms(compile_event(self.task, event))
         totals = logsumexp_rows(terms)
         zero = np.flatnonzero(totals == -np.inf)
         if zero.size:
             raise ZeroMassEventError(
                 f"event {event.describe()} has zero mass at prompt {zero[0]}"
             )
+        q = _posterior_rows(terms, totals)
         with np.errstate(under="ignore"):
-            q = _joint_marginal(compiled, np.exp(terms - totals[:, None]))
             p = np.exp(self.seq.log_probs_all())
         return self.seq.features.adjoint_all(self.task.rho[:, None] * (q - p))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClampLeakError, UnreachableEventError
+from .errors import ClampLeakError, UnreachableEventError, require_positive
 from .graph import JointModel
 # `bench/spans.py` counts `logsumexp` calls at this import site too
 from .logspace import LOG_CLAMP, logsumexp  # noqa: F401
@@ -37,8 +37,7 @@ class ShapedMdp:
     beta: float
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
+        require_positive("beta", self.beta)
 
 
 @dataclass

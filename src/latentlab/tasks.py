@@ -6,7 +6,8 @@ are small enough to enumerate exactly, which is what makes every
 downstream quantity (partition functions, posteriors, KL divergences)
 checkable against brute force.  The evaluator is compiled once per task
 into the table `obs_probs`, and each event once per value into a
-`CompiledEvent` over it; everything downstream reads those arrays.  A
+`CompiledEvent` over it, whose mass row m_x(z, y) = P(o in the event's
+observations | x, z, y) is the event's one form downstream.  A
 task is serialized as the arguments of the factory that built it: the task
 section of a run's `config.resolved`, which `harness.build_task` rebuilds.
 
@@ -104,7 +105,8 @@ class GenerativeTask:
         self.rho = np.asarray(self.rho, dtype=np.float64)
         if self.rho.shape != (len(self.prompts),):
             raise ValueError("rho must have one weight per prompt")
-        if np.any(self.rho < 0) or abs(self.rho.sum() - 1.0) > 1e-12:
+        # written so that a nan or infinite weight fails the test
+        if not (np.all(self.rho >= 0) and abs(self.rho.sum() - 1.0) <= 1e-12):
             raise ValueError("rho must be a probability distribution over prompts")
         if len(set(self.latents)) != len(self.latents):
             raise ValueError("duplicate latent sequences")
@@ -263,17 +265,14 @@ def materialize_event(
 class CompiledEvent:
     """One event of one task as index arrays over the task's `obs_probs`.
 
-    The event's (z, y, o) triples, in enumeration order, are the joint
-    indices `triple_joint` and observation indices `triple_obs`;
-    `pair_joint` lists its distinct (z, y) pairs as joint indices, in the
-    same order.  `obs` holds the event's observation indices and `inside`
-    marks the joint outcomes of its (z, y) rectangle.  The arrays are
-    read-only.
+    `pair_joint` lists the event's (z, y) pairs as joint indices, in
+    enumeration order, and `inside` marks them among all joint outcomes;
+    `obs` holds the event's observation indices.  Downstream the event is
+    its mass row `mass(x)`, with the observation summed out.  The arrays
+    are read-only.
     """
 
     task: GenerativeTask = field(repr=False)
-    triple_joint: np.ndarray
-    triple_obs: np.ndarray
     pair_joint: np.ndarray
     obs: tuple[int, ...]
     inside: np.ndarray
@@ -288,16 +287,6 @@ class CompiledEvent:
         """[prompts, joint]: `mass(x)` for every prompt x."""
         rows = _obs_table(self.task)[:, :, self.obs].sum(axis=-1)
         return np.where(self.inside, rows, 0.0)
-
-    def triple_probs(self, x_idx: int) -> np.ndarray:
-        """P(o | x, z, y) for every triple, in enumeration order."""
-        return _prompt_obs(self.task, x_idx)[self.triple_joint, self.triple_obs]
-
-    def triple_probs_all(self) -> np.ndarray:
-        """[prompts, triples]: `triple_probs(x)` for every prompt x."""
-        table = _obs_table(self.task)
-        flat = self.triple_joint * table.shape[2] + self.triple_obs
-        return table.reshape(len(table), -1).take(flat, axis=1)
 
 
 # most entries a task keeps in each of `spec_events` and `compiled_events`,
@@ -331,9 +320,9 @@ def compile_event(task: GenerativeTask, event: EventSpec) -> CompiledEvent:
 
     An event whose fields are hashable collections is first looked up by
     their value in the task's bounded `spec_events`, which skips the
-    materialization.  Order is lexicographic in (latent tokens, response
-    tokens, o); factory tasks store their spaces token-sorted, so this
-    coincides with index order.
+    materialization.  Pairs are ordered lexicographically in (latent
+    tokens, response tokens); factory tasks store their spaces
+    token-sorted, so this coincides with index order.
     """
     spec = _spec_key(event)
     if spec is not None and spec in task.spec_events:
@@ -347,11 +336,9 @@ def compile_event(task: GenerativeTask, event: EventSpec) -> CompiledEvent:
         pair_joint = task.zy_index(np.array(z_sorted)[:, None], np.array(y_sorted)).ravel()
         inside = np.zeros(task.n_joint, dtype=bool)
         inside[pair_joint] = True
-        triple_joint = np.repeat(pair_joint, len(o_idx))
-        triple_obs = np.tile(o_idx, len(pair_joint))
-        for array in (triple_joint, triple_obs, pair_joint, inside):
+        for array in (pair_joint, inside):
             array.flags.writeable = False
-        compiled = CompiledEvent(task, triple_joint, triple_obs, pair_joint, o_idx, inside)
+        compiled = CompiledEvent(task, pair_joint, o_idx, inside)
         _remember(task.compiled_events, key, compiled)
     if spec is not None:
         _remember(task.spec_events, spec, compiled)

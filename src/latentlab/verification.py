@@ -135,9 +135,9 @@ def _next_prompt_obs(task: GenerativeTask) -> np.ndarray:
     return np.roll(task.obs_probs, -1, axis=0)
 
 
-def _rolled_joint_marginal(compiled, probs: np.ndarray) -> np.ndarray:
-    """'joint-marginal': the exact joint marginal, one joint index up."""
-    return np.roll(_CLEAN["joint-marginal"](compiled, probs), 1, axis=-1)
+def _rolled_posterior_rows(terms: np.ndarray, totals) -> np.ndarray:
+    """'joint-marginal': the exact posterior rows, one joint index up."""
+    return np.roll(_CLEAN["joint-marginal"](terms, totals), 1, axis=-1)
 
 
 def _rolled_prompt_rows(logits: np.ndarray) -> np.ndarray:
@@ -180,7 +180,7 @@ FAULTS = {
     "shaping-sign": (planner_kernel, "shape_rewards", _negated_bonus_rewards),
     "trie-upward": (trie_kernel, "_segment_sum", _misaligned_segment_sum),
     "obs-table": (task_tables, "_obs_table", _next_prompt_obs),
-    "joint-marginal": (graph_kernel, "_joint_marginal", _rolled_joint_marginal),
+    "joint-marginal": (graph_kernel, "_posterior_rows", _rolled_posterior_rows),
     "batched-rows": (model_kernel, "_normalized_rows", _rolled_prompt_rows),
     "comparator-set": (training_kernel, "_argmax_sets", _rolled_argmax_sets),
     "stale-fisher": (esteps_kernel, "_fisher_step", _stale_fisher_step),
@@ -366,8 +366,9 @@ def evaluator_prob(task: GenerativeTask, x_idx: int, z_idx: int, y_idx: int, o: 
 
 
 def triple_logprob(jm: JointModel, x_idx: int, z_idx: int, y_idx: int, o: int) -> float:
-    """log P(z, y, o | x), one triple at a time: the factorization that the
-    event terms vectorize; -inf when the evaluator assigns o zero mass."""
+    """log P(z, y, o | x), one triple at a time: the factorization whose
+    observations the event terms sum out; -inf when the evaluator assigns o
+    zero mass."""
     mass = evaluator_prob(jm.task, x_idx, z_idx, y_idx, o)
     return joint_logprob(jm.seq, x_idx, z_idx, y_idx) + (
         math.log(mass) if mass > 0.0 else -math.inf)
@@ -454,14 +455,13 @@ def evaluator_normalization_gap(task: GenerativeTask) -> float:
 def event_logprob(jm: JointModel, x_idx: int, event: EventSpec) -> float:
     """log P(event | x, theta) at one prompt; -inf signals a zero-mass (not
     invalid) event."""
-    _, terms = jm._event_terms(x_idx, event)
-    return log_sum_exp(terms)
+    return log_sum_exp(jm._event_terms(x_idx, event))
 
 
 def grad_event_logprob(jm: JointModel, x_idx: int, event: EventSpec) -> np.ndarray:
     """d/dtheta log P(event | x) at one prompt: posterior minus model
     feature means."""
-    q_vec = jm.exact_posterior(x_idx, event).joint_marginal()
+    q_vec = jm.exact_posterior(x_idx, event)
     p_vec = jm.seq.joint_probs(x_idx)
     return jm.seq.features.adjoint(x_idx, q_vec - p_vec)
 
@@ -779,9 +779,11 @@ def check_tasks_event_enumeration() -> CheckResult:
     triples = _event_triples(task, succ)
     if len(triples) != task.n_joint:
         return _fail(f"success event enumerates {len(triples)} triples")
-    if (compiled.triple_joint.tolist() != [task.zy_index(z, y) for z, y, _ in triples]
-            or [task.obs_values[i] for i in compiled.triple_obs] != [o for *_, o in triples]):
-        return _fail("compiled triples disagree with enumeration order")
+    brute = np.zeros(task.n_joint)
+    for z, y, o in triples:
+        brute[task.zy_index(z, y)] += task.evaluator(0, z, y, o)
+    if not np.array_equal(compiled.mass(0), brute):
+        return _fail("compiled mass row disagrees with the enumerated triples")
     first_seen = list(dict.fromkeys(task.zy_index(z, y) for z, y, _ in triples))
     if compiled.pair_joint.tolist() != first_seen:
         return _fail("zy support order disagrees with enumeration order")
@@ -1123,15 +1125,15 @@ def check_graph_event_logprob_cases() -> CheckResult:
     probs = np.array([0.2, 0.3, 0.1, 0.4])
     hand = uniform_model(tag).with_theta(np.log(probs))
     ev = EventSpec(latents=(0,))
-    table = JointModel(hand).exact_posterior(0, ev)
-    marg = table.joint_marginal()
+    marg = JointModel(hand).exact_posterior(0, ev)
     support = np.flatnonzero(marg)
     if _as_pairs(tag, support) != [(0, 0), (0, 1)]:
         return _fail(f"frozen case support {support}")
     if float(np.max(np.abs(marg[support] - np.array([0.4, 0.6])))) > 1e-12:
         return _fail(f"frozen case posterior {marg}")
-    if abs(table.log_normalizer - math.log(0.5)) > 1e-12:
-        return _fail(f"frozen case normalizer {table.log_normalizer!r}")
+    normalizer = event_logprob(JointModel(hand), 0, ev)
+    if abs(normalizer - math.log(0.5)) > 1e-12:
+        return _fail(f"frozen case normalizer {normalizer!r}")
     return _ok("boundary cases and the frozen half-mass case agree")
 
 
@@ -1146,17 +1148,15 @@ def check_graph_posterior_oracle() -> CheckResult:
         for event in inst.events:
             triples = _event_triples(task, event)
             for x in range(task.n_prompts):
-                weights: list[float] = []
+                weights = [0.0] * task.n_joint
                 for zi, yi, o in triples:
                     w = math.exp(joint_logprob(model, x, zi, yi))
-                    weights.append(w * task.evaluator(x, zi, yi, o))
+                    weights[task.zy_index(zi, yi)] += w * task.evaluator(x, zi, yi, o)
                 total = sum(weights)
-                table = jm.exact_posterior(x, event)
-                if len(table.probs) != len(weights):
-                    return _fail(f"{name}: support sizes differ at x={x}")
-                for got, w in zip(table.probs, weights):
+                row = jm.exact_posterior(x, event)
+                for got, w in zip(row, weights, strict=True):
                     worst = max(worst, abs(float(got) - w / total))
-                worst = max(worst, abs(table.log_normalizer - math.log(total)))
+                worst = max(worst, abs(event_logprob(jm, x, event) - math.log(total)))
     if worst > 1e-11:
         return _fail(f"brute-force deviation {worst:.3e} > 1e-11")
     return _ok(f"max deviation {worst:.3e} across three instances")
@@ -1173,9 +1173,8 @@ def check_graph_elbo_bound() -> CheckResult:
     worst_violation = -math.inf
     draws = 0
     for x in range(task.n_prompts):
-        table = jm.exact_posterior(x, event)
-        k = len(table.probs)
-        live = table.probs > 0.0
+        row = jm.exact_posterior(x, event)
+        live = row > 0.0
         for report in _live_elbos(jm, x, event, live, rng, [1.0] * 100 + [0.2] * 100):
             if not math.isfinite(report.value):
                 return _fail(f"live-support variational gave {report.value!r}")
@@ -1183,17 +1182,17 @@ def check_graph_elbo_bound() -> CheckResult:
                                   report.value - report.log_likelihood)
             draws += 1
         if not live.all():
-            dense = jm.elbo(x, event, rng.dirichlet(np.full(k, 1.0)))
+            dense = jm.elbo(x, event, rng.dirichlet(np.full(len(row), 1.0)))
             if dense.value != -math.inf:
-                return _fail("mass on a zero-probability triple kept a "
+                return _fail("mass on a zero-probability outcome kept a "
                              f"finite value {dense.value!r}")
-        at_posterior = jm.elbo(x, event, table.probs)
+        at_posterior = jm.elbo(x, event, row)
         if abs(at_posterior.gap) > 1e-10:
             return _fail(f"gap at the posterior is {at_posterior.gap:.3e}")
     if worst_violation > 1e-10:
         return _fail(f"bound violated by {worst_violation:.3e}")
     if not _expect_raises(UnnormalizedVariationalError, jm.elbo, 0, event,
-                          np.full(len(jm.exact_posterior(0, event).probs), 0.7)):
+                          np.full(task.n_joint, 0.7)):
         return _fail("unnormalized q was accepted")
     return _ok(f"{draws} variationals stay below, worst slack {-worst_violation:.3e}")
 
@@ -2472,14 +2471,14 @@ def acceptance_03() -> AcceptanceResult:
         model = random_model(inst.task, stream(SEED, "acc3", inst.name), scale=0.9)
         jm = JointModel(model)
         event = inst.events[0]
-        table = jm.exact_posterior(0, event)
+        row = jm.exact_posterior(0, event)
         rng = stream(SEED, "acc3-q", inst.name)
         alphas = [1.0, 0.25] * (per_instance // 2)
-        for report in _live_elbos(jm, 0, event, table.probs > 0.0, rng, alphas):
+        for report in _live_elbos(jm, 0, event, row > 0.0, rng, alphas):
             finite = finite and math.isfinite(report.value)
             worst_violation = max(worst_violation,
                                   report.value - report.log_likelihood)
-        worst_gap = max(worst_gap, abs(jm.elbo(0, event, table.probs).gap))
+        worst_gap = max(worst_gap, abs(jm.elbo(0, event, row).gap))
     ok = finite and worst_violation <= 1e-10 and worst_gap <= 1e-10
     return _accept(3, "variational-lower-bound", started, ok,
                    f"{per_instance} draws x {len(standard_instances())} instances, "

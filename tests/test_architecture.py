@@ -1,8 +1,9 @@
 """Structural guards on how the package reads tasks and outcomes.
 
 Only the table compile in `tasks.py` and the brute-force oracles in
-`verification.py` may call a task's evaluator; every other module reads
-`GenerativeTask.obs_probs` through a compiled event.  Between the E-step
+`verification.py` may call a task's evaluator, and outside
+`verification.py` only a compiled event's mass rows read the table it
+fills, `GenerativeTask.obs_probs`: an event has no other form.  Between the E-step
 engines, the samplers and the M-step an outcome is its joint index, so the
 modules on that path never turn an index back into a (z, y) tuple.  The
 averages over prompts read a model's [prompts, joint] matrix, never one
@@ -27,6 +28,11 @@ import latentlab
 
 PACKAGE = Path(latentlab.__file__).parent
 ALLOWED = {"tasks.py": {"obs_probs"}, "verification.py": None}
+# the observation table and its two accessors in tasks.py
+OBS_TABLE = {"obs_probs", "_obs_table", "_prompt_obs"}
+# its readers: each accessor reads the one before it, and the compiled
+# event's mass rows read the accessors
+OBS_READERS = {"_obs_table", "_prompt_obs", "CompiledEvent.mass", "CompiledEvent.mass_all"}
 JOINT_INDEX_MODULES = ("esteps.py", "graph.py", "planner.py", "training.py")
 BATCHED = {"graph.py": {"averaged_event_logprob", "averaged_grad"},
            "training.py": {"_averaged_kl", "mstep", "latent_dpo_loss_and_grad",
@@ -86,6 +92,49 @@ def test_only_the_table_compile_and_oracles_call_the_evaluator():
 def test_guard_sees_a_call():
     tree = ast.parse("def f(task):\n    return task.evaluator(0, 0, 0, 1)\n")
     assert _attribute_calls(tree, "evaluator") == [("f", 2)]
+
+
+def _reads(tree: ast.AST, names: set[str]) -> list[tuple[str, int]]:
+    """(qualified name of the enclosing function, line) of every use of one
+    of `names` as a name or an attribute; `<module>` outside functions."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = node.name if scope == "<module>" else f"{scope}.{node.name}"
+        elif isinstance(node, (ast.Name, ast.Attribute)) and getattr(
+                node, "id", getattr(node, "attr", None)) in names:
+            found.append((scope, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_only_the_mass_rows_read_the_observation_table():
+    offenders, readers = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "verification.py":
+            continue
+        for scope, line in _reads(ast.parse(path.read_text()), OBS_TABLE):
+            readers.add(scope)
+            if scope not in OBS_READERS:
+                offenders.append(f"{path.name}:{line} in {scope}")
+    assert not offenders, "observation table read outside the mass rows: " + ", ".join(
+        offenders)
+    assert readers == OBS_READERS
+
+
+def test_table_guard_sees_a_read_elsewhere():
+    source = ("class CompiledEvent:\n"
+              "    def mass(self, x):\n        return _prompt_obs(self.task, x)\n"
+              "    def triple_probs(self, x):\n"
+              "        return _prompt_obs(self.task, x)[self.joint]\n"
+              "def event_terms(task):\n    return np.log(task.obs_probs)\n")
+    found = [read for read in _reads(ast.parse(source), OBS_TABLE)
+             if read[0] not in OBS_READERS]
+    assert found == [("CompiledEvent.triple_probs", 5), ("event_terms", 7)]
 
 
 def test_joint_index_path_never_unindexes():

@@ -4,7 +4,7 @@ Random non-empty subsets of the latent, response and observation spaces of
 small factory tasks are compiled once per value.  Their index arrays are
 compared with a nested-loop enumeration sorted by token ids, and their
 per-prompt event mass with direct evaluator calls.  Under
-random models, the joint-index marginal, total variation and closed-form
+random models, the posterior row, total variation and closed-form
 M-step built on them are compared with the same computations in (z, y)
 pair form, and the closed-form comparator of the 1/T certificate with the
 argmax sets of the same evaluator calls.
@@ -81,8 +81,7 @@ def test_compiled_event_matches_brute_force(case):
         key=lambda t: (task.latents[t[0]].ids, task.responses[t[1]].ids, t[2]),
     )
     pairs = list(dict.fromkeys((z, y) for z, y, _ in triples))
-    assert compiled.triple_joint.tolist() == [task.zy_index(z, y) for z, y, _ in triples]
-    assert compiled.triple_obs.tolist() == [task.obs_values.index(o) for *_, o in triples]
+    assert compiled.obs == tuple(sorted(task.obs_values.index(o) for o in obs))
     assert compiled.pair_joint.tolist() == [task.zy_index(z, y) for z, y in pairs]
 
     in_event = {task.zy_index(z, y) for z, y in pairs}
@@ -91,9 +90,8 @@ def test_compiled_event_matches_brute_force(case):
         for z, y in pairs:
             assert row[task.zy_index(z, y)] == sum(task.evaluator(x, z, y, o) for o in obs)
         assert all(row[k] == 0.0 for k in range(task.n_joint) if k not in in_event)
-        assert compiled.triple_probs(x).tolist() == [
-            task.evaluator(x, z, y, o) for z, y, o in triples
-        ]
+    assert np.array_equal(compiled.mass_all(),
+                          [compiled.mass(x) for x in range(task.n_prompts)])
 
 
 def test_event_cache_is_keyed_by_value():
@@ -141,15 +139,12 @@ def test_compiled_events_are_bounded_and_recompile_correctly():
     assert compiled is not first
     joint = [task.zy_index(z, 0) for z in range(task.n_latents)]
     assert compiled.pair_joint.tolist() == joint
-    assert compiled.triple_joint.tolist() == [k for k in joint for _ in task.obs_values]
-    assert compiled.triple_obs.tolist() == list(range(len(task.obs_values))) * len(joint)
     assert np.flatnonzero(compiled.inside).tolist() == joint
 
 
 def test_compiled_arrays_are_read_only():
     compiled = compile_event(TASKS[0], success_event())
-    for array in (compiled.triple_joint, compiled.triple_obs,
-                  compiled.pair_joint, compiled.inside):
+    for array in (compiled.pair_joint, compiled.inside):
         with pytest.raises(ValueError):
             array[0] = array[0]
 
@@ -172,14 +167,13 @@ def test_joint_marginal_matches_pair_oracle(case):
     task = jm.task
     pairs, pair_probs = _posterior_pairs(jm, x, event)
     expected = dict(zip(pairs, pair_probs))
-    table = jm.exact_posterior(x, event)
-    dense = table.joint_marginal()
+    dense = jm.exact_posterior(x, event)
     for k in range(task.n_joint):
         assert dense[k] == pytest.approx(expected.get(task.zy_unindex(k), 0.0),
                                          rel=1e-12, abs=1e-15)
-    support = table.compiled.pair_joint
-    assert [task.zy_unindex(int(k)) for k in support] == pairs
-    assert not dense[~table.compiled.inside].any()
+    compiled = compile_event(task, event)
+    assert [task.zy_unindex(int(k)) for k in compiled.pair_joint] == pairs
+    assert not dense[~compiled.inside].any()
 
 
 @st.composite
@@ -199,11 +193,11 @@ def candidates(draw):
 def test_tv_to_exact_matches_union_tv(case):
     jm, x, event, support, probs = case
     task = jm.task
-    table = jm.exact_posterior(x, event)
-    exact_support = table.compiled.pair_joint
+    exact_support = compile_event(task, event).pair_joint
     as_pairs = [task.zy_unindex(int(k)) for k in support]
     exact_pairs = [task.zy_unindex(int(k)) for k in exact_support]
-    expected = _union_tv(as_pairs, probs, exact_pairs, table.joint_marginal()[exact_support])
+    expected = _union_tv(as_pairs, probs, exact_pairs,
+                         jm.exact_posterior(x, event)[exact_support])
     row = np.bincount(support, probs, task.n_joint)
     assert abs(tv_to_exact(jm, x, event, row) - expected) <= 1e-15
 

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from latentlab.errors import ClampLeakError, HorizonViolationError
+from latentlab.errors import ClampLeakError, ConfigError, HorizonViolationError
 from latentlab.graph import JointModel
 from latentlab.models import uniform_model
 from latentlab.planner import plan_posterior, shape_rewards, soft_value_iteration
@@ -82,7 +84,7 @@ def test_shaped_mdp_follows_posterior(tag_model, tag_task):
     ev = success_event()
     mdp1 = shape_rewards(jm, 0, ev, beta=1.0)
     pairs, probs = plan_posterior(soft_value_iteration(mdp1), tag_task, 0, ev)
-    ref = jm.exact_posterior(0, ev).joint_marginal()
+    ref = jm.exact_posterior(0, ev)
     for pair, p in zip(pairs, probs):
         assert p == pytest.approx(ref[pair], abs=1e-9)
 
@@ -127,3 +129,10 @@ def test_rejects_bad_tree_args():
     for bad in ([(0,), (0,)], [(0,), (0, 1)], [(), (1,)], []):
         with pytest.raises(ValueError):
             from_sequences(bad, zero, beta=1.0)
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf, 0.0, -1.0])
+def test_shaped_mdp_refuses_a_bad_beta(beta):
+    # nan and inf would otherwise plan a nan root value or nan log-policy
+    with pytest.raises(ConfigError, match="beta must be positive and finite"):
+        from_sequences([(0,), (1, 0), (1, 1)], lambda prefix, action: 0.5, beta=beta)

@@ -22,7 +22,11 @@ from latentlab.tasks import (
     success_event,
 )
 from latentlab.harness import build_task, parse_config, resolved_text
-from latentlab.verification import evaluator_normalization_gap, evaluator_prob
+from latentlab.verification import (
+    _event_triples,
+    evaluator_normalization_gap,
+    evaluator_prob,
+)
 
 
 def test_carry_counts():
@@ -79,7 +83,8 @@ def test_truth_is_verified(tag_task):
 
 def test_event_enumeration_order(tag_task):
     compiled = compile_event(tag_task, full_event())
-    seen = list(dict.fromkeys(compiled.triple_joint.tolist()))
+    triples = _event_triples(tag_task, full_event())
+    seen = list(dict.fromkeys(tag_task.zy_index(z, y) for z, y, _ in triples))
     assert seen == compiled.pair_joint.tolist()
 
 
@@ -157,4 +162,16 @@ def test_joint_sequence_beyond_the_horizon_raises_typed_error():
             rho=np.array([1.0]), latents=(z,), responses=(y,), obs_values=(0, 1),
             evaluator=lambda x, zi, yi, o: float(o == 1), evaluator_kind="binary",
             horizon=3,
+        )
+
+
+@pytest.mark.parametrize("rho", [[np.nan, 1.0], [np.inf, 1.0], [1.5, -0.5], [0.5, 0.4]])
+def test_rho_must_be_a_finite_distribution(rho):
+    z, y = TokenSequence((0, 3)), TokenSequence((1, 3))
+    with pytest.raises(ValueError, match="rho must be a probability distribution"):
+        GenerativeTask(
+            name="probe", vocab=Vocabulary(size=4, eos=3), prompts=("p", "q"),
+            rho=np.array(rho), latents=(z,), responses=(y,), obs_values=(0, 1),
+            evaluator=lambda x, zi, yi, o: float(o == 1), evaluator_kind="binary",
+            horizon=4,
         )
