@@ -22,6 +22,7 @@ from .errors import (
     RecordFormatError,
     SurrogateDecreaseError,
     TaskMismatchError,
+    TrajectorySetError,
     UnnormalizedVariationalError,
     UnreachableEventError,
     UnseenTagError,
@@ -84,6 +85,7 @@ __all__ = [
     "SurrogateDecreaseError",
     "TabularFeatures",
     "TaskMismatchError",
+    "TrajectorySetError",
     "UnnormalizedVariationalError",
     "UnreachableEventError",
     "UnseenTagError",

@@ -33,6 +33,11 @@ class HorizonViolationError(LatentLabError, ValueError):
     """A trajectory cannot terminate within the declared horizon."""
 
 
+class TrajectorySetError(LatentLabError, ValueError):
+    """A trajectory set is empty, or holds an empty, repeated or prefix
+    trajectory, so no prefix tree has one leaf per trajectory."""
+
+
 class UnreachableEventError(LatentLabError):
     """Every trajectory of a shaped decision process is clamped."""
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from inspect import signature
@@ -417,6 +416,14 @@ def _run_one_seed(args: tuple[dict, int]) -> dict:
     }
 
 
+def _process_pool(workers: int):
+    """A pool of `workers` processes; imported here, as a serial run needs
+    none."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 def execute_run(cfg: RunConfig, out_dir: str | Path, jobs: int = 1) -> str:
     """Run every seed of a config into `out_dir` and return the summary.
 
@@ -433,7 +440,7 @@ def execute_run(cfg: RunConfig, out_dir: str | Path, jobs: int = 1) -> str:
     work = [(cfg.data, seed) for seed in seeds]
     workers = min(jobs, len(seeds))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with _process_pool(workers) as pool:
             results = list(pool.map(_run_one_seed, work))
     else:
         results = [_run_one_seed(item) for item in work]

@@ -233,63 +233,81 @@ def feature_map_from_descriptor(task: GenerativeTask, desc: dict) -> FeatureMap:
     raise RecordFormatError(f"unknown feature map descriptor {desc!r}")
 
 
+def _slot_counts(run_sums: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """For each row of a [draws, slots] table of running sums, how many of
+    them are at or below that row's uniform: `bisect_right`'s offset."""
+    return (run_sums <= u[:, None]).sum(axis=1)
+
+
 class AutoregressiveView:
     """Exact token-by-token conditionals of a joint model at one prompt.
 
-    Per-node arrays over the task's trie: `mass` is the log probability of
-    each prefix, `logp` the conditional log probability of the edge into
-    each node (child mass minus parent mass, -inf below a zero-mass
-    prefix), and `cum` (a list) the running sum of conditionals along each
-    sibling run.  Chaining conditionals along a trajectory rebuilds its
-    joint log probability; sampling walks the trie by inverse CDF with one
-    `rng.random()` per node, so a fixed generator state fixes the draw.
+    Two read-only per-node arrays over the task's trie: `logp`, the
+    conditional log probability of the edge into each node (child mass
+    minus parent mass, -inf below a zero-mass prefix), and `cum`, the
+    running sum of conditionals along each sibling run, with one trailing
+    +inf that the -1 slots of the trie's level tables read.  Chaining
+    conditionals along a trajectory rebuilds its joint log probability;
+    sampling walks the trie by inverse CDF with one `rng.random()` per
+    node, so a fixed generator state fixes the draw.  `LogitModel` builds
+    a prompt's view once and keeps it.
     """
 
     def __init__(self, task: GenerativeTask, joint_log_probs: np.ndarray):
         self.task = task
         self.trie = task.trie
-        self.mass = self.trie.upward(joint_log_probs)
-        self.logp = self.trie.child_minus_parent(self.mass)
+        self.logp = self.trie.child_minus_parent(self.trie.upward(joint_log_probs))
         with np.errstate(under="ignore"):
-            self.cum = self.trie.run_cumsum(np.exp(self.logp)).tolist()
+            self.cum = np.append(self.trie.run_cumsum(np.exp(self.logp)), np.inf)
+        self.logp.flags.writeable = False
+        self.cum.flags.writeable = False
 
     def prefixes(self) -> list[tuple[int, ...]]:
         """Every internal node's prefix, in node order."""
         return [self.trie.prefixes[n] for n in self.trie.internal]
 
+    def _last_live(self, lo: int, hi: int) -> int:
+        """The last child in lo:hi with positive mass: where a draw at or
+        above its run's last running sum (a rounding artefact) goes."""
+        return lo + int(np.flatnonzero(self.logp[lo:hi] > -np.inf)[-1])
+
     def sample(self, rng: np.random.Generator) -> tuple[int, int]:
         """One exact (z_idx, y_idx) draw via inverse CDF at every node; a
-        draw at or above a run's last running sum (a rounding artefact)
-        takes the last child with positive mass."""
+        draw at or above a run's last running sum takes the last child with
+        positive mass."""
         lo, hi, seq = self.trie.walk
         node = 0
         while lo[node] < hi[node]:
-            child = bisect_right(self.cum, rng.random(), lo[node], hi[node])
-            if child == hi[node]:
-                live = np.flatnonzero(self.logp[lo[node]:hi[node]] > -np.inf)
-                child = lo[node] + int(live[-1])
-            node = child
+            a, b = lo[node], hi[node]
+            node = bisect_right(self.cum, rng.random(), a, b)
+            if node == b:
+                node = self._last_live(a, b)
         return self.task.zy_unindex(seq[node])
 
     def draws(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Joint indices of `n` successive `sample` draws, leaving `rng` where
         they would.  When every leaf has the same depth D, the draws take
         their n * D uniforms in one block and walk the trie together, one
-        level at a time, with the same comparisons as `bisect_right`."""
+        level at a time, with the same comparisons as `sample`.  Each level
+        compares against its own slot table, as wide as its widest run; at
+        a level where every run has one child the walk moves to it without
+        a comparison (its running sum is exactly 1)."""
         trie = self.trie
         if trie.leaf_depth is None:
             return np.fromiter(
                 (self.task.zy_index(*self.sample(rng)) for _ in range(n)), np.int64, n
             )
         u = rng.random((n, trie.leaf_depth))
-        cum = np.array(self.cum + [np.inf])  # child slot -1 reads +inf
         node = np.zeros(n, dtype=np.int64)
         for d in range(trie.leaf_depth):
+            slots = trie.level_slots[d]
             lo = trie.child_lo[node]
-            child = lo + (cum[trie.child_slots[node]] <= u[:, d, None]).sum(axis=1)
+            if slots.shape[1] == 1:
+                node = lo
+                continue
+            child = lo + _slot_counts(self.cum[slots[node - trie.level_start[d]]], u[:, d])
             for i in np.flatnonzero(child == trie.child_hi[node]):
-                live = np.flatnonzero(self.logp[lo[i]:child[i]] > -np.inf)
-                child[i] = lo[i] + live[-1]
+                child[i] = self._last_live(lo[i], child[i])
             node = child
         return trie.node_seq[node]
 
@@ -325,6 +343,7 @@ class LogitModel:
         self.features.check_theta(self.theta)
         self.theta.flags.writeable = False
         self._log_probs: np.ndarray | None = None
+        self._views: dict[int, AutoregressiveView] = {}
 
     @property
     def task(self) -> GenerativeTask:
@@ -354,7 +373,13 @@ class LogitModel:
             return np.exp(self.joint_log_probs(x_idx))
 
     def conditional_tables(self, x_idx: int) -> AutoregressiveView:
-        return AutoregressiveView(self.task, self.joint_log_probs(x_idx))
+        """Prompt x's token tables, built from row x on first use and kept:
+        at most one view per prompt, freed with the model."""
+        view = self._views.get(x_idx)
+        if view is None:
+            view = AutoregressiveView(self.task, self.joint_log_probs(x_idx))
+            self._views[x_idx] = view
+        return view
 
 
 def uniform_model(task: GenerativeTask, features: FeatureMap | None = None) -> LogitModel:

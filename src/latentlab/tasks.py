@@ -112,9 +112,10 @@ class GenerativeTask:
             raise ValueError("duplicate latent sequences")
         if len(set(self.responses)) != len(self.responses):
             raise ValueError("duplicate response sequences")
-        joint_horizon = max(
-            (len(z) + len(y) for z in self.latents for y in self.responses),
-            default=0,
+        # the longest joint sequence pairs a longest latent with a longest response
+        joint_horizon = (
+            max(map(len, self.latents)) + max(map(len, self.responses))
+            if self.latents and self.responses else 0
         )
         if joint_horizon > self.horizon:
             raise HorizonViolationError(
@@ -179,13 +180,6 @@ class GenerativeTask:
 def _obs_table(task: GenerativeTask) -> np.ndarray:
     """`task.obs_probs`; every read of the table goes through here."""
     return task.obs_probs
-
-
-def _prompt_obs(task: GenerativeTask, x_idx: int) -> np.ndarray:
-    """[joint, obs] slice of the observation table at one prompt."""
-    if not 0 <= x_idx < task.n_prompts:
-        raise OutOfSpaceError(f"prompt index {x_idx} outside [0, {task.n_prompts})")
-    return _obs_table(task)[x_idx]
 
 
 # -- events ---------------------------------------------------------------
@@ -279,14 +273,23 @@ class CompiledEvent:
 
     def mass(self, x_idx: int) -> np.ndarray:
         """P(o in the event's observations | x, z, y) for every joint
-        outcome; 0 outside the (z, y) rectangle."""
-        row = _prompt_obs(self.task, x_idx)[:, self.obs].sum(axis=-1)
-        return np.where(self.inside, row, 0.0)
+        outcome; 0 outside the (z, y) rectangle.  Row x of `mass_all()`."""
+        if not 0 <= x_idx < self.task.n_prompts:
+            raise OutOfSpaceError(
+                f"prompt index {x_idx} outside [0, {self.task.n_prompts})")
+        return self.mass_all()[x_idx]
 
     def mass_all(self) -> np.ndarray:
-        """[prompts, joint]: `mass(x)` for every prompt x."""
+        """Read-only [prompts, joint] mass table, `mass(x)` in row x."""
+        return self._table
+
+    @cached_property
+    def _table(self) -> np.ndarray:
+        """The mass table, summed out of the observation table on first use."""
         rows = _obs_table(self.task)[:, :, self.obs].sum(axis=-1)
-        return np.where(self.inside, rows, 0.0)
+        table = np.where(self.inside, rows, 0.0)
+        table.flags.writeable = False
+        return table
 
 
 # most entries a task keeps in each of `spec_events` and `compiled_events`,

@@ -440,15 +440,18 @@ def run_em(
     g_0 equals it.  Other routes and comparators have no such proof, so the
     certificate is asserted only when a first-order concavity probe along
     the reference direction passes at every iterate theta_0 ...
-    theta_{T-1}.
+    theta_{T-1}.  Each probe's slope is taken as its iterate is updated, so
+    the run keeps numbers, not the iterates and their token tables.
     """
-    models = [model]
+    slopes: list[float] = []
 
     def step(current: LogitModel, t: int):
+        if reference is not None:
+            grad = JointModel(current).averaged_grad(event)
+            slopes.append(float(np.dot(grad, reference.theta - current.theta)))
         new_model, report = em_iterate(
             current, task, event, estep_spec, mstep_spec, seed=seed, iteration=t
         )
-        models.append(new_model)
         return new_model, report.tv_mean, report.flags
 
     final, record = _run_loop(
@@ -479,14 +482,10 @@ def run_em(
 
     if reference is not None and iterations > 0:
         ref_objective = JointModel(reference).averaged_event_logprob(event)
-        probe_ok = True
-        for m, row in zip(models[:-1], record.rows):
-            slope = float(
-                np.dot(JointModel(m).averaged_grad(event), reference.theta - m.theta)
-            )
-            if slope < ref_objective - row.objective - 1e-9:
-                probe_ok = False
-                break
+        probe_ok = not any(
+            slope < ref_objective - row.objective - 1e-9
+            for slope, row in zip(slopes, record.rows)
+        )
         best_gap = min(
             ref_objective - row.objective for row in record.rows[1:]
         )

@@ -174,6 +174,12 @@ def _unit_count_entries(rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray,
     return rows, cols, np.ones_like(counts)
 
 
+def _short_slot_counts(run_sums: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """'level-walk': the batched walk's child counts one slot short, each
+    run's first running sum left out."""
+    return _CLEAN["level-walk"](run_sums[:, 1:], u)
+
+
 # fault -> (module, attribute, faulty replacement): `run_checks` swaps one in
 # to show that the checks catch a mutation of that kernel
 FAULTS = {
@@ -185,6 +191,7 @@ FAULTS = {
     "comparator-set": (training_kernel, "_argmax_sets", _rolled_argmax_sets),
     "stale-fisher": (esteps_kernel, "_fisher_step", _stale_fisher_step),
     "ngram-counts": (model_kernel, "_merged_entries", _unit_count_entries),
+    "level-walk": (model_kernel, "_slot_counts", _short_slot_counts),
 }
 FAULT_NAMES = tuple(FAULTS)
 # the clean kernels, captured before any swap
@@ -361,7 +368,9 @@ def joint_logprob(model: LogitModel, x_idx: int, z_idx: int, y_idx: int) -> floa
 
 def evaluator_prob(task: GenerativeTask, x_idx: int, z_idx: int, y_idx: int, o: int) -> float:
     """P(o | x, z, y) of one triple, read from the observation table."""
-    row = task_tables._prompt_obs(task, x_idx)
+    if not 0 <= x_idx < task.n_prompts:
+        raise OutOfSpaceError(f"prompt index {x_idx} outside [0, {task.n_prompts})")
+    row = task_tables._obs_table(task)[x_idx]
     return float(row[task.zy_index(z_idx, y_idx), task.obs_values.index(o)])
 
 
@@ -374,6 +383,44 @@ def triple_logprob(jm: JointModel, x_idx: int, z_idx: int, y_idx: int, o: int) -
         math.log(mass) if mass > 0.0 else -math.inf)
 
 
+def prefix_nodes(trie: Trie) -> dict[tuple[int, ...], int]:
+    """prefix -> node of every node of `trie`: the lookup oracles walk by."""
+    return {prefix: node for node, prefix in enumerate(trie.prefixes)}
+
+
+def sorted_prefix_trie(seqs: Sequence[Sequence[int]]) -> dict[str, object]:
+    """The node arrays of the prefix tree of `seqs`, built from the sorted
+    set of every prefix tuple: nodes in (length, prefix) order, each
+    looked up by its prefix.  The oracle of `Trie`'s level-by-level build;
+    `seqs` must be distinct, non-empty and prefix-free."""
+    seqs = [tuple(s) for s in seqs]
+    prefixes = sorted({s[:j] for s in seqs for j in range(len(s) + 1)},
+                      key=lambda p: (len(p), p))
+    index = {p: n for n, p in enumerate(prefixes)}
+    kids: dict[int, list[int]] = {}
+    for n, p in enumerate(prefixes[1:], 1):
+        kids.setdefault(index[p[:-1]], []).append(n)
+    child_lo, child_hi, level_start = [], [], []
+    for n, p in enumerate(prefixes):
+        run = kids.get(n, [])
+        # a leaf's empty run sits where the children of the next parent begin
+        lo = run[0] if run else 1 + sum(len(r) for m, r in kids.items() if m < n)
+        child_lo.append(lo)
+        child_hi.append(lo + len(run))
+        if len(level_start) <= len(p):
+            level_start.append(n)
+    level_start.append(len(prefixes))
+    return {
+        "prefixes": prefixes,
+        "parent": [-1] + [index[p[:-1]] for p in prefixes[1:]],
+        "token": [-1] + [p[-1] for p in prefixes[1:]],
+        "child_lo": child_lo,
+        "child_hi": child_hi,
+        "leaf_node": [index[s] for s in seqs],
+        "level_start": level_start,
+    }
+
+
 def children(trie: Trie, node: int) -> range:
     """The node range of `node`'s children, one contiguous sibling run."""
     return range(trie.child_lo[node], trie.child_hi[node])
@@ -384,10 +431,11 @@ def conditional(view: AutoregressiveView,
     """(actions, conditional log probs) available after `prefix`, looked up
     one prefix at a time; `OutOfSpaceError` when it has no continuation
     mass."""
-    node = view.trie.index.get(prefix)
-    if node is None or view.trie.node_seq[node] >= 0 or view.mass[node] == -np.inf:
+    node = prefix_nodes(view.trie).get(prefix)
+    run = children(view.trie, node) if node is not None else range(0)
+    # a zero-mass prefix gives every child a -inf conditional
+    if not np.any(view.logp[run] > -np.inf):
         raise OutOfSpaceError(f"prefix {prefix} has no continuation mass")
-    run = children(view.trie, node)
     return view.trie.token[run], view.logp[run]
 
 
@@ -621,9 +669,10 @@ def trajectory_distribution(
     """Suffix distribution induced by the soft-optimal policy from a state,
     in lexicographic suffix order."""
     trie, n = plan.mdp.trie, len(from_prefix)
-    if from_prefix not in trie.index:
+    nodes = prefix_nodes(trie)
+    if from_prefix not in nodes:
         raise KeyError(f"state {from_prefix} is not in the tree")
-    path_logp = trie.downward(plan.log_policy, trie.index[from_prefix])
+    path_logp = trie.downward(plan.log_policy, nodes[from_prefix])
     leaves = sorted((s[n:], k) for k, s in enumerate(trie.sequences) if s[:n] == from_prefix)
     with np.errstate(under="ignore"):
         probs = np.exp(path_logp[trie.leaf_node[[k for _, k in leaves]]])
@@ -642,7 +691,7 @@ def softmax_total_rewards(
     trie = mdp.trie
     suffixes: list[tuple[int, ...]] = []
     totals: list[float] = []
-    stack = [(trie.index[from_prefix], (), 0.0)]
+    stack = [(prefix_nodes(trie)[from_prefix], (), 0.0)]
     while stack:
         node, suffix, acc = stack.pop()
         run = children(trie, node)
@@ -685,7 +734,7 @@ def regularized_return(
             total += p * (float(mdp.reward[c]) - mdp.beta * lp + value(c))
         return total
 
-    return value(trie.index[from_prefix])
+    return value(prefix_nodes(trie)[from_prefix])
 
 
 def random_policy(mdp: ShapedMdp, rng: np.random.Generator) -> np.ndarray:
@@ -952,7 +1001,7 @@ def check_models_autoregressive_consistency() -> CheckResult:
             for seq in task.joint_sequences:
                 for pos in range(len(seq)):
                     children.setdefault(seq[:pos], set()).add(seq[pos])
-            index = view.trie.index
+            index = prefix_nodes(view.trie)
             for kk, seq in enumerate(task.joint_sequences):
                 total = 0.0
                 for pos in range(len(seq)):
@@ -996,6 +1045,44 @@ def check_models_sampling_exactness() -> CheckResult:
     if draws != {(1, 2)}:
         return _fail(f"point-mass model sampled {draws}")
     return _ok(f"chi-square p {stat.pvalue:.3f}, greedy and point mass exact")
+
+
+def check_models_batched_draws_match_walks() -> CheckResult:
+    """Batched level-by-level draws are successive single-draw walks."""
+    n = 400
+    for k, name in enumerate(("tag-4-5", "carry-d1-b10-lim", "carry-d2-b3-lim",
+                              "automaton-3-4-soft")):
+        task = instance_by_name(name).task
+        rng = stream(SEED, "batched-draws", k)
+        model = random_model(task, rng, scale=1.5)
+        x = int(rng.integers(task.n_prompts))
+        # a point mass under clamped logits, and a third of the leaves at -inf
+        top = int(rng.integers(task.n_joint))
+        theta = np.full(model.features.dim, LOG_CLAMP)
+        theta[x * task.n_joint + top] = 0.0
+        dead = rng.random(task.n_joint) < 1 / 3
+        dead[top] = False
+        lp = np.where(dead, -np.inf, model.joint_log_probs(x))
+        views = {
+            "random": model.conditional_tables(x),
+            "point mass": model.with_theta(theta).conditional_tables(x),
+            "-inf leaves": AutoregressiveView(task, lp - logsumexp(lp)),
+        }
+        for j, (kind, view) in enumerate(views.items()):
+            batched, walked = stream(SEED, "walks", k, j), stream(SEED, "walks", k, j)
+            drawn = view.draws(batched, n)
+            walks = [task.zy_index(*view.sample(walked)) for _ in range(n)]
+            if drawn.tolist() != walks:
+                first = int(np.flatnonzero(drawn != walks)[0])
+                return _fail(f"{name} {kind}: draw {first} is {drawn[first]}, "
+                             f"the walk gives {walks[first]}")
+            if batched.bit_generator.state != walked.bit_generator.state:
+                return _fail(f"{name} {kind}: draws leave the generator elsewhere")
+            if kind == "point mass" and set(walks) != {top}:
+                return _fail(f"{name}: the point mass drew {sorted(set(walks))}")
+            if kind == "-inf leaves" and dead[drawn].any():
+                return _fail(f"{name}: a -inf leaf was drawn")
+    return _ok(f"{n} draws equal {n} walks on 4 tasks, 3 models each")
 
 
 def check_models_kl_forms_agree() -> CheckResult:
@@ -1406,6 +1493,7 @@ def check_planner_shaping_telescoping() -> CheckResult:
         event = inst.events[0]
         _, _, o_idx = materialize_event(task, event)
         obs = [task.obs_values[i] for i in o_idx]
+        nodes = prefix_nodes(task.trie)
         for x in range(task.n_prompts):
             # read through the module, where the 'shaping-sign' fault is swapped in
             mdp = planner_kernel.shape_rewards(jm, x, event)
@@ -1414,7 +1502,7 @@ def check_planner_shaping_telescoping() -> CheckResult:
                     seq = task.joint_sequences[task.zy_index(zi, yi)]
                     total = 0.0
                     for pos in range(len(seq)):
-                        total += float(mdp.reward[mdp.trie.index[seq[:pos + 1]]])
+                        total += float(mdp.reward[nodes[seq[:pos + 1]]])
                     mass = sum(task.evaluator(x, zi, yi, o) for o in obs)
                     term = math.log(mass) if mass > 0.0 else LOG_CLAMP
                     expected = joint_logprob(model, x, zi, yi) + term
@@ -2322,6 +2410,7 @@ CHECKS: dict[str, Callable[[], CheckResult]] = {
     "models.normalization": check_models_normalization,
     "models.autoregressive_consistency": check_models_autoregressive_consistency,
     "models.sampling_exactness": check_models_sampling_exactness,
+    "models.batched_draws_match_walks": check_models_batched_draws_match_walks,
     "models.kl_forms_agree": check_models_kl_forms_agree,
     "models.checkpoint_roundtrip": check_models_checkpoint_roundtrip,
     "models.feature_adjoint": check_models_feature_adjoint,
@@ -2370,7 +2459,9 @@ def run_checks(
 ) -> list[tuple[str, CheckResult]]:
     """Run every check whose name matches, with every entry of `FAULTS` set
     to its clean kernel, or to its faulty one for `inject_fault`; the values
-    found on entry are put back afterwards.
+    found on entry are put back afterwards.  The suite tasks' compiled
+    events are dropped on both swaps, so no mass table outlives the kernel
+    that read it.
 
     A check that raises is reported as a failure rather than aborting the
     battery, so one broken invariant cannot hide the state of the rest.
@@ -2382,6 +2473,7 @@ def run_checks(
     previous = [(module, attr, getattr(module, attr)) for module, attr, _ in FAULTS.values()]
     for fault, (module, attr, faulty) in FAULTS.items():
         setattr(module, attr, faulty if fault == inject_fault else _CLEAN[fault])
+    _forget_compiled_events()
     results: list[tuple[str, CheckResult]] = []
     try:
         for name in names:
@@ -2393,7 +2485,16 @@ def run_checks(
     finally:
         for module, attr, value in previous:
             setattr(module, attr, value)
+        _forget_compiled_events()
     return results
+
+
+def _forget_compiled_events() -> None:
+    """Drop the suite tasks' compiled events: their mass tables were read
+    through whichever observation-table kernel was installed."""
+    for inst in _SUITE or ():
+        inst.task.compiled_events.clear()
+        inst.task.spec_events.clear()
 
 
 # -- acceptance battery --------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Only the table compile in `tasks.py` and the brute-force oracles in
 `verification.py` may call a task's evaluator, and outside
-`verification.py` only a compiled event's mass rows read the table it
+`verification.py` only a compiled event's mass table reads the table it
 fills, `GenerativeTask.obs_probs`: an event has no other form.  Between the E-step
 engines, the samplers and the M-step an outcome is its joint index, so the
 modules on that path never turn an index back into a (z, y) tuple.  The
@@ -14,8 +14,9 @@ only the tagged corpus and the preference loop draw samples outside it.
 Every function of a production module (every module but
 `verification.py`) has a caller in production or benchmark code, no
 production function takes a fault switch (faults are built in
-`verification.py`), a training run imports no scipy module, and every name
-the benchmark wraps exists.
+`verification.py`), a training run imports no scipy module, a run through
+the harness imports neither `numpy.ma`, scipy nor the oracles, and every
+name the benchmark wraps exists.
 """
 
 import ast
@@ -24,15 +25,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import latentlab
 
 PACKAGE = Path(latentlab.__file__).parent
 ALLOWED = {"tasks.py": {"obs_probs"}, "verification.py": None}
 # the observation table and its two accessors in tasks.py
 OBS_TABLE = {"obs_probs", "_obs_table", "_prompt_obs"}
-# its readers: each accessor reads the one before it, and the compiled
-# event's mass rows read the accessors
-OBS_READERS = {"_obs_table", "_prompt_obs", "CompiledEvent.mass", "CompiledEvent.mass_all"}
+# its readers: the accessor reads the table, and the compiled event's mass
+# table, which its mass rows return, reads the accessor
+OBS_READERS = {"_obs_table", "CompiledEvent._table"}
 JOINT_INDEX_MODULES = ("esteps.py", "graph.py", "planner.py", "training.py")
 BATCHED = {"graph.py": {"averaged_event_logprob", "averaged_grad"},
            "training.py": {"_averaged_kl", "mstep", "latent_dpo_loss_and_grad",
@@ -121,14 +124,14 @@ def test_only_the_mass_rows_read_the_observation_table():
             readers.add(scope)
             if scope not in OBS_READERS:
                 offenders.append(f"{path.name}:{line} in {scope}")
-    assert not offenders, "observation table read outside the mass rows: " + ", ".join(
+    assert not offenders, "observation table read outside the mass table: " + ", ".join(
         offenders)
     assert readers == OBS_READERS
 
 
 def test_table_guard_sees_a_read_elsewhere():
     source = ("class CompiledEvent:\n"
-              "    def mass(self, x):\n        return _prompt_obs(self.task, x)\n"
+              "    def _table(self):\n        return _obs_table(self.task)\n"
               "    def triple_probs(self, x):\n"
               "        return _prompt_obs(self.task, x)[self.joint]\n"
               "def event_terms(task):\n    return np.log(task.obs_probs)\n")
@@ -399,20 +402,55 @@ def _fresh_interpreter(script: str) -> subprocess.CompletedProcess:
                           text=True, timeout=120)
 
 
-def _scipy_modules_after(script: str) -> str:
+def _stdout_of(script: str) -> str:
     done = _fresh_interpreter(script)
     assert done.returncode == 0, done.stderr
     return done.stdout.strip()
 
 
 def test_training_run_imports_no_scipy():
-    assert _scipy_modules_after(TRAINING_RUN) == "[]"
+    assert _stdout_of(TRAINING_RUN) == "[]"
 
 
 def test_scipy_guard_sees_an_import():
-    loaded = _scipy_modules_after(TRAINING_RUN.replace(
+    loaded = _stdout_of(TRAINING_RUN.replace(
         "import latentlab\n", "import latentlab\nimport scipy.sparse\n", 1))
     assert "'scipy.sparse'" in loaded
+
+
+# a small EM run through the harness, in a fresh interpreter; prints the
+# modules it imported from under FORBIDDEN_IMPORTS
+HARNESS_RUN = """
+import sys
+import tempfile
+from latentlab import harness
+
+cfg = harness.parse_config(
+    "task: {kind: carry, digits: 1, base: 3}\\n"
+    "model: {features: tabular, init: random}\\n"
+    "algorithm: em\\n"
+    "iterations: 2\\n"
+    "estep: {backend: planning}\\n"
+    "mstep: {kind: closed_form}\\n")
+with tempfile.TemporaryDirectory() as out:
+    harness.execute_run(cfg, out)
+print(sorted(name for name in sys.modules
+             if any(name == root or name.startswith(root + ".") for root in %r)))
+"""
+# a run needs none of these: numpy.ma costs start-up time and memory, scipy
+# and the oracles are for checks
+FORBIDDEN_IMPORTS = ("numpy.ma", "scipy", "latentlab.verification")
+
+
+def test_harness_run_imports_no_masked_arrays_scipy_or_oracles():
+    assert _stdout_of(HARNESS_RUN % (FORBIDDEN_IMPORTS,)) == "[]"
+
+
+@pytest.mark.parametrize("module", FORBIDDEN_IMPORTS)
+def test_import_guard_sees_each_forbidden_module(module):
+    loaded = _stdout_of((HARNESS_RUN % (FORBIDDEN_IMPORTS,)).replace(
+        "from latentlab import harness\n", f"from latentlab import harness\nimport {module}\n", 1))
+    assert f"'{module}'" in loaded
 
 
 # installs the benchmark's spans and counters on the package, then undoes

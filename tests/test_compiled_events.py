@@ -18,7 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from latentlab import tasks
-from latentlab.errors import ZeroMassEventError
+from latentlab.errors import OutOfSpaceError, ZeroMassEventError
 from latentlab.esteps import EStepSpec, tv_to_exact
 from latentlab.graph import JointModel
 from latentlab.logspace import LOG_CLAMP
@@ -147,6 +147,22 @@ def test_compiled_arrays_are_read_only():
     for array in (compiled.pair_joint, compiled.inside):
         with pytest.raises(ValueError):
             array[0] = array[0]
+
+
+def test_mass_rows_are_rows_of_one_table():
+    task = make_reward_tag_task(3, 4, seed=1)
+    compiled = compile_event(task, success_event())
+    table = compiled.mass_all()
+    assert compiled.mass_all() is table
+    with pytest.raises(ValueError):
+        table[0, 0] = table[0, 0]
+    for x in range(task.n_prompts):
+        row = compiled.mass(x)
+        assert np.shares_memory(row, table)
+        assert row.tobytes() == table[x].tobytes()
+    for x in (-1, task.n_prompts):
+        with pytest.raises(OutOfSpaceError, match="prompt index"):
+            compiled.mass(x)
 
 
 @st.composite

@@ -299,7 +299,7 @@ def test_worker_processes_are_bounded_by_the_seed_count(tmp_path, monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness, "_process_pool", RecordingPool)
     for jobs, seeds, asked in ((64, 3, [3]), (2, 3, [2]), (4, 1, [])):
         sizes.clear()
         cfg = parse_config(BASE.replace("seeds: [0]", f"seeds: {list(range(seeds))}"))

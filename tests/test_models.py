@@ -4,6 +4,7 @@ import pytest
 from latentlab.errors import ConfigError, OutOfSpaceError, RecordFormatError
 from latentlab.graph import JointModel
 from latentlab.models import (
+    AutoregressiveView,
     LogitModel,
     NgramFeatures,
     TabularFeatures,
@@ -19,7 +20,7 @@ from latentlab.tasks import (
     make_reward_tag_task,
     success_event,
 )
-from latentlab.verification import dense_features, joint_logprob
+from latentlab.verification import dense_features, joint_logprob, prefix_nodes
 
 
 def test_uniform_joint_is_flat(tag_task, tag_uniform):
@@ -43,10 +44,28 @@ def test_conditional_tables_factorize(tag_model, tag_task):
     # chain-rule product of token conditionals rebuilds every joint logprob
     view = tag_model.conditional_tables(2)
     table = tag_model.joint_log_probs(2)
+    index = prefix_nodes(view.trie)
     for j in range(tag_task.n_joint):
         seq = tag_task.joint_sequences[j]
-        nodes = [view.trie.index[seq[: pos + 1]] for pos in range(len(seq))]
+        nodes = [index[seq[: pos + 1]] for pos in range(len(seq))]
         assert view.logp[nodes].sum() == pytest.approx(table[j], abs=1e-10)
+
+
+def test_conditional_tables_are_built_once_per_prompt(tag_task):
+    model = random_model(tag_task, stream(3, "views"), scale=0.8)
+    views = [model.conditional_tables(x) for x in range(tag_task.n_prompts)]
+    assert all(model.conditional_tables(x) is view for x, view in enumerate(views))
+    assert model.with_theta(model.theta).conditional_tables(0) is not views[0]
+    for x, view in enumerate(views):
+        fresh = AutoregressiveView(tag_task, model.joint_log_probs(x))
+        assert view.logp.tobytes() == fresh.logp.tobytes()
+        assert view.cum.tobytes() == fresh.cum.tobytes()
+        assert view.cum.shape == (tag_task.trie.n_nodes + 1,) and view.cum[-1] == np.inf
+        for array in (view.logp, view.cum):
+            with pytest.raises(ValueError):
+                array[0] = array[0]
+    with pytest.raises(OutOfSpaceError, match="prompt index"):
+        model.conditional_tables(tag_task.n_prompts)
 
 
 def test_with_theta_is_functional(tag_model):

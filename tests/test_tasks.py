@@ -165,6 +165,26 @@ def test_joint_sequence_beyond_the_horizon_raises_typed_error():
         )
 
 
+def test_horizon_pairs_the_longest_latent_with_the_longest_response():
+    # the longest latent comes last and the longest response first, so no
+    # single (z, y) position pairs them
+    latents = (TokenSequence((3,)), TokenSequence((0, 1, 3)))
+    responses = (TokenSequence((1, 3)), TokenSequence((3,)))
+
+    def build(horizon):
+        return GenerativeTask(
+            name="probe", vocab=Vocabulary(size=4, eos=3), prompts=("p",),
+            rho=np.array([1.0]), latents=latents, responses=responses, obs_values=(0, 1),
+            evaluator=lambda x, zi, yi, o: float(o == 1), evaluator_kind="binary",
+            horizon=horizon,
+        )
+
+    with pytest.raises(HorizonViolationError, match="length 5 > horizon 4"):
+        build(4)
+    task = build(5)
+    assert max(map(len, task.joint_sequences)) == 5
+
+
 @pytest.mark.parametrize("rho", [[np.nan, 1.0], [np.inf, 1.0], [1.5, -0.5], [0.5, 0.4]])
 def test_rho_must_be_a_finite_distribution(rho):
     z, y = TokenSequence((0, 3)), TokenSequence((1, 3))

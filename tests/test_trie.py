@@ -1,6 +1,8 @@
 """Property tests of the flat trie against brute-force enumeration.
 
-Random prefix-free token sets carry random leaf log probabilities (some of
+The array build is compared node for node with the sorted-prefix oracle,
+and each kind of bad trajectory set with its typed error.  Random
+prefix-free token sets carry random leaf log probabilities (some of
 them -inf) or random edge rewards.  Conditionals and the sampler are
 compared with plain-Python oracles that enumerate the sequences directly;
 soft planning is compared with the softmax of summed rewards, which runs
@@ -16,14 +18,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from latentlab.errors import OutOfSpaceError
+from latentlab.errors import LatentLabError, OutOfSpaceError, TrajectorySetError
 from latentlab.models import AutoregressiveView
 from latentlab.planner import soft_value_iteration
 from latentlab.trie import Trie
 from latentlab.verification import (
     conditional,
     from_sequences,
+    prefix_nodes,
     softmax_total_rewards,
+    sorted_prefix_trie,
     trajectory_distribution,
 )
 
@@ -88,13 +92,53 @@ def _oracle_sample(seqs, log_probs, rng):
     return seqs.index(prefix)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(token_sets, level_sets))
+def test_array_build_matches_the_sorted_prefix_oracle(seqs):
+    trie, oracle = Trie(seqs), sorted_prefix_trie(seqs)
+    for name in ("parent", "token", "leaf_node", "level_start", "child_lo", "child_hi"):
+        got = getattr(trie, name)
+        assert got.dtype == np.int64, name
+        assert got.tolist() == oracle[name], name
+    assert trie.prefixes == oracle["prefixes"]
+    assert trie.depth.tolist() == [len(p) for p in oracle["prefixes"]]
+    assert trie.node_seq[trie.leaf_node].tolist() == list(range(len(seqs)))
+
+
+@pytest.mark.parametrize("seqs, message", [
+    ([], "empty trajectory set or empty trajectory"),
+    ([(0, 1), ()], "empty trajectory set or empty trajectory"),
+    ([(0, 1), (2,), (0, 1)], "duplicate trajectories"),
+    ([(2, 0), (0,), (0, 1)],
+     r"trajectory \(0,\) is a prefix of another; set is not prefix-free"),
+])
+def test_bad_trajectory_sets_raise_typed_errors(seqs, message):
+    with pytest.raises(TrajectorySetError, match=f"^{message}$") as raised:
+        Trie(seqs)
+    assert isinstance(raised.value, LatentLabError)
+    assert isinstance(raised.value, ValueError)
+
+
+def test_prefix_error_names_the_first_prefix_in_input_order():
+    with pytest.raises(TrajectorySetError, match=r"trajectory \(1,\) is a prefix"):
+        Trie([(1, 2), (1,), (0,), (0, 3)])
+
+
+def test_level_slots_are_cut_to_each_level():
+    trie = Trie([(0, 0, 5), (0, 1, 5), (1, 0, 5), (2, 2, 5)])
+    assert [slots.shape for slots in trie.level_slots] == [(1, 3), (3, 2), (4, 1)]
+    # node 2's children: one, then a -1 pad to the level's width of 2
+    assert trie.level_slots[1].tolist() == [[4, 5], [6, -1], [7, -1]]
+
+
 @EXAMPLES
 @given(weighted_sets())
 def test_conditionals_chain_to_leaf_log_probs(case):
     seqs, log_probs = case
     view = _view(seqs, log_probs)
+    index = prefix_nodes(view.trie)
     for k, seq in enumerate(seqs):
-        chain = sum(view.logp[view.trie.index[seq[: j + 1]]] for j in range(len(seq)))
+        chain = sum(view.logp[index[seq[: j + 1]]] for j in range(len(seq)))
         if log_probs[k] == -math.inf:
             assert chain == -math.inf
         else:

@@ -32,6 +32,7 @@ FLIPS = {
     "comparator-set": ("training.reference_gap", "training.reference_closed_form"),
     "stale-fisher": ("esteps.fisher_step",),
     "ngram-counts": ("models.feature_adjoint",),
+    "level-walk": ("models.batched_draws_match_walks", "esteps.rejection_soundness"),
 }
 
 
