@@ -21,6 +21,7 @@ from .errors import (
     OutOfSpaceError,
     RecordFormatError,
     SurrogateDecreaseError,
+    TaskDefinitionError,
     TaskMismatchError,
     TrajectorySetError,
     UnnormalizedVariationalError,
@@ -84,6 +85,7 @@ __all__ = [
     "RecordFormatError",
     "SurrogateDecreaseError",
     "TabularFeatures",
+    "TaskDefinitionError",
     "TaskMismatchError",
     "TrajectorySetError",
     "UnnormalizedVariationalError",

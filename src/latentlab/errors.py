@@ -33,6 +33,12 @@ class HorizonViolationError(LatentLabError, ValueError):
     """A trajectory cannot terminate within the declared horizon."""
 
 
+class TaskDefinitionError(LatentLabError, ValueError):
+    """A task's definition is malformed: a token sequence, the vocabulary,
+    the prompt weights or a repeated space element, or two probability
+    vectors that should be aligned are not."""
+
+
 class TrajectorySetError(LatentLabError, ValueError):
     """A trajectory set is empty, or holds an empty, repeated or prefix
     trajectory, so no prefix tree has one leaf per trajectory."""

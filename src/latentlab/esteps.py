@@ -459,6 +459,13 @@ class EStepSpec:
         except ConfigError as exc:  # every message starts with the field name
             raise ConfigError(f"params.{exc}") from exc
 
+    @property
+    def draws(self) -> bool:
+        """Whether the engine draws random numbers: rejection, and policy
+        gradient with sampled gradients (`batch_size` > 0)."""
+        return self.backend == "rejection" or (
+            self.backend == "policy_gradient" and self.pg.batch_size > 0)
+
 
 def run_estep(
     jm: JointModel,

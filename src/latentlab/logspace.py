@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import TaskDefinitionError
+
 # Additive stand-in for log(0) inside shaped rewards and closed-form weight
 # updates.  exp(LOG_CLAMP) underflows to exactly 0.0 in float64, so clamped
 # outcomes carry no probability mass after normalization.
@@ -44,18 +46,21 @@ def logsumexp(a) -> np.float64:
 def logsumexp_rows(a) -> np.ndarray:
     """`logsumexp` of every row of a 2-D array, with the same bits per row.
 
+    A single row is handed to `logsumexp`, which costs less on one vector.
     A reduction along the last axis of a C-contiguous array adds in the
     order of the 1-D kernel; a fancy-indexed gather need not be laid out
     that way, so the input is made contiguous first.  A row whose maximum
     is not finite, or whose result is not, takes the direct formula.
     """
     a = np.ascontiguousarray(a, dtype=np.float64)
+    if len(a) == 1:
+        return np.array([logsumexp(a[0])])
     if a.shape[-1] == 0:
         return np.full(a.shape[0], -np.inf)
     a_max = a.max(axis=-1)
     top = a == a_max[:, None]
     # a NaN row has no maximal element; the direct formula handles it below
-    count = np.maximum(np.count_nonzero(top, axis=-1), 1).astype(np.float64)
+    count = np.maximum(top.sum(axis=-1, dtype=np.float64), 1.0)
     shift = np.where(np.isfinite(a_max), a_max, 0.0)
     rest = np.exp(np.where(top, -np.inf, a) - shift[:, None]).sum(axis=-1)
     out = np.log1p(rest / count) + np.log(count) + a_max
@@ -91,7 +96,7 @@ def total_variation(p, q) -> float:
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape:
-        raise ValueError(f"shape mismatch: {p.shape} vs {q.shape}")
+        raise TaskDefinitionError(f"shape mismatch: {p.shape} vs {q.shape}")
     return 0.5 * float(np.abs(p - q).sum())
 
 

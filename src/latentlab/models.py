@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, FeatureMapMismatchError, OutOfSpaceError, RecordFormatError
+from .errors import ConfigError, FeatureMapMismatchError, RecordFormatError
 # `bench/spans.py` counts `logsumexp` calls at this import site too
 from .logspace import logsumexp, logsumexp_rows, masked_row_sums  # noqa: F401
 from .tasks import GenerativeTask
@@ -239,6 +239,20 @@ def _slot_counts(run_sums: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (run_sums <= u[:, None]).sum(axis=1)
 
 
+def _token_tables(trie, log_probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only token tables of every row of a [copies, leaves] matrix of
+    joint log probabilities, in one stacked pass over the trie: [copies,
+    nodes] conditionals `logp` and [copies, nodes + 1] running sums `cum`."""
+    logp = trie.child_minus_parent(trie.upward(log_probs))
+    cum = np.empty((len(logp), trie.n_nodes + 1))
+    with np.errstate(under="ignore"):
+        cum[:, :-1] = trie.run_cumsum(np.exp(logp))
+    cum[:, -1] = np.inf
+    logp.flags.writeable = False
+    cum.flags.writeable = False
+    return logp, cum
+
+
 class AutoregressiveView:
     """Exact token-by-token conditionals of a joint model at one prompt.
 
@@ -249,18 +263,32 @@ class AutoregressiveView:
     +inf that the -1 slots of the trie's level tables read.  Chaining
     conditionals along a trajectory rebuilds its joint log probability;
     sampling walks the trie by inverse CDF with one `rng.random()` per
-    node, so a fixed generator state fixes the draw.  `LogitModel` builds
-    a prompt's view once and keeps it.
+    node, so a fixed generator state fixes the draw.
+
+    A view built from one row of joint log probabilities runs the stacked
+    kernels with one copy; `stacked` builds the views of every row of a
+    [prompts, joint] matrix in one pass, each view holding rows of one
+    `[prompts, nodes]` and one `[prompts, nodes + 1]` table.
     """
 
     def __init__(self, task: GenerativeTask, joint_log_probs: np.ndarray):
+        logp, cum = _token_tables(task.trie, np.reshape(joint_log_probs, (1, -1)))
+        self._bind(task, logp[0], cum[0])
+
+    @classmethod
+    def stacked(cls, task: GenerativeTask, log_probs: np.ndarray) -> list["AutoregressiveView"]:
+        """The view of every row of a [prompts, joint] log-probability matrix."""
+        logp, cum = _token_tables(task.trie, log_probs)
+        views = [cls.__new__(cls) for _ in range(len(logp))]
+        for view, row_logp, row_cum in zip(views, logp, cum):
+            view._bind(task, row_logp, row_cum)
+        return views
+
+    def _bind(self, task: GenerativeTask, logp: np.ndarray, cum: np.ndarray) -> None:
         self.task = task
         self.trie = task.trie
-        self.logp = self.trie.child_minus_parent(self.trie.upward(joint_log_probs))
-        with np.errstate(under="ignore"):
-            self.cum = np.append(self.trie.run_cumsum(np.exp(self.logp)), np.inf)
-        self.logp.flags.writeable = False
-        self.cum.flags.writeable = False
+        self.logp = logp
+        self.cum = cum
 
     def prefixes(self) -> list[tuple[int, ...]]:
         """Every internal node's prefix, in node order."""
@@ -343,7 +371,9 @@ class LogitModel:
         self.features.check_theta(self.theta)
         self.theta.flags.writeable = False
         self._log_probs: np.ndarray | None = None
-        self._views: dict[int, AutoregressiveView] = {}
+        self._views: list[AutoregressiveView] | None = None
+        # compiled event -> its table of event terms (see `graph.JointModel`)
+        self.event_tables: dict = {}
 
     @property
     def task(self) -> GenerativeTask:
@@ -364,8 +394,7 @@ class LogitModel:
     def joint_log_probs(self, x_idx: int) -> np.ndarray:
         """log P(z, y | x) at one prompt: row x of `log_probs_all()`, a
         read-only view."""
-        if not 0 <= x_idx < self.task.n_prompts:
-            raise OutOfSpaceError(f"prompt index {x_idx} out of range")
+        self.task.check_prompt(x_idx)
         return self.log_probs_all()[x_idx]
 
     def joint_probs(self, x_idx: int) -> np.ndarray:
@@ -373,13 +402,13 @@ class LogitModel:
             return np.exp(self.joint_log_probs(x_idx))
 
     def conditional_tables(self, x_idx: int) -> AutoregressiveView:
-        """Prompt x's token tables, built from row x on first use and kept:
-        at most one view per prompt, freed with the model."""
-        view = self._views.get(x_idx)
-        if view is None:
-            view = AutoregressiveView(self.task, self.joint_log_probs(x_idx))
-            self._views[x_idx] = view
-        return view
+        """Prompt x's token tables.  The first call builds every prompt's
+        view from `log_probs_all()` in one stacked pass over the trie; the
+        views are kept, one per prompt, and freed with the model."""
+        self.task.check_prompt(x_idx)
+        if self._views is None:
+            self._views = AutoregressiveView.stacked(self.task, self.log_probs_all())
+        return self._views[x_idx]
 
 
 def uniform_model(task: GenerativeTask, features: FeatureMap | None = None) -> LogitModel:

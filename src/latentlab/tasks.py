@@ -31,6 +31,7 @@ from .errors import (
     EmptyEventError,
     HorizonViolationError,
     OutOfSpaceError,
+    TaskDefinitionError,
     require_integer,
     require_positive,
     require_real,
@@ -62,19 +63,20 @@ class Vocabulary:
 
     def __post_init__(self):
         if not 0 <= self.eos < self.size:
-            raise ValueError(f"eos id {self.eos} outside vocabulary of size {self.size}")
+            raise TaskDefinitionError(
+                f"eos id {self.eos} outside vocabulary of size {self.size}")
 
 
 def _check_sequence(seq: TokenSequence, vocab: Vocabulary, horizon: int) -> None:
     ids = seq.ids
     if len(ids) == 0 or len(ids) > horizon:
-        raise ValueError(f"sequence length {len(ids)} outside [1, {horizon}]")
+        raise TaskDefinitionError(f"sequence length {len(ids)} outside [1, {horizon}]")
     if ids[-1] != vocab.eos:
-        raise ValueError(f"sequence {ids} does not end with eos")
+        raise TaskDefinitionError(f"sequence {ids} does not end with eos")
     if vocab.eos in ids[:-1]:
-        raise ValueError(f"sequence {ids} contains eos before its final position")
+        raise TaskDefinitionError(f"sequence {ids} contains eos before its final position")
     if any(not 0 <= t < vocab.size for t in ids):
-        raise ValueError(f"sequence {ids} contains out-of-vocabulary tokens")
+        raise TaskDefinitionError(f"sequence {ids} contains out-of-vocabulary tokens")
 
 
 @dataclass(eq=False)
@@ -104,14 +106,14 @@ class GenerativeTask:
     def __post_init__(self):
         self.rho = np.asarray(self.rho, dtype=np.float64)
         if self.rho.shape != (len(self.prompts),):
-            raise ValueError("rho must have one weight per prompt")
+            raise TaskDefinitionError("rho must have one weight per prompt")
         # written so that a nan or infinite weight fails the test
         if not (np.all(self.rho >= 0) and abs(self.rho.sum() - 1.0) <= 1e-12):
-            raise ValueError("rho must be a probability distribution over prompts")
+            raise TaskDefinitionError("rho must be a probability distribution over prompts")
         if len(set(self.latents)) != len(self.latents):
-            raise ValueError("duplicate latent sequences")
+            raise TaskDefinitionError("duplicate latent sequences")
         if len(set(self.responses)) != len(self.responses):
-            raise ValueError("duplicate response sequences")
+            raise TaskDefinitionError("duplicate response sequences")
         # the longest joint sequence pairs a longest latent with a longest response
         joint_horizon = (
             max(map(len, self.latents)) + max(map(len, self.responses))
@@ -141,6 +143,11 @@ class GenerativeTask:
     @property
     def n_joint(self) -> int:
         return self.n_latents * self.n_responses
+
+    def check_prompt(self, x_idx: int) -> None:
+        """Raise `OutOfSpaceError` unless `x_idx` indexes a prompt."""
+        if not 0 <= x_idx < self.n_prompts:
+            raise OutOfSpaceError(f"prompt index {x_idx} outside [0, {self.n_prompts})")
 
     def zy_index(self, z_idx: int, y_idx: int) -> int:
         return z_idx * self.n_responses + y_idx
@@ -274,9 +281,7 @@ class CompiledEvent:
     def mass(self, x_idx: int) -> np.ndarray:
         """P(o in the event's observations | x, z, y) for every joint
         outcome; 0 outside the (z, y) rectangle.  Row x of `mass_all()`."""
-        if not 0 <= x_idx < self.task.n_prompts:
-            raise OutOfSpaceError(
-                f"prompt index {x_idx} outside [0, {self.task.n_prompts})")
+        self.task.check_prompt(x_idx)
         return self.mass_all()[x_idx]
 
     def mass_all(self) -> np.ndarray:
@@ -297,9 +302,10 @@ class CompiledEvent:
 SPEC_EVENTS_SIZE = 64
 
 
-def _remember(cache: dict, key, value) -> None:
-    """`cache[key] = value`, first dropping the oldest entry of a full cache."""
-    if len(cache) >= SPEC_EVENTS_SIZE:
+def _remember(cache: dict, key, value, size: int = SPEC_EVENTS_SIZE) -> None:
+    """`cache[key] = value`, first dropping the oldest entry of a cache that
+    holds `size` entries."""
+    if len(cache) >= size:
         del cache[next(iter(cache))]
     cache[key] = value
 

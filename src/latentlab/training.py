@@ -89,6 +89,10 @@ def mstep(model: LogitModel, targets: np.ndarray, spec: MStepSpec) -> LogitModel
     Row x holds prompt x's finite, non-negative weights over joint
     outcomes.  An all-zero row leaves that prompt out: its parameters stay
     put (tabular) or it simply contributes no term (shared features).
+
+    The gradient route evaluates each trial theta once: the surrogate
+    keeps the weighted prompts' logits and log partitions, and the next
+    gradient reads those of the last accepted trial.
     """
     task = model.task
     targets = np.asarray(targets)
@@ -125,37 +129,41 @@ def mstep(model: LogitModel, targets: np.ndarray, spec: MStepSpec) -> LogitModel
 
     w = task.rho[xs]
 
-    def surrogate(theta: np.ndarray) -> float:
+    def surrogate(theta: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """The surrogate at theta, with the weighted prompts' logits and log
+        partitions, which the gradient at an accepted theta reuses."""
         logits = model.features.logits_all(theta)[xs]
+        log_z = logsumexp_rows(logits)
         # a stack of 1 x J by J x 1 products is one dot product per row
         dots = np.matmul(q[:, None, :], logits[:, :, None])[:, 0, 0]
-        return sum((w * (dots - logsumexp_rows(logits))).tolist(), 0.0)
+        return sum((w * (dots - log_z)).tolist(), 0.0), logits, log_z
 
-    def gradient(theta: np.ndarray) -> np.ndarray:
-        logits = model.features.logits_all(theta)[xs]
+    def gradient(logits: np.ndarray, log_z: np.ndarray) -> np.ndarray:
         with np.errstate(under="ignore"):
-            p = np.exp(logits - logsumexp_rows(logits)[:, None])
+            p = np.exp(logits - log_z[:, None])
         weights = np.zeros((task.n_prompts, task.n_joint))
         weights[xs] = w[:, None] * (q - p)
         return model.features.adjoint_all(weights)
 
     theta = model.theta.copy()
-    start = value = surrogate(theta)
+    value, logits, log_z = surrogate(theta)
+    start = value
     # persistent growing rate: badly scaled problems (rho-weighted blocks,
     # tiny target masses) need steps far above any sensible fixed rate, and
     # the strict backtracking below keeps growth safe
     rate = spec.rate
     for _ in range(spec.steps):
-        g = gradient(theta)
+        g = gradient(logits, log_z)
         if float(np.linalg.norm(g)) == 0.0:
             break
         trial = rate
         accepted = False
         for _ in range(40):
             candidate = theta + trial * g
-            new_value = surrogate(candidate)
+            new_value, new_logits, new_log_z = surrogate(candidate)
             if new_value >= value:
                 theta, value, accepted = candidate, new_value, True
+                logits, log_z = new_logits, new_log_z
                 rate = trial * 1.5
                 break
             trial *= 0.5
@@ -205,7 +213,8 @@ def em_iterate(
 
     Each engine's row is its prompt's row of the M-step target.  Prompt x's
     engine draws from `stream(seed, *streams, x, iteration)`, with
-    `streams` ("estep", backend) unless given.  Prompts whose engine returns
+    `streams` ("estep", backend) unless given; an engine that draws nothing
+    (`estep_spec.draws` false) gets no stream.  Prompts whose engine returns
     empty-handed are skipped for this round and count as total variation 1
     in `tv_mean`; if every prompt is skipped the model comes back unchanged
     with the ``all_prompts_skipped`` flag.
@@ -218,7 +227,7 @@ def em_iterate(
     flags: set[str] = set()
     skipped: list[int] = []
     for x_idx in range(task.n_prompts):
-        rng = stream(seed, *streams, x_idx, iteration)
+        rng = stream(seed, *streams, x_idx, iteration) if estep_spec.draws else None
         result = run_estep(jm, x_idx, event, estep_spec, rng)
         flags.update(result.flags)
         if result.acceptance_rate is not None:

@@ -10,23 +10,58 @@ values and policies all live on the same structure.
 The one numerical kernel is `upward`, a segmented log-sum-exp from the
 leaves to the root at temperature beta.  Over leaf log probabilities at
 beta = 1 it yields every prefix's log mass; over edge rewards it is soft
-value iteration (the control-as-inference identity, Levine 2018).
+value iteration (the control-as-inference identity, Levine 2018).  It and
+the two per-node kernels beside it, `child_minus_parent` and
+`run_cumsum`, take any number of stacked copies of the node values (one
+row per prompt, say) and run over all of them in one flat pass.
 """
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 from itertools import chain
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import TrajectorySetError
 
+# most copy counts a trie keeps stacked indices for, oldest dropped first
+STACKS_SIZE = 4
+
 
 def _segment_sum(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Sum of every run values[starts[i]:starts[i + 1]] (the last to the end)."""
     return np.add.reduceat(values, starts)
+
+
+def _tile(index: np.ndarray, stride: int, copies: int) -> np.ndarray:
+    """`index` once per copy, copy c's entries offset by c * stride."""
+    return (np.arange(copies)[:, None] * stride + index).ravel()
+
+
+def _stacked_leaves(leaf_node: np.ndarray, n_nodes: int, copies: int) -> np.ndarray:
+    """Flat positions of every copy's leaves: leaf k of copy c at
+    c * n_nodes + leaf_node[k]."""
+    return _tile(leaf_node, n_nodes, copies)
+
+
+class _Stack(NamedTuple):
+    """Index arrays over `copies` stacked copies of a trie's node values,
+    held in one flat array with node n of copy c at c * n_nodes + n.
+
+    `levels` holds, deepest first, each level's (node range of one copy's
+    children, their parents at the start of each sibling run, run starts
+    within every copy's children, run of each child); `ranks` holds the
+    nodes at each position k >= 1 of their sibling run.
+    """
+
+    leaves: np.ndarray
+    roots: np.ndarray
+    parents: np.ndarray
+    levels: list
+    ranks: list
 
 
 class Trie:
@@ -44,6 +79,12 @@ class Trie:
     is built on first use.  `level_slots[d]` holds the children of every
     depth-d node, padded with -1 to the widest run at that depth, for the
     level-by-level sampling walks.
+
+    The kernels `upward`, `child_minus_parent` and `run_cumsum` take
+    [..., n] arrays, each row one copy of the node (or leaf) values, and
+    run over all copies at once in one flat array.  The index arrays of
+    a copy count (`_Stack`) are built on first use and kept for at most
+    `STACKS_SIZE` copy counts.
     """
 
     def __init__(self, sequences: Sequence[Sequence[int]]):
@@ -88,18 +129,8 @@ class Trie:
         self.internal = np.flatnonzero(self.child_hi > self.child_lo)
         self.depth = np.repeat(np.arange(top + 1), sizes)
         self.level_start = np.concatenate(([0], np.cumsum(sizes)))
-        # (children's node range, their parents, run starts, run of each child)
-        self._levels = []
-        for d in range(top, 0, -1):
-            lo, hi = int(self.level_start[d]), int(self.level_start[d + 1])
-            par = self.parent[lo:hi]
-            new_run = np.r_[True, par[1:] != par[:-1]]
-            self._levels.append(
-                (lo, hi, par[new_run], np.flatnonzero(new_run), np.cumsum(new_run) - 1)
-            )
-        # nodes by position k >= 1 within their sibling run, for run_cumsum
-        rank = np.arange(1, n) - self.child_lo[self.parent[1:]]
-        self._by_rank = [np.flatnonzero(rank == k) + 1 for k in range(1, rank.max() + 1)]
+        # copy count -> its `_Stack`, built on first use
+        self._stacks: dict[int, _Stack] = {}
         # plain lists for the per-token walks of sampling and greedy decoding
         self.walk = (self.child_lo.tolist(), self.child_hi.tolist(), self.node_seq.tolist())
         # depth shared by every leaf (None if they differ)
@@ -121,23 +152,75 @@ class Trie:
             out.append(out[par] + (tok,))
         return out
 
+    def _stack(self, copies: int) -> _Stack:
+        """The stacked index arrays of `copies` copies, built on first use
+        and kept for at most `STACKS_SIZE` copy counts."""
+        stack = self._stacks.get(copies)
+        if stack is not None:
+            return stack
+        n = self.n_nodes
+        levels = []
+        for d in range(len(self.level_start) - 2, 0, -1):
+            lo, hi = int(self.level_start[d]), int(self.level_start[d + 1])
+            par = self.parent[lo:hi]
+            new_run = np.r_[True, par[1:] != par[:-1]]
+            starts = np.flatnonzero(new_run)
+            levels.append((
+                slice(lo, hi),
+                _tile(par[new_run], n, copies),
+                _tile(starts, hi - lo, copies),
+                _tile(np.cumsum(new_run) - 1, len(starts), copies),
+            ))
+        rank = np.arange(1, n) - self.child_lo[self.parent[1:]]
+        ranks = [_tile(np.flatnonzero(rank == k) + 1, n, copies)
+                 for k in range(1, int(rank.max()) + 1)]
+        stack = _Stack(
+            leaves=_stacked_leaves(self.leaf_node, n, copies),
+            roots=np.arange(copies) * n,
+            parents=_tile(np.r_[0, self.parent[1:]], n, copies),
+            levels=levels,
+            ranks=ranks,
+        )
+        if len(self._stacks) >= STACKS_SIZE:
+            del self._stacks[next(iter(self._stacks))]
+        self._stacks[copies] = stack
+        return stack
+
+    def _stack_of(self, values: np.ndarray) -> _Stack:
+        """The stack for [..., n] values: one copy per row."""
+        return self._stack(math.prod(values.shape[:-1]))
+
     def upward(
         self, leaf_values: np.ndarray, edge: np.ndarray | None = None, beta: float = 1.0
     ) -> np.ndarray:
         """Node values v with v = leaf_values at the leaves and, at internal
         nodes, v = beta * log sum over children of exp((edge + v) / beta).
-        A node whose children are all -inf gets -inf."""
-        v = np.zeros(self.n_nodes)
-        v[self.leaf_node] = leaf_values
+        A node whose children are all -inf gets -inf.
+
+        `leaf_values` is [..., leaves] and `edge` (if given) [..., nodes];
+        each row is one copy, and the [..., nodes] result is computed for
+        every copy in one pass per level."""
+        leaf_values = np.asarray(leaf_values, dtype=np.float64)
+        stack = self._stack_of(leaf_values)
+        v = np.zeros(len(stack.roots) * self.n_nodes)
+        v[stack.leaves] = leaf_values.ravel()
+        # every copy's nodes of one level, copy after copy, as one flat run
+        rows = v.reshape(len(stack.roots), self.n_nodes)
+        edge = None if edge is None else np.reshape(edge, rows.shape)
         with np.errstate(divide="ignore", under="ignore"):
-            for lo, hi, owners, starts, run in self._levels:
-                q = v[lo:hi] if edge is None else edge[lo:hi] + v[lo:hi]
-                q = q / beta
+            for children, owners, starts, run in stack.levels:
+                q = rows[:, children].ravel()
+                if edge is not None:
+                    q = edge[:, children].ravel() + q
+                # scaling by beta = 1 changes no bit, so it is skipped
+                if beta != 1.0:
+                    q = q / beta
                 peak = np.maximum.reduceat(q, starts)
                 peak[peak == -np.inf] = 0.0
                 total = _segment_sum(np.exp(q - peak[run]), starts)
-                v[owners] = beta * (peak + np.log(total))
-        return v
+                value = peak + np.log(total)
+                v[owners] = value if beta == 1.0 else beta * value
+        return v.reshape(leaf_values.shape[:-1] + (self.n_nodes,))
 
     def downward(self, edge: np.ndarray, start: int = 0) -> np.ndarray:
         """Sums of `edge` along the path from node `start` to each node of
@@ -150,18 +233,22 @@ class Trie:
 
     def child_minus_parent(self, child: np.ndarray, parent: np.ndarray | None = None):
         """child[n] - parent[parent node of n]; -inf where both are -inf,
-        0 at the root."""
+        0 at the root.  Both are [..., nodes], one copy per row."""
+        child = np.asarray(child, dtype=np.float64)
         parent = child if parent is None else parent
-        out = np.zeros(self.n_nodes)
+        stack = self._stack_of(child)
         with np.errstate(invalid="ignore"):
-            out[1:] = child[1:] - parent[self.parent[1:]]
+            out = child.ravel() - np.ravel(parent)[stack.parents]
         out[np.isnan(out)] = -np.inf
-        return out
+        out[stack.roots] = 0.0
+        return out.reshape(child.shape)
 
     def run_cumsum(self, values: np.ndarray) -> np.ndarray:
         """Running sums of `values` within each sibling run, in token order;
-        each run is summed left to right, as np.cumsum does."""
-        out = values.copy()
-        for nodes in self._by_rank:
-            out[nodes] += out[nodes - 1]
+        each run is summed left to right, as np.cumsum does.  `values` is
+        [..., nodes], one copy per row."""
+        out = np.array(values, dtype=np.float64)
+        flat = out.reshape(-1)
+        for nodes in self._stack_of(out).ranks:
+            flat[nodes] += flat[nodes - 1]
         return out

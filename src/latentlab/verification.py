@@ -38,6 +38,7 @@ from .errors import (
     HorizonViolationError,
     OutOfSpaceError,
     RecordFormatError,
+    TaskDefinitionError,
     TaskMismatchError,
     UnnormalizedVariationalError,
     UnreachableEventError,
@@ -180,6 +181,13 @@ def _short_slot_counts(run_sums: np.ndarray, u: np.ndarray) -> np.ndarray:
     return _CLEAN["level-walk"](run_sums[:, 1:], u)
 
 
+def _next_copy_leaves(leaf_node: np.ndarray, n_nodes: int, copies: int) -> np.ndarray:
+    """'stacked-offset': the stacked leaf positions with each copy's leaves
+    written into the next copy's nodes (the last copy's into the first)."""
+    clean = _CLEAN["stacked-offset"](leaf_node, n_nodes, copies)
+    return np.roll(clean.reshape(copies, -1), -1, axis=0).ravel()
+
+
 # fault -> (module, attribute, faulty replacement): `run_checks` swaps one in
 # to show that the checks catch a mutation of that kernel
 FAULTS = {
@@ -192,6 +200,7 @@ FAULTS = {
     "stale-fisher": (esteps_kernel, "_fisher_step", _stale_fisher_step),
     "ngram-counts": (model_kernel, "_merged_entries", _unit_count_entries),
     "level-walk": (model_kernel, "_slot_counts", _short_slot_counts),
+    "stacked-offset": (trie_kernel, "_stacked_leaves", _next_copy_leaves),
 }
 FAULT_NAMES = tuple(FAULTS)
 # the clean kernels, captured before any swap
@@ -426,6 +435,52 @@ def children(trie: Trie, node: int) -> range:
     return range(trie.child_lo[node], trie.child_hi[node])
 
 
+def _row_levels(trie: Trie) -> list[tuple]:
+    """Deepest level first: each level's node range, the parents at its
+    sibling-run starts, the run starts within it and each node's run."""
+    levels = []
+    for d in range(len(trie.level_start) - 2, 0, -1):
+        lo, hi = int(trie.level_start[d]), int(trie.level_start[d + 1])
+        par = trie.parent[lo:hi]
+        new_run = np.r_[True, par[1:] != par[:-1]]
+        levels.append((lo, hi, par[new_run], np.flatnonzero(new_run), np.cumsum(new_run) - 1))
+    return levels
+
+
+def row_upward(trie: Trie, leaf_values: np.ndarray, edge: np.ndarray | None = None,
+               beta: float = 1.0) -> np.ndarray:
+    """`Trie.upward` of one copy, one slice of node values per level: the
+    oracle of the stacked kernel, with its arithmetic in its order."""
+    v = np.zeros(trie.n_nodes)
+    v[trie.leaf_node] = leaf_values
+    with np.errstate(divide="ignore", under="ignore"):
+        for lo, hi, owners, starts, run in _row_levels(trie):
+            q = v[lo:hi] if edge is None else edge[lo:hi] + v[lo:hi]
+            q = q / beta
+            peak = np.maximum.reduceat(q, starts)
+            peak[peak == -np.inf] = 0.0
+            total = np.add.reduceat(np.exp(q - peak[run]), starts)
+            v[owners] = beta * (peak + np.log(total))
+    return v
+
+
+def row_token_tables(trie: Trie, joint_log_probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One prompt's token tables (`logp`, `cum`) from one row, node by
+    node range: the oracle of the stacked all-prompt build."""
+    v = row_upward(trie, joint_log_probs)
+    logp = np.zeros(trie.n_nodes)
+    with np.errstate(invalid="ignore"):
+        logp[1:] = v[1:] - v[trie.parent[1:]]
+    logp[np.isnan(logp)] = -np.inf
+    with np.errstate(under="ignore"):
+        cum = np.exp(logp)
+    rank = np.arange(1, trie.n_nodes) - trie.child_lo[trie.parent[1:]]
+    for k in range(1, int(rank.max()) + 1):
+        nodes = np.flatnonzero(rank == k) + 1
+        cum[nodes] += cum[nodes - 1]
+    return logp, np.append(cum, np.inf)
+
+
 def conditional(view: AutoregressiveView,
                 prefix: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """(actions, conditional log probs) available after `prefix`, looked up
@@ -500,10 +555,25 @@ def evaluator_normalization_gap(task: GenerativeTask) -> float:
     return float(np.abs(task_tables._obs_table(task).sum(axis=-1) - 1.0).max())
 
 
+def event_terms(jm: JointModel, x_idx: int, event: EventSpec) -> np.ndarray:
+    """log P(z, y | x) + log m_x(z, y) at one prompt, from the model's row
+    and the event's mass row alone."""
+    with np.errstate(divide="ignore"):
+        return jm.seq.joint_log_probs(x_idx) + np.log(compile_event(jm.task, event).mass(x_idx))
+
+
 def event_logprob(jm: JointModel, x_idx: int, event: EventSpec) -> float:
     """log P(event | x, theta) at one prompt; -inf signals a zero-mass (not
     invalid) event."""
-    return log_sum_exp(jm._event_terms(x_idx, event))
+    return log_sum_exp(event_terms(jm, x_idx, event))
+
+
+def row_posterior(jm: JointModel, x_idx: int, event: EventSpec) -> np.ndarray:
+    """The exact posterior row of one prompt through the one-row
+    `log_sum_exp`: the oracle of the all-prompt event table's rows."""
+    terms = event_terms(jm, x_idx, event)
+    with np.errstate(under="ignore"):
+        return np.exp(terms - log_sum_exp(terms))
 
 
 def grad_event_logprob(jm: JointModel, x_idx: int, event: EventSpec) -> np.ndarray:
@@ -935,17 +1005,17 @@ def check_tasks_sequence_validation() -> CheckResult:
 
     build()
     cases = [
-        (ValueError, dict(latents=(TokenSequence((3, 0, 3)),))),   # eos mid-sequence
-        (ValueError, dict(latents=(TokenSequence((9, 3)),))),      # out of vocabulary
-        (ValueError, dict(latents=(TokenSequence((0, 1)),))),      # missing eos
-        (HorizonViolationError, dict(horizon=3)),                  # joint length 4 > 3
-        (ValueError, dict(latents=(z, z))),                        # duplicate latent
-        (ValueError, dict(rho=np.array([0.5]))),                   # rho not normalized
+        (TaskDefinitionError, dict(latents=(TokenSequence((3, 3)),))),     # eos mid-sequence
+        (TaskDefinitionError, dict(latents=(TokenSequence((9, 3)),))),     # out of vocabulary
+        (TaskDefinitionError, dict(latents=(TokenSequence((0, 1)),))),     # missing eos
+        (HorizonViolationError, dict(horizon=3)),                          # joint length 4 > 3
+        (TaskDefinitionError, dict(latents=(z, z))),                       # duplicate latent
+        (TaskDefinitionError, dict(rho=np.array([0.5]))),                  # rho not normalized
     ]
     for i, (error, overrides) in enumerate(cases):
         if not _expect_raises(error, build, **overrides):
             return _fail(f"malformed case {i} was accepted")
-    if not _expect_raises(ValueError, Vocabulary, 2, 5):
+    if not _expect_raises(TaskDefinitionError, Vocabulary, 2, 5):
         return _fail("eos outside the vocabulary was accepted")
     return _ok("all malformed constructions raise")
 
@@ -1083,6 +1153,55 @@ def check_models_batched_draws_match_walks() -> CheckResult:
             if kind == "-inf leaves" and dead[drawn].any():
                 return _fail(f"{name}: a -inf leaf was drawn")
     return _ok(f"{n} draws equal {n} walks on 4 tasks, 3 models each")
+
+
+def check_models_stacked_tables_match_rows() -> CheckResult:
+    """All-prompt token tables, planner passes and posterior rows equal
+    their one-row oracles bit for bit."""
+    for k, name in enumerate(("carry-d1-b3", "tag-4-5", "carry-d2-b3-lim",
+                              "automaton-3-4-soft")):
+        inst = instance_by_name(name)
+        task, trie = inst.task, inst.task.trie
+        rng = stream(SEED, "stacked", k)
+        model = random_model(task, rng, scale=1.5)
+        # a point mass at each prompt under clamped logits, and a matrix with
+        # a third of its leaves -inf and one row that is all -inf but one
+        theta = np.full(model.features.dim, LOG_CLAMP)
+        theta[np.arange(task.n_prompts) * task.n_joint
+              + rng.integers(task.n_joint, size=task.n_prompts)] = 0.0
+        point = model.with_theta(theta)
+        dead = np.where(rng.random((task.n_prompts, task.n_joint)) < 1 / 3, -np.inf,
+                        model.log_probs_all())
+        dead[-1] = -np.inf
+        dead[-1, rng.integers(task.n_joint)] = 0.0
+        cases = {
+            "random": [model.conditional_tables(x) for x in range(task.n_prompts)],
+            "point mass": [point.conditional_tables(x) for x in range(task.n_prompts)],
+            "-inf leaves": AutoregressiveView.stacked(task, dead),
+            "one row": [AutoregressiveView(task, row) for row in dead],
+        }
+        rows = {"random": model.log_probs_all(), "point mass": point.log_probs_all(),
+                "-inf leaves": dead, "one row": dead}
+        for kind, views in cases.items():
+            for x, view in enumerate(views):
+                logp, cum = row_token_tables(trie, rows[kind][x])
+                if view.logp.tobytes() != logp.tobytes() or view.cum.tobytes() != cum.tobytes():
+                    return _fail(f"{name} {kind}: prompt {x}'s tables differ from its row's")
+        edge = rng.normal(0.0, 2.0, trie.n_nodes)
+        for beta in (1.0, 0.3):
+            leaves = np.zeros(len(trie.sequences))
+            if trie.upward(leaves, edge, beta).tobytes() != row_upward(
+                    trie, leaves, edge, beta).tobytes():
+                return _fail(f"{name}: a planner pass at beta {beta} differs from its row's")
+        for event in inst.events:
+            jm = JointModel(model)
+            for x in range(task.n_prompts):
+                if jm.exact_posterior(x, event).tobytes() != row_posterior(
+                        jm, x, event).tobytes():
+                    return _fail(f"{name}: the posterior row of prompt {x} differs "
+                                 f"from its one-row form")
+    return _ok("4 tasks: tables of 3 stacked and 1 one-row build, planner passes "
+               "and posterior rows bit-exact")
 
 
 def check_models_kl_forms_agree() -> CheckResult:
@@ -2411,6 +2530,7 @@ CHECKS: dict[str, Callable[[], CheckResult]] = {
     "models.autoregressive_consistency": check_models_autoregressive_consistency,
     "models.sampling_exactness": check_models_sampling_exactness,
     "models.batched_draws_match_walks": check_models_batched_draws_match_walks,
+    "models.stacked_tables_match_rows": check_models_stacked_tables_match_rows,
     "models.kl_forms_agree": check_models_kl_forms_agree,
     "models.checkpoint_roundtrip": check_models_checkpoint_roundtrip,
     "models.feature_adjoint": check_models_feature_adjoint,
@@ -2460,8 +2580,8 @@ def run_checks(
     """Run every check whose name matches, with every entry of `FAULTS` set
     to its clean kernel, or to its faulty one for `inject_fault`; the values
     found on entry are put back afterwards.  The suite tasks' compiled
-    events are dropped on both swaps, so no mass table outlives the kernel
-    that read it.
+    events and their tries' stacked indices are dropped on both swaps, so
+    no mass table or index array outlives the kernel that built it.
 
     A check that raises is reported as a failure rather than aborting the
     battery, so one broken invariant cannot hide the state of the rest.
@@ -2473,7 +2593,7 @@ def run_checks(
     previous = [(module, attr, getattr(module, attr)) for module, attr, _ in FAULTS.values()]
     for fault, (module, attr, faulty) in FAULTS.items():
         setattr(module, attr, faulty if fault == inject_fault else _CLEAN[fault])
-    _forget_compiled_events()
+    _forget_cached_tables()
     results: list[tuple[str, CheckResult]] = []
     try:
         for name in names:
@@ -2485,16 +2605,21 @@ def run_checks(
     finally:
         for module, attr, value in previous:
             setattr(module, attr, value)
-        _forget_compiled_events()
+        _forget_cached_tables()
     return results
 
 
-def _forget_compiled_events() -> None:
-    """Drop the suite tasks' compiled events: their mass tables were read
-    through whichever observation-table kernel was installed."""
+def _forget_cached_tables() -> None:
+    """Drop the suite tasks' compiled events and their tries' stacked
+    indices: the mass tables were read through whichever observation-table
+    kernel was installed, the leaf indices built by whichever stacking
+    kernel.  Models, with their views and event tables, live inside one
+    check."""
     for inst in _SUITE or ():
         inst.task.compiled_events.clear()
         inst.task.spec_events.clear()
+        if "trie" in vars(inst.task):
+            inst.task.trie._stacks.clear()
 
 
 # -- acceptance battery --------------------------------------------------------------

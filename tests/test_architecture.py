@@ -16,18 +16,27 @@ Every function of a production module (every module but
 production function takes a fault switch (faults are built in
 `verification.py`), a training run imports no scipy module, a run through
 the harness imports neither `numpy.ma`, scipy nor the oracles, and every
-name the benchmark wraps exists.
+name the benchmark wraps exists.  The caches behind the stacked passes
+are bounded, and a model's views and event tables go with the model.
 """
 
 import ast
+import gc
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import latentlab
+from latentlab.graph import EVENT_TABLES_SIZE, JointModel
+from latentlab.models import random_model
+from latentlab.rng import stream
+from latentlab.tasks import EventSpec, make_reward_tag_task, success_event
+from latentlab.trie import STACKS_SIZE
 
 PACKAGE = Path(latentlab.__file__).parent
 ALLOWED = {"tasks.py": {"obs_probs"}, "verification.py": None}
@@ -476,3 +485,36 @@ def test_wrap_site_check_sees_a_missing_name():
         "from latentlab import training\ndel training.restem_update\n" + BENCH_WRAP)
     assert done.returncode != 0
     assert "KeyError: 'restem_update'" in done.stderr
+
+
+def test_stacked_indices_are_bounded_per_trie():
+    trie = make_reward_tag_task(2, 3, seed=1).trie
+    for copies in range(1, 101):
+        trie.upward(np.zeros((copies, len(trie.sequences))))
+        assert len(trie._stacks) <= STACKS_SIZE
+    assert list(trie._stacks) == list(range(101 - STACKS_SIZE, 101))
+
+
+def test_event_tables_are_bounded_per_model():
+    task = make_reward_tag_task(2, 50, seed=1)
+    jm = JointModel(random_model(task, stream(2, "tables"), scale=0.8))
+    events = [EventSpec(latents=(z,), responses=(y,))
+              for z in range(task.n_latents) for y in range(task.n_responses)]
+    assert len(events) == 100
+    for event in events:
+        jm.averaged_event_logprob(event)
+        assert len(jm.seq.event_tables) <= EVENT_TABLES_SIZE
+    assert len(jm.seq.event_tables) == EVENT_TABLES_SIZE
+
+
+def test_views_and_event_tables_are_freed_with_their_model():
+    task = make_reward_tag_task(3, 4, seed=1)
+    model = random_model(task, stream(3, "freed"), scale=0.8)
+    jm = JointModel(model)
+    row = jm.exact_posterior(0, success_event())
+    view = model.conditional_tables(1)
+    refs = [weakref.ref(obj) for obj in (model, view, view.logp.base, row.base,
+                                        *model.event_tables.values())]
+    del model, jm, row, view
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * len(refs)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from latentlab import models
 from latentlab.errors import ConfigError, OutOfSpaceError, RecordFormatError
 from latentlab.graph import JointModel
 from latentlab.models import (
@@ -66,6 +67,26 @@ def test_conditional_tables_are_built_once_per_prompt(tag_task):
                 array[0] = array[0]
     with pytest.raises(OutOfSpaceError, match="prompt index"):
         model.conditional_tables(tag_task.n_prompts)
+
+
+def test_first_conditional_table_builds_every_prompt_in_one_pass(tag_task, monkeypatch):
+    builds = []
+    token_tables = models._token_tables
+
+    def counted(trie, log_probs):
+        builds.append(log_probs.shape)
+        return token_tables(trie, log_probs)
+
+    monkeypatch.setattr(models, "_token_tables", counted)
+    model = random_model(tag_task, stream(4, "stacked"), scale=0.8)
+    views = [model.conditional_tables(x) for x in reversed(range(tag_task.n_prompts))]
+    assert builds == [(tag_task.n_prompts, tag_task.n_joint)]
+    # every view's tables are rows of one [prompts, nodes] and one
+    # [prompts, nodes + 1] table
+    assert len({id(view.logp.base) for view in views}) == 1
+    assert len({id(view.cum.base) for view in views}) == 1
+    AutoregressiveView(tag_task, model.joint_log_probs(0))
+    assert builds[1:] == [(1, tag_task.n_joint)]
 
 
 def test_with_theta_is_functional(tag_model):

@@ -6,8 +6,11 @@ from latentlab.errors import (
     ConfigError,
     EmptyEventError,
     HorizonViolationError,
+    LatentLabError,
     OutOfSpaceError,
+    TaskDefinitionError,
 )
+from latentlab.logspace import total_variation
 from latentlab.tasks import (
     EventSpec,
     GenerativeTask,
@@ -188,10 +191,43 @@ def test_horizon_pairs_the_longest_latent_with_the_longest_response():
 @pytest.mark.parametrize("rho", [[np.nan, 1.0], [np.inf, 1.0], [1.5, -0.5], [0.5, 0.4]])
 def test_rho_must_be_a_finite_distribution(rho):
     z, y = TokenSequence((0, 3)), TokenSequence((1, 3))
-    with pytest.raises(ValueError, match="rho must be a probability distribution"):
+    with pytest.raises(TaskDefinitionError, match="rho must be a probability distribution"):
         GenerativeTask(
             name="probe", vocab=Vocabulary(size=4, eos=3), prompts=("p", "q"),
             rho=np.array(rho), latents=(z,), responses=(y,), obs_values=(0, 1),
             evaluator=lambda x, zi, yi, o: float(o == 1), evaluator_kind="binary",
             horizon=4,
         )
+
+
+def _probe_task(**overrides):
+    z, y = TokenSequence((0, 3)), TokenSequence((1, 3))
+    fields = dict(
+        name="probe", vocab=Vocabulary(size=4, eos=3), prompts=("p",), rho=np.array([1.0]),
+        latents=(z,), responses=(y,), obs_values=(0, 1),
+        evaluator=lambda x, zi, yi, o: float(o == 1), evaluator_kind="binary", horizon=4,
+    )
+    fields.update(overrides)
+    return GenerativeTask(**fields)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Vocabulary(size=2, eos=5), "eos id 5 outside vocabulary of size 2"),
+    (lambda: _probe_task(latents=(TokenSequence(()),)), r"sequence length 0 outside \[1, 4\]"),
+    (lambda: _probe_task(latents=(TokenSequence((0, 1)),)),
+     r"sequence \(0, 1\) does not end with eos"),
+    (lambda: _probe_task(latents=(TokenSequence((3, 3)),)),
+     r"sequence \(3, 3\) contains eos before its final position"),
+    (lambda: _probe_task(latents=(TokenSequence((9, 3)),)),
+     r"sequence \(9, 3\) contains out-of-vocabulary tokens"),
+    (lambda: _probe_task(rho=np.array([0.5, 0.5])), "rho must have one weight per prompt"),
+    (lambda: _probe_task(rho=np.array([0.5])), "rho must be a probability distribution over prompts"),
+    (lambda: _probe_task(latents=(TokenSequence((0, 3)),) * 2), "duplicate latent sequences"),
+    (lambda: _probe_task(responses=(TokenSequence((1, 3)),) * 2), "duplicate response sequences"),
+    (lambda: total_variation([0.5, 0.5], [1.0]), r"shape mismatch: \(2,\) vs \(1,\)"),
+])
+def test_malformed_definitions_raise_typed_errors(build, message):
+    with pytest.raises(TaskDefinitionError, match=f"^{message}$") as raised:
+        build()
+    assert isinstance(raised.value, LatentLabError)
+    assert isinstance(raised.value, ValueError)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latentlab import training
+from latentlab import graph, training
 from latentlab.errors import (
     CertificateError,
     ConfigError,
@@ -166,25 +166,85 @@ def test_objective_and_kl_are_evaluated_once_per_model(monkeypatch):
     model = random_model(task, stream(3, "count"), scale=0.8)
     objectives: Counter = Counter()
     kls: Counter = Counter()
-    event_terms = JointModel._all_event_terms
+    event_table = graph._EventTable
     kl_rows = training.kl_rows
 
-    def counted_terms(self, compiled):
-        objectives[id(self.seq)] += 1
-        return event_terms(self, compiled)
+    def counted_table(log_probs, compiled):
+        objectives[id(log_probs)] += 1
+        return event_table(log_probs, compiled)
 
     def counted_kl(a, b):
         kls[id(a), id(b)] += 1
         return kl_rows(a, b)
 
-    monkeypatch.setattr(JointModel, "_all_event_terms", counted_terms)
+    monkeypatch.setattr(graph, "_EventTable", counted_table)
     monkeypatch.setattr(training, "kl_rows", counted_kl)
     seen = []
     run_em(model, task, success_event(), EXACT, CLOSED, iterations=5, seed=0,
            on_iteration=lambda t, m, row: seen.append(m))
     assert len({id(m) for m in seen}) == 6
-    assert objectives == Counter(id(m) for m in seen)
+    assert objectives == Counter(id(m.log_probs_all()) for m in seen)
     assert kls == Counter((id(new), id(old)) for old, new in zip(seen, seen[1:]))
+
+
+@pytest.mark.parametrize("spec, draws", [
+    (EStepSpec("exact"), False),
+    (EStepSpec("planning"), False),
+    (EStepSpec("policy_gradient", {"iterations": 3}), False),
+    (EStepSpec("policy_gradient", {"iterations": 3, "batch_size": 8}), True),
+    (EStepSpec("rejection", {"budget": 40}), True),
+], ids=["exact", "planning", "pg-exact", "pg-sampled", "rejection"])
+def test_em_iterate_gives_streams_only_to_engines_that_draw(tag_model, tag_task, spec, draws,
+                                                           monkeypatch):
+    rngs = []
+
+    def spy(jm, x_idx, event, estep_spec, rng=None):
+        rngs.append(rng)
+        return run_estep(jm, x_idx, event, estep_spec, rng)
+
+    monkeypatch.setattr(training, "run_estep", spy)
+    em_iterate(tag_model, tag_task, success_event(), spec, CLOSED, seed=4, iteration=2)
+    assert spec.draws is draws
+    assert [rng is not None for rng in rngs] == [draws] * tag_task.n_prompts
+
+
+@pytest.mark.parametrize("spec", [
+    EStepSpec("rejection", {"budget": 40}),
+    EStepSpec("policy_gradient", {"iterations": 3, "batch_size": 8}),
+], ids=lambda spec: spec.backend)
+def test_engines_that_draw_refuse_to_run_without_a_stream(tag_model, spec):
+    with pytest.raises(ConfigError, match="needs an rng"):
+        run_estep(JointModel(tag_model), 0, success_event(), spec)
+
+
+def test_gradient_mstep_reuses_the_accepted_evaluation(monkeypatch):
+    task = make_automaton_trace_task(2, 3, prompt_limit=3)
+    model = random_model(task, stream(7, "reuse"), scale=0.6, features=NgramFeatures(task, 2))
+    jm = JointModel(model)
+    targets = np.stack([jm.exact_posterior(x, success_event()) for x in range(task.n_prompts)])
+    features = model.features
+    calls, thetas = [], []
+    logits_all, adjoint_all = features.logits_all, features.adjoint_all
+
+    def counted_logits(theta):
+        calls.append("L")
+        thetas.append(theta.tobytes())
+        return logits_all(theta)
+
+    def counted_adjoint(weights):
+        calls.append("G")
+        return adjoint_all(weights)
+
+    monkeypatch.setattr(features, "logits_all", counted_logits)
+    monkeypatch.setattr(features, "adjoint_all", counted_adjoint)
+    mstep(model, targets, MStepSpec("gradient_ascent", steps=10))
+    # one evaluation of the start, then per step one gradient, read off the
+    # last accepted evaluation, and one logits_all call per trial step size
+    steps = "".join(calls).split("G")
+    assert steps[0] == "L" and len(steps) == 11
+    assert all(set(trials) == {"L"} for trials in steps[1:])
+    assert thetas[0] == model.theta.tobytes()
+    assert len(set(thetas)) == len(thetas)
 
 
 def test_em_fixed_point(tag_task, tag_model):
@@ -251,8 +311,10 @@ def test_mstep_rejects_negative_or_non_finite_targets(tag_model, kind, target):
         mstep(tag_model, target, MStepSpec(kind))
 
 
-@pytest.mark.parametrize("spec", [EStepSpec("planning"), EStepSpec("rejection", {"budget": 40})],
-                         ids=lambda spec: spec.backend)
+@pytest.mark.parametrize("spec", [
+    EStepSpec("planning"), EStepSpec("rejection", {"budget": 40}),
+    EStepSpec("policy_gradient", {"iterations": 3, "batch_size": 8}),
+], ids=lambda spec: spec.backend)
 def test_em_target_rows_are_the_engines_rows(tag_model, tag_task, spec, monkeypatch):
     seen = []
 

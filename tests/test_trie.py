@@ -6,7 +6,9 @@ prefix-free token sets carry random leaf log probabilities (some of
 them -inf) or random edge rewards.  Conditionals and the sampler are
 compared with plain-Python oracles that enumerate the sequences directly;
 soft planning is compared with the softmax of summed rewards, which runs
-no value recursion.
+no value recursion.  The stacked all-prompt kernels, and the posterior
+rows of a task built on such a set, are compared bit for bit with their
+one-row oracles.
 """
 
 import math
@@ -18,14 +20,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from latentlab.errors import LatentLabError, OutOfSpaceError, TrajectorySetError
-from latentlab.models import AutoregressiveView
+from latentlab.errors import (
+    LatentLabError,
+    OutOfSpaceError,
+    TrajectorySetError,
+    ZeroMassEventError,
+)
+from latentlab.graph import JointModel
+from latentlab.logspace import LOG_CLAMP
+from latentlab.models import AutoregressiveView, LogitModel, TabularFeatures
 from latentlab.planner import soft_value_iteration
+from latentlab.tasks import (
+    EventSpec,
+    GenerativeTask,
+    TokenSequence,
+    Vocabulary,
+    success_event,
+)
 from latentlab.trie import Trie
 from latentlab.verification import (
     conditional,
     from_sequences,
     prefix_nodes,
+    row_posterior,
+    row_token_tables,
+    row_upward,
     softmax_total_rewards,
     sorted_prefix_trie,
     trajectory_distribution,
@@ -211,3 +230,97 @@ def test_draws_break_ties_and_overshoots_like_sample():
     for u in (view.cum[1], 1.0):
         fixed = SimpleNamespace(random=lambda shape=None: u if shape is None else np.full(shape, u))
         assert view.draws(fixed, 2).tolist() == [view.sample(fixed)[0]] * 2 == [1, 1]
+
+
+LEAF = st.one_of(st.just(-math.inf), st.floats(-30.0, 5.0))
+
+
+@st.composite
+def stacked_rows(draw, sets=st.one_of(token_sets, level_sets)):
+    """A prefix-free set and a [1-5, leaves] matrix of leaf log probs: rows
+    with -inf leaves, point masses (one leaf 0, the rest -inf) and a row
+    that is -inf throughout."""
+    seqs = draw(sets)
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["random", "point", "dead"]))
+        if kind == "random":
+            rows.append(draw(st.lists(LEAF, min_size=len(seqs), max_size=len(seqs))))
+        else:
+            row = [-math.inf] * len(seqs)
+            if kind == "point":
+                row[draw(st.integers(0, len(seqs) - 1))] = 0.0
+            rows.append(row)
+    return seqs, np.array(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(stacked_rows(), st.floats(0.1, 5.0), st.integers(0, 2**32 - 1))
+def test_stacked_kernels_match_the_row_oracle_bit_for_bit(case, beta, seed):
+    seqs, rows = case
+    task = SimpleNamespace(trie=Trie(seqs))
+    trie = task.trie
+    views = AutoregressiveView.stacked(task, rows)
+    single = [AutoregressiveView(task, row) for row in rows]
+    edge = np.random.default_rng(seed).normal(0.0, 2.0, (len(rows), trie.n_nodes))
+    soft = trie.upward(np.zeros(rows.shape), edge, beta)
+    assert soft.shape == edge.shape
+    for x, row in enumerate(rows):
+        logp, cum = row_token_tables(trie, row)
+        for view in (views[x], single[x]):
+            assert view.logp.tobytes() == logp.tobytes()
+            assert view.cum.tobytes() == cum.tobytes()
+        assert views[x].logp.base is views[0].logp.base
+        assert soft[x].tobytes() == row_upward(trie, np.zeros(len(seqs)), edge[x], beta).tobytes()
+
+
+@st.composite
+def prompt_tasks(draw):
+    """A task whose latents are a prefix-free token set (each closed by the
+    eos token 4), with two responses, 1-5 prompts and success
+    probabilities in {0, 1/3, 1}, and a tabular model on it that is
+    random, clamped to a point mass, or mixed, prompt by prompt."""
+    seqs = draw(token_sets)
+    latents = tuple(TokenSequence(s + (4,)) for s in seqs)
+    responses = (TokenSequence((0, 4)), TokenSequence((4,)))
+    n_prompts = draw(st.integers(1, 5))
+    joint = len(latents) * len(responses)
+    success = np.array(draw(st.lists(st.sampled_from([0.0, 1 / 3, 1.0]),
+                                     min_size=n_prompts * joint, max_size=n_prompts * joint)))
+    success = success.reshape(n_prompts, len(latents), len(responses))
+    task = GenerativeTask(
+        name="stacked", vocab=Vocabulary(size=5, eos=4),
+        prompts=tuple(f"p{x}" for x in range(n_prompts)), rho=np.full(n_prompts, 1 / n_prompts),
+        latents=latents, responses=responses, obs_values=(0, 1),
+        evaluator=lambda x, z, y, o: success[x, z, y] if o == 1 else 1.0 - success[x, z, y],
+        evaluator_kind="soft", horizon=max(map(len, latents)) + 2,
+    )
+    theta = np.array(draw(st.lists(st.floats(-8.0, 8.0), min_size=n_prompts * joint,
+                                   max_size=n_prompts * joint)))
+    for x in draw(st.sets(st.integers(0, n_prompts - 1))):
+        block = np.full(joint, LOG_CLAMP)
+        block[draw(st.integers(0, joint - 1))] = 0.0
+        theta[x * joint:(x + 1) * joint] = block
+    return task, LogitModel(TabularFeatures(task), theta)
+
+
+@settings(max_examples=100, deadline=None)
+@given(prompt_tasks())
+def test_posterior_rows_match_the_one_row_oracle_bit_for_bit(case):
+    task, model = case
+    for event in (success_event(), EventSpec(obs=(0,)), EventSpec(latents=(0,))):
+        jm = JointModel(model)
+        for x in range(task.n_prompts):
+            with np.errstate(invalid="ignore"):
+                oracle = row_posterior(jm, x, event)
+            if np.isnan(oracle).all():  # the event has no mass at x
+                with pytest.raises(ZeroMassEventError, match=f"at prompt {x}$"):
+                    jm.exact_posterior(x, event)
+                continue
+            row = jm.exact_posterior(x, event)
+            assert row.tobytes() == oracle.tobytes()
+            assert not row.flags.writeable
+    for x in range(task.n_prompts):
+        logp, cum = row_token_tables(task.trie, model.joint_log_probs(x))
+        assert model.conditional_tables(x).logp.tobytes() == logp.tobytes()
+        assert model.conditional_tables(x).cum.tobytes() == cum.tobytes()

@@ -33,6 +33,8 @@ FLIPS = {
     "stale-fisher": ("esteps.fisher_step",),
     "ngram-counts": ("models.feature_adjoint",),
     "level-walk": ("models.batched_draws_match_walks", "esteps.rejection_soundness"),
+    "stacked-offset": ("models.stacked_tables_match_rows", "models.autoregressive_consistency",
+                       "planner.shaped_posterior"),
 }
 
 
