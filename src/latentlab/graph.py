@@ -2,7 +2,7 @@
 event-restricted log likelihood.
 
 The graph factorizes as P(z, y, o | x) = P(z, y | x, theta) * P(o | x, z, y)
-with the second factor fixed by the task's observation table.  The
+with the second factor fixed by the task's success table.  The
 observation is summed out: an event's term at joint outcome (z, y) is
 log P(z, y | x) + log m_x(z, y), m_x the compiled event's mass row.  The
 central scalar is the log probability of an event, the log-sum-exp of its

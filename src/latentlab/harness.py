@@ -20,7 +20,13 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .errors import ConfigError, TaskMismatchError, require_integer, require_real
+from .errors import (
+    ConfigError,
+    RecordFormatError,
+    TaskMismatchError,
+    require_integer,
+    require_real,
+)
 from .esteps import EStepSpec, PolicyGradConfig
 from .models import (
     LogitModel,
@@ -428,9 +434,9 @@ def execute_run(cfg: RunConfig, out_dir: str | Path, jobs: int = 1) -> str:
     """Run every seed of a config into `out_dir` and return the summary.
 
     At most `jobs` worker processes run, and never more than there are
-    seeds.  Workers receive the config data, not live objects, because
-    evaluator closures do not pickle; results are written in seed order
-    regardless of completion order so listings stay deterministic.
+    seeds.  Workers receive the config data, not live objects, because a
+    task's evaluator closure does not pickle; results are written in seed
+    order regardless of completion order so listings stay deterministic.
     """
     jobs = require_integer("jobs", jobs, 1)
     out = Path(out_dir)
@@ -471,8 +477,14 @@ def _load_run(run_dir: Path) -> tuple[dict, dict[int, list]]:
     data = yaml.safe_load(resolved.read_text())
     records = {}
     for p in sorted(run_dir.glob("record.seed*.tsv")):
-        seed = int(p.stem.removeprefix("record.seed"))
-        records[seed] = record_from_tsv(p.read_text())
+        try:
+            seed = int(p.stem.removeprefix("record.seed"))
+        except ValueError:
+            raise RecordFormatError(f"{p}: not a per-seed record.seed<k>.tsv") from None
+        try:
+            records[seed] = record_from_tsv(p.read_text())
+        except (ConfigError, RecordFormatError) as exc:
+            raise type(exc)(f"{p}: {exc}") from None
     if not records:
         raise ConfigError(f"{run_dir} holds no metric tables")
     return data, records

@@ -1,13 +1,13 @@
 """Finite generative tasks with enumerable rationale and response spaces.
 
-A task bundles prompts, a latent (rationale) space, a response space, a
-binary observation space, and an evaluator giving P(o | x, z, y).  Spaces
-are small enough to enumerate exactly, which is what makes every
+A task bundles prompts, a latent (rationale) space, a response space, the
+observations (0, 1), and an evaluator giving s(x, z, y) = P(o = 1 | x, z, y).
+Spaces are small enough to enumerate exactly, which is what makes every
 downstream quantity (partition functions, posteriors, KL divergences)
-checkable against brute force.  The evaluator is compiled once per task
-into the table `obs_probs`, and each event once per value into a
-`CompiledEvent` over it, whose mass row m_x(z, y) = P(o in the event's
-observations | x, z, y) is the event's one form downstream.  A
+checkable against brute force.  The evaluator is called once per task to
+fill the [prompts, joint] table `success`, and each event is compiled once
+per value into a `CompiledEvent` over it, whose mass row m_x(z, y) = P(o in
+the event's observations | x, z, y) is the event's one form downstream.  A
 task is serialized as the arguments of the factory that built it: the task
 section of a run's `config.resolved`, which `harness.build_task` rebuilds.
 
@@ -41,7 +41,7 @@ from .trie import Trie
 
 ENUMERATION_CAP = 10**6
 
-Evaluator = Callable[[int, int, int, int], float]
+OBSERVATIONS = (0, 1)  # every task's observation values: failure, success
 
 
 @dataclass(frozen=True, order=True)
@@ -81,11 +81,11 @@ def _check_sequence(seq: TokenSequence, vocab: Vocabulary, horizon: int) -> None
 
 @dataclass(eq=False)
 class GenerativeTask:
-    """Finite prompt/latent/response/observation spaces plus an evaluator.
+    """Finite prompt/latent/response spaces plus an evaluator of success.
 
-    `evaluator(x_idx, z_idx, y_idx, o)` returns P(o | x, z, y) for each
-    observation value o in `obs_values`; for every (x, z, y) these must sum
-    to 1.  `horizon` bounds the length of the concatenated latent+response
+    `evaluator(x_idx, z_idx, y_idx)` returns s = P(o = 1 | x, z, y) over index
+    arrays that broadcast to [prompts, latents, responses]; P(o = 0) = 1 - s.
+    `horizon` bounds the length of the concatenated latent+response
     trajectory.  Instances are treated as immutable after construction.
     """
 
@@ -95,8 +95,7 @@ class GenerativeTask:
     rho: np.ndarray
     latents: tuple[TokenSequence, ...]
     responses: tuple[TokenSequence, ...]
-    obs_values: tuple[int, ...]
-    evaluator: Evaluator
+    evaluator: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     evaluator_kind: str
     horizon: int
     truth: dict[int, tuple[int, int]] | None = field(default=None, repr=False)
@@ -170,23 +169,28 @@ class GenerativeTask:
     # -- evaluator --------------------------------------------------------
 
     @cached_property
-    def obs_probs(self) -> np.ndarray:
-        """Read-only [prompts, joint, obs] table of P(obs_values[o] | x, z, y),
-        joint index `zy_index(z, y)`; one evaluator call per entry, made on
-        first use."""
-        table = np.array(
-            [[self.evaluator(x, z, y, o) for z in range(self.n_latents)
-              for y in range(self.n_responses) for o in self.obs_values]
-             for x in range(self.n_prompts)],
-            dtype=np.float64,
-        ).reshape(self.n_prompts, self.n_joint, len(self.obs_values))
+    def success(self) -> np.ndarray:
+        """Read-only [prompts, joint] table of s(x, z, y), joint index
+        `zy_index(z, y)`: one call of the instance's `evaluator`, on first use."""
+        shape = (self.n_prompts, self.n_latents, self.n_responses)
+        values = self.evaluator(*np.ogrid[:shape[0], :shape[1], :shape[2]])
+        try:
+            table = np.array(np.broadcast_to(values, shape), dtype=np.float64)
+        except ValueError:
+            raise TaskDefinitionError(f"evaluator returned shape {np.shape(values)}, "
+                                      f"which does not broadcast to {shape}") from None
+        if not np.all(np.isfinite(table)):
+            raise TaskDefinitionError("evaluator returned a non-finite success probability")
+        if not np.all((table >= 0.0) & (table <= 1.0)):
+            raise TaskDefinitionError("evaluator returned a success probability outside [0, 1]")
+        table = table.reshape(self.n_prompts, self.n_joint)
         table.flags.writeable = False
         return table
 
 
-def _obs_table(task: GenerativeTask) -> np.ndarray:
-    """`task.obs_probs`; every read of the table goes through here."""
-    return task.obs_probs
+def _success_table(task: GenerativeTask) -> np.ndarray:
+    """`task.success`; every read of the table goes through here."""
+    return task.success
 
 
 # -- events ---------------------------------------------------------------
@@ -198,10 +202,10 @@ Subset = None | Collection[int] | Callable
 class EventSpec:
     """Restriction of the latent, response, and observation spaces.
 
-    Each field is None (no restriction), a collection of indices into the
-    corresponding space (observation values for `obs`), or a deterministic
-    predicate over space elements (TokenSequence for latents/responses,
-    int value for obs).
+    Each field is None (no restriction), a collection of integer indices
+    into the corresponding space (for obs `OBSERVATIONS`, whose indices are
+    its values), or a deterministic predicate over space elements
+    (TokenSequence for latents/responses, int value for obs).
     """
 
     latents: Subset = None
@@ -228,19 +232,21 @@ def success_event() -> EventSpec:
     return EventSpec(obs=(1,))
 
 
-def _materialize_axis(subset: Subset, elements: Sequence, by_value: bool) -> tuple[int, ...]:
+def _is_index(v) -> bool:
+    """Whether `v` can index a space: an int or numpy integer, not a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _materialize_axis(subset: Subset, elements: Sequence) -> tuple[int, ...]:
     n = len(elements)
     if subset is None:
         return tuple(range(n))
     if callable(subset):
         return tuple(i for i, el in enumerate(elements) if subset(el))
+    wrong = [v for v in subset if not _is_index(v)]
+    if wrong:
+        raise OutOfSpaceError(f"event entries {wrong} are not integer indices")
     picked = sorted(set(int(v) for v in subset))
-    if by_value:
-        value_to_idx = {v: i for i, v in enumerate(elements)}
-        missing = [v for v in picked if v not in value_to_idx]
-        if missing:
-            raise OutOfSpaceError(f"observation values {missing} not in task")
-        return tuple(sorted(value_to_idx[v] for v in picked))
     if picked and (picked[0] < 0 or picked[-1] >= n):
         raise OutOfSpaceError(f"event indices {picked} outside [0, {n})")
     return tuple(picked)
@@ -251,12 +257,12 @@ def materialize_event(
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """Index tuples (latent, response, obs) named by the event.
 
-    Observation entries are indices into task.obs_values.  Raises
+    Observation entries are the values in `OBSERVATIONS`.  Raises
     EmptyEventError if any axis materializes empty.
     """
-    z_idx = _materialize_axis(event.latents, task.latents, by_value=False)
-    y_idx = _materialize_axis(event.responses, task.responses, by_value=False)
-    o_idx = _materialize_axis(event.obs, task.obs_values, by_value=True)
+    z_idx = _materialize_axis(event.latents, task.latents)
+    y_idx = _materialize_axis(event.responses, task.responses)
+    o_idx = _materialize_axis(event.obs, OBSERVATIONS)
     if not z_idx or not y_idx or not o_idx:
         raise EmptyEventError(f"event {event.describe()} is empty on task {task.name}")
     return z_idx, y_idx, o_idx
@@ -264,11 +270,11 @@ def materialize_event(
 
 @dataclass(frozen=True, eq=False)
 class CompiledEvent:
-    """One event of one task as index arrays over the task's `obs_probs`.
+    """One event of one task as index arrays over the task's `success`.
 
     `pair_joint` lists the event's (z, y) pairs as joint indices, in
     enumeration order, and `inside` marks them among all joint outcomes;
-    `obs` holds the event's observation indices.  Downstream the event is
+    `obs` holds the event's observation values.  Downstream the event is
     its mass row `mass(x)`, with the observation summed out.  The arrays
     are read-only.
     """
@@ -290,8 +296,12 @@ class CompiledEvent:
 
     @cached_property
     def _table(self) -> np.ndarray:
-        """The mass table, summed out of the observation table on first use."""
-        rows = _obs_table(self.task)[:, :, self.obs].sum(axis=-1)
+        """The mass table on first use: s, 1 - s or (1 - s) + s on `inside`
+        as the event names o = 1, o = 0 or both, and 0 outside it."""
+        s = _success_table(self.task)
+        rows = s if self.obs == (1,) else 1.0 - s
+        if self.obs == OBSERVATIONS:
+            rows = rows + s
         table = np.where(self.inside, rows, 0.0)
         table.flags.writeable = False
         return table
@@ -312,13 +322,15 @@ def _remember(cache: dict, key, value, size: int = SPEC_EVENTS_SIZE) -> None:
 
 def _spec_key(event: EventSpec) -> tuple | None:
     """The event's fields as a cache key; None if one is a predicate (hashed
-    by identity, not value) or unhashable."""
+    by identity, not value), unhashable, or not all plain ints (True == 1)."""
     fields = (event.latents, event.responses, event.obs)
     if any(callable(f) for f in fields):
         return None
     try:
         hash(fields)
     except TypeError:
+        return None
+    if any(type(v) is not int for f in fields if f is not None for v in f):
         return None
     return fields
 
@@ -354,26 +366,7 @@ def compile_event(task: GenerativeTask, event: EventSpec) -> CompiledEvent:
     return compiled
 
 
-# -- evaluators, factory arguments and factory tasks ------------------------
-
-
-def _binary_evaluator(verify: Callable[[int, int, int], bool]) -> Evaluator:
-    def evaluator(x: int, z: int, y: int, o: int) -> float:
-        ok = 1.0 if verify(x, z, y) else 0.0
-        return ok if o == 1 else 1.0 - ok
-
-    return evaluator
-
-
-def _soft_evaluator(
-    verify: Callable[[int, int, int], bool], beta: float, wrong_penalty: float
-) -> Evaluator:
-    def evaluator(x: int, z: int, y: int, o: int) -> float:
-        reward = 0.0 if verify(x, z, y) else wrong_penalty
-        p_one = float(np.exp(reward / beta))
-        return p_one if o == 1 else 1.0 - p_one
-
-    return evaluator
+# -- factory arguments and factory tasks -------------------------------------
 
 
 # the least value of each size argument of a factory
@@ -421,24 +414,31 @@ def check_task_args(args: dict) -> dict:
 
 def _factory_task(
     args: dict,
-    verify: Callable[[int, int, int], bool],
+    verified: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     **spaces,
 ) -> GenerativeTask:
-    """A factory's task over `spaces`: uniform rho over the prompts,
-    observations (0, 1) and the evaluator that the factory's arguments
-    `args` name for `verify`."""
+    """A factory's task over `spaces`: uniform rho over the prompts and, as
+    `args` name it, the binary evaluator `verified(x, z, y)` or the soft one
+    exp(R / soft_beta), reward R = 0 (s = 1) if verified, else wrong_penalty."""
+    evaluator = verified
     if args["evaluator"] == "soft":
-        evaluator = _soft_evaluator(verify, args["soft_beta"], args["wrong_penalty"])
-    else:
-        evaluator = _binary_evaluator(verify)
+        wrong = np.exp(args["wrong_penalty"] / args["soft_beta"])
+
+        def evaluator(x, z, y):
+            return np.where(verified(x, z, y), 1.0, wrong)
     n = len(spaces["prompts"])
     return GenerativeTask(
         rho=np.full(n, 1.0 / n),
-        obs_values=(0, 1),
         evaluator=evaluator,
         evaluator_kind=args["evaluator"],
         **spaces,
     )
+
+
+def _truth_mask(truth: dict[int, tuple[int, int]]):
+    """The mask (z, y) == truth[x] over broadcast index arrays."""
+    z_true, y_true = np.array([truth[x] for x in range(len(truth))]).T
+    return lambda x, z, y: (z == z_true[x]) & (y == y_true[x])
 
 
 def _subsample_prompts(n: int, limit: int | None, seed: int) -> list[int]:
@@ -534,11 +534,8 @@ def make_carry_addition_task(
         z_ids, y_ids = correct_chain(a, b)
         truth[x_idx] = (latent_index[z_ids], response_index[y_ids])
 
-    def verify(x: int, z: int, y: int) -> bool:
-        return (z, y) == truth[x]
-
     return _factory_task(
-        args, verify,
+        args, _truth_mask(truth),
         name=f"carry-addition-d{digits}-b{base}",
         vocab=vocab,
         prompts=prompts,
@@ -624,11 +621,8 @@ def make_automaton_trace_task(
         y_idx = 0 if state in accepting else 1
         truth[x_idx] = (latent_index[tuple(trace) + (eos,)], y_idx)
 
-    def verify(x: int, z: int, y: int) -> bool:
-        return (z, y) == truth[x]
-
     return _factory_task(
-        args, verify,
+        args, _truth_mask(truth),
         name=f"automaton-trace-s{num_states}-l{input_len}",
         vocab=vocab,
         prompts=prompts,
@@ -672,23 +666,17 @@ def make_reward_tag_task(
     latents = (TokenSequence((bad_tok, eos)), TokenSequence((good_tok, eos)))
     responses = tuple(TokenSequence((resp_base + j, eos)) for j in range(n_responses))
     prompts = tuple(f"p{i}" for i in range(n_prompts))
-    correct = {
-        i: int(v)
-        for i, v in enumerate(stream(seed, "tag-truth").integers(0, n_responses, n_prompts))
-    }
-
-    def verify(x: int, z: int, y: int) -> bool:
-        return (z == 1) == (y == correct[x])
+    correct = stream(seed, "tag-truth").integers(0, n_responses, n_prompts)
 
     return _factory_task(
-        args, verify,
+        args, lambda x, z, y: (z == GOOD_TAG) == (y == correct[x]),
         name=f"reward-tag-p{n_prompts}-r{n_responses}",
         vocab=vocab,
         prompts=prompts,
         latents=latents,
         responses=responses,
         horizon=4,
-        truth={i: (1, correct[i]) for i in range(n_prompts)},
+        truth={i: (GOOD_TAG, int(correct[i])) for i in range(n_prompts)},
     )
 
 

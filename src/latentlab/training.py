@@ -25,6 +25,7 @@ from .errors import (
     ConfigError,
     FeatureMapMismatchError,
     OutOfSpaceError,
+    RecordFormatError,
     SurrogateDecreaseError,
     TaskMismatchError,
     UnnormalizedVariationalError,
@@ -292,21 +293,19 @@ class RunRecord:
 
 
 def record_from_tsv(text: str) -> list[RunRow]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or tuple(lines[0].split("\t")) != TSV_COLUMNS:
+    """The rows of a metric table; a malformed row raises `RecordFormatError`."""
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines or tuple(lines[0][1].split("\t")) != TSV_COLUMNS:
         raise ConfigError("metric table header does not match the fixed schema")
     rows = []
-    for ln in lines[1:]:
+    for n, ln in lines[1:]:
         cells = ln.split("\t")
-        rows.append(
-            RunRow(
-                t=int(cells[0]),
-                **{
-                    name: float(cells[i + 1])
-                    for i, name in enumerate(TSV_COLUMNS[1:])
-                },
-            )
-        )
+        if len(cells) != len(TSV_COLUMNS):
+            raise RecordFormatError(f"line {n}: {len(cells)} cells, expected {len(TSV_COLUMNS)}")
+        try:
+            rows.append(RunRow(int(cells[0]), *map(float, cells[1:])))
+        except ValueError as exc:
+            raise RecordFormatError(f"line {n}: {exc}") from None
     return rows
 
 

@@ -131,9 +131,9 @@ def _misaligned_segment_sum(values: np.ndarray, starts: np.ndarray) -> np.ndarra
     return np.add.reduceat(values, np.minimum(starts + 1, len(values) - 1))
 
 
-def _next_prompt_obs(task: GenerativeTask) -> np.ndarray:
-    """'obs-table': the observation table, prompt x reading prompt x + 1."""
-    return np.roll(task.obs_probs, -1, axis=0)
+def _next_prompt_success(task: GenerativeTask) -> np.ndarray:
+    """'obs-table': the success table, prompt x reading prompt x + 1."""
+    return np.roll(task.success, -1, axis=0)
 
 
 def _rolled_posterior_rows(terms: np.ndarray, totals) -> np.ndarray:
@@ -193,7 +193,7 @@ def _next_copy_leaves(leaf_node: np.ndarray, n_nodes: int, copies: int) -> np.nd
 FAULTS = {
     "shaping-sign": (planner_kernel, "shape_rewards", _negated_bonus_rewards),
     "trie-upward": (trie_kernel, "_segment_sum", _misaligned_segment_sum),
-    "obs-table": (task_tables, "_obs_table", _next_prompt_obs),
+    "obs-table": (task_tables, "_success_table", _next_prompt_success),
     "joint-marginal": (graph_kernel, "_posterior_rows", _rolled_posterior_rows),
     "batched-rows": (model_kernel, "_normalized_rows", _rolled_prompt_rows),
     "comparator-set": (training_kernel, "_argmax_sets", _rolled_argmax_sets),
@@ -346,9 +346,9 @@ def _event_triples(task: GenerativeTask, event: EventSpec) -> list[tuple[int, in
     sorted into the documented enumeration order: lexicographic in (latent
     tokens, response tokens, o).  Oracles enumerate events here, not
     through the compiled arrays they check."""
-    z_idx, y_idx, o_idx = materialize_event(task, event)
+    z_idx, y_idx, obs = materialize_event(task, event)
     return sorted(
-        ((zi, yi, task.obs_values[oi]) for zi in z_idx for yi in y_idx for oi in o_idx),
+        ((zi, yi, o) for zi in z_idx for yi in y_idx for o in obs),
         key=lambda t: (task.latents[t[0]].ids, task.responses[t[1]].ids, t[2]),
     )
 
@@ -359,7 +359,7 @@ def _posterior_pairs(jm: JointModel, x_idx: int, event: EventSpec):
     task = jm.task
     mass: dict[tuple[int, int], float] = {}
     for zi, yi, o in _event_triples(task, event):
-        w = math.exp(joint_logprob(jm.seq, x_idx, zi, yi)) * task.evaluator(x_idx, zi, yi, o)
+        w = math.exp(joint_logprob(jm.seq, x_idx, zi, yi)) * evaluator_entry(task, x_idx, zi, yi, o)
         mass[(zi, yi)] = mass.get((zi, yi), 0.0) + w
     total = sum(mass.values())
     return list(mass), np.array([w / total for w in mass.values()])
@@ -375,12 +375,44 @@ def joint_logprob(model: LogitModel, x_idx: int, z_idx: int, y_idx: int) -> floa
     return float(_looped_log_probs(model, x_idx)[model.task.zy_index(z_idx, y_idx)])
 
 
+def _given_success(s: float, o: int) -> float:
+    """P(o | x, z, y) of an entry whose success probability is s."""
+    if o not in (0, 1):
+        raise OutOfSpaceError(f"observation {o!r} outside (0, 1)")
+    return s if o == 1 else 1.0 - s
+
+
 def evaluator_prob(task: GenerativeTask, x_idx: int, z_idx: int, y_idx: int, o: int) -> float:
-    """P(o | x, z, y) of one triple, read from the observation table."""
+    """P(o | x, z, y) of one triple, read from the success table."""
     if not 0 <= x_idx < task.n_prompts:
         raise OutOfSpaceError(f"prompt index {x_idx} outside [0, {task.n_prompts})")
-    row = task_tables._obs_table(task)[x_idx]
-    return float(row[task.zy_index(z_idx, y_idx), task.obs_values.index(o)])
+    s = task_tables._success_table(task)[x_idx, task.zy_index(z_idx, y_idx)]
+    return _given_success(float(s), o)
+
+
+def evaluator_entry(task: GenerativeTask, x_idx: int, z_idx: int, y_idx: int,
+                    o: int) -> float:
+    """P(o | x, z, y) of one triple from one evaluator call on that entry
+    alone, never read from the success table."""
+    return _given_success(float(task.evaluator(x_idx, z_idx, y_idx)), o)
+
+
+def factory_success(task: GenerativeTask, x_idx: int, z_idx: int, y_idx: int,
+                    soft_beta: float = 1.0, wrong_penalty: float = -3.0) -> float:
+    """s(x, z, y) of one entry of a factory task, rebuilt from `task.truth`
+    and the factory's soft arguments alone: the tag task verifies the good
+    tag on the correct response and the bad tag on every other, the carry
+    and automaton tasks exactly the true pair; a soft task maps the verdict
+    through exp(R / soft_beta), R = 0 if verified and wrong_penalty if not."""
+    z_true, y_true = task.truth[x_idx]
+    if task.name.startswith("reward-tag"):
+        ok = (z_idx == GOOD_TAG) == (y_idx == y_true)
+    else:
+        ok = (z_idx, y_idx) == (z_true, y_true)
+    if task.evaluator_kind == "binary":
+        return 1.0 if ok else 0.0
+    reward = 0.0 if ok else wrong_penalty
+    return float(np.exp(reward / soft_beta))
 
 
 def triple_logprob(jm: JointModel, x_idx: int, z_idx: int, y_idx: int, o: int) -> float:
@@ -501,7 +533,7 @@ def success_weights(model: LogitModel) -> np.ndarray:
     event."""
     task = model.task
     weights = np.array([
-        [math.exp(joint_logprob(model, x, zi, yi)) * task.evaluator(x, zi, yi, 1)
+        [math.exp(joint_logprob(model, x, zi, yi)) * evaluator_entry(task, x, zi, yi, 1)
          for zi, yi in _as_pairs(task, range(task.n_joint))]
         for x in range(task.n_prompts)
     ])
@@ -548,11 +580,6 @@ def _log_partition(model: LogitModel, x_idx: int) -> np.ndarray:
     """A(x, theta) as the model applies it: logits minus log probabilities,
     one rounded copy per joint outcome."""
     return model.features.logits(x_idx, model.theta) - model.joint_log_probs(x_idx)
-
-
-def evaluator_normalization_gap(task: GenerativeTask) -> float:
-    """Max |sum_o P(o|x,z,y) - 1| over all triples; 0 for a valid task."""
-    return float(np.abs(task_tables._obs_table(task).sum(axis=-1) - 1.0).max())
 
 
 def event_terms(jm: JointModel, x_idx: int, event: EventSpec) -> np.ndarray:
@@ -835,8 +862,6 @@ def check_tasks_factory_counts() -> CheckResult:
         got = (task.n_prompts, task.n_latents, task.n_responses)
         if got != (nx, nz, ny):
             return _fail(f"{task.name}: spaces {got}, expected {(nx, nz, ny)}")
-        if task.obs_values != (0, 1):
-            return _fail(f"{task.name}: obs values {task.obs_values}")
     limited = make_carry_addition_task(1, 10, prompt_limit=4)
     if limited.n_prompts != 4 or limited.n_joint != 2000:
         return _fail(f"prompt_limit task has {limited.n_prompts} prompts, "
@@ -845,13 +870,31 @@ def check_tasks_factory_counts() -> CheckResult:
 
 
 def check_tasks_evaluator_normalization() -> CheckResult:
-    """P(o | x, z, y) sums to one everywhere, binary and soft alike."""
-    worst = 0.0
-    for inst in standard_instances():
-        worst = max(worst, evaluator_normalization_gap(inst.task))
-    if worst > 1e-12:
-        return _fail(f"normalization gap {worst:.3e} > 1e-12")
-    return _ok(f"max gap {worst:.3e} over {len(standard_instances())} instances")
+    """Every success probability, read through the table, equals bit for
+    bit the entry rebuilt from the task's truth, binary and soft alike; the
+    table build refuses a value outside [0, 1], so agreement is what can
+    fail."""
+    cases = [
+        (make_carry_addition_task, (1, 3), {}),
+        (make_carry_addition_task, (2, 2), dict(prompt_limit=5, seed=3)),
+        (make_automaton_trace_task, (3, 2), dict(seed=1)),
+        (make_reward_tag_task, (4, 5), {}),
+    ]
+    evaluators = [("binary", 1.0, -3.0), ("soft", 2.0, -3.0), ("soft", 0.7, -0.5),
+                  ("soft", 1.5, -6.25)]
+    for make, args, kwargs in cases:
+        for kind, beta, penalty in evaluators:
+            task = make(*args, **kwargs, evaluator=kind, soft_beta=beta, wrong_penalty=penalty)
+            table = task_tables._success_table(task)
+            for x in range(task.n_prompts):
+                for zi in range(task.n_latents):
+                    for yi in range(task.n_responses):
+                        s = factory_success(task, x, zi, yi, beta, penalty)
+                        got = table[x, task.zy_index(zi, yi)]
+                        if got.tobytes() != np.float64(s).tobytes():
+                            return _fail(f"{task.name} {kind} beta={beta}: s{(x, zi, yi)} "
+                                         f"= {got!r}, truth gives {s!r}")
+    return _ok(f"{len(cases) * len(evaluators)} tasks equal their truth entries")
 
 
 def check_tasks_unique_truth() -> CheckResult:
@@ -891,8 +934,7 @@ def check_tasks_event_enumeration() -> CheckResult:
     if z_idx != tuple(range(task.n_latents)) or y_idx != tuple(range(task.n_responses)):
         return _fail("full event does not materialize to the full spaces")
     succ = success_event()
-    _, _, o_succ = materialize_event(task, succ)
-    if tuple(task.obs_values[i] for i in o_succ) != (1,):
+    if materialize_event(task, succ)[2] != (1,):
         return _fail("success event does not pin o = 1")
     compiled = compile_event(task, succ)
     triples = _event_triples(task, succ)
@@ -900,7 +942,7 @@ def check_tasks_event_enumeration() -> CheckResult:
         return _fail(f"success event enumerates {len(triples)} triples")
     brute = np.zeros(task.n_joint)
     for z, y, o in triples:
-        brute[task.zy_index(z, y)] += task.evaluator(0, z, y, o)
+        brute[task.zy_index(z, y)] += evaluator_entry(task, 0, z, y, o)
     if not np.array_equal(compiled.mass(0), brute):
         return _fail("compiled mass row disagrees with the enumerated triples")
     first_seen = list(dict.fromkeys(task.zy_index(z, y) for z, y, _ in triples))
@@ -920,6 +962,9 @@ def check_tasks_event_enumeration() -> CheckResult:
     if not _expect_raises(OutOfSpaceError, materialize_event, task,
                           EventSpec(obs=(7,))):
         return _fail("unknown observation value did not raise")
+    if not _expect_raises(OutOfSpaceError, materialize_event, task,
+                          EventSpec(latents=(0.7,))):
+        return _fail("a fractional latent index was truncated, not refused")
     return _ok("orders, predicates, and guards all agree")
 
 
@@ -933,7 +978,7 @@ _TASK_SECTIONS = {
 
 def check_tasks_serialization_roundtrip() -> CheckResult:
     """A task's config section, resolved, written and parsed back, rebuilds
-    its spaces, truth, rho and evaluator values."""
+    its spaces, truth, rho and success table."""
     from . import harness
 
     for name, section in _TASK_SECTIONS.items():
@@ -944,17 +989,11 @@ def check_tasks_serialization_roundtrip() -> CheckResult:
         if (back.prompts != task.prompts or back.vocab != task.vocab
                 or [z.ids for z in back.latents] != [z.ids for z in task.latents]
                 or [y.ids for y in back.responses] != [y.ids for y in task.responses]
-                or back.obs_values != task.obs_values
                 or back.truth != task.truth
                 or not np.array_equal(back.rho, task.rho)):
             return _fail(f"{name}: spaces changed across the roundtrip")
-        for x in range(task.n_prompts):
-            for zi in range(task.n_latents):
-                for yi in range(task.n_responses):
-                    for o in task.obs_values:
-                        if back.evaluator(x, zi, yi, o) != task.evaluator(x, zi, yi, o):
-                            return _fail(f"{name}: evaluator changed at "
-                                         f"({x},{zi},{yi},{o})")
+        if back.success.tobytes() != task.success.tobytes():
+            return _fail(f"{name}: success table changed across the roundtrip")
     return _ok("binary and soft config sections roundtrip exactly")
 
 
@@ -991,14 +1030,11 @@ def check_tasks_sequence_validation() -> CheckResult:
     z = TokenSequence((0, 3))
     y = TokenSequence((1, 3))
 
-    def ev(x, zi, yi, o):
-        return 1.0 if o == 1 else 0.0
-
     def build(**overrides):
         base = dict(
             name="probe", vocab=vocab, prompts=("p",), rho=np.array([1.0]),
-            latents=(z,), responses=(y,), obs_values=(0, 1),
-            evaluator=ev, evaluator_kind="binary", horizon=4,
+            latents=(z,), responses=(y,),
+            evaluator=lambda x, zi, yi: 1.0, evaluator_kind="binary", horizon=4,
         )
         base.update(overrides)
         return GenerativeTask(**base)
@@ -1298,7 +1334,7 @@ def check_graph_factorization() -> CheckResult:
             zi = int(rng.integers(task.n_latents))
             yi = int(rng.integers(task.n_responses))
             o = int(rng.integers(2))
-            ev = task.evaluator(x, zi, yi, o)
+            ev = evaluator_entry(task, x, zi, yi, o)
             expected = -math.inf if ev == 0.0 else (
                 float(model.joint_log_probs(x)[task.zy_index(zi, yi)]) + math.log(ev))
             got = triple_logprob(jm, x, zi, yi, o)
@@ -1357,7 +1393,7 @@ def check_graph_posterior_oracle() -> CheckResult:
                 weights = [0.0] * task.n_joint
                 for zi, yi, o in triples:
                     w = math.exp(joint_logprob(model, x, zi, yi))
-                    weights[task.zy_index(zi, yi)] += w * task.evaluator(x, zi, yi, o)
+                    weights[task.zy_index(zi, yi)] += w * evaluator_entry(task, x, zi, yi, o)
                 total = sum(weights)
                 row = jm.exact_posterior(x, event)
                 for got, w in zip(row, weights, strict=True):
@@ -1610,8 +1646,7 @@ def check_planner_shaping_telescoping() -> CheckResult:
         model = random_model(task, stream(SEED, "shape", k), scale=1.0)
         jm = JointModel(model)
         event = inst.events[0]
-        _, _, o_idx = materialize_event(task, event)
-        obs = [task.obs_values[i] for i in o_idx]
+        obs = materialize_event(task, event)[2]
         nodes = prefix_nodes(task.trie)
         for x in range(task.n_prompts):
             # read through the module, where the 'shaping-sign' fault is swapped in
@@ -1622,7 +1657,7 @@ def check_planner_shaping_telescoping() -> CheckResult:
                     total = 0.0
                     for pos in range(len(seq)):
                         total += float(mdp.reward[nodes[seq[:pos + 1]]])
-                    mass = sum(task.evaluator(x, zi, yi, o) for o in obs)
+                    mass = sum(evaluator_entry(task, x, zi, yi, o) for o in obs)
                     term = math.log(mass) if mass > 0.0 else LOG_CLAMP
                     expected = joint_logprob(model, x, zi, yi) + term
                     if abs(total - expected) > 1e-9:
@@ -2022,7 +2057,7 @@ def _argmax_oracle(task: GenerativeTask, event: EventSpec) -> list[tuple[float, 
         mass: dict[int, float] = {}
         for zi, yi, o in triples:
             k = task.zy_index(zi, yi)
-            mass[k] = mass.get(k, 0.0) + task.evaluator(x, zi, yi, o)
+            mass[k] = mass.get(k, 0.0) + evaluator_entry(task, x, zi, yi, o)
         top = max(mass.values())
         out.append((top, [k for k, m in mass.items() if m == top]))
     return out

@@ -1,9 +1,10 @@
 """Structural guards on how the package reads tasks and outcomes.
 
-Only the table compile in `tasks.py` and the brute-force oracles in
-`verification.py` may call a task's evaluator, and outside
-`verification.py` only a compiled event's mass table reads the table it
-fills, `GenerativeTask.obs_probs`: an event has no other form.  Between the E-step
+Only the table build in `tasks.py` and the brute-force oracles in
+`verification.py` may call a task's evaluator, once per task and only when
+the table is first read, and outside `verification.py` only a compiled
+event's mass table reads the table it fills, `GenerativeTask.success`: an
+event has no other form.  Between the E-step
 engines, the samplers and the M-step an outcome is its joint index, so the
 modules on that path never turn an index back into a (z, y) tuple.  The
 averages over prompts read a model's [prompts, joint] matrix, never one
@@ -35,16 +36,23 @@ import latentlab
 from latentlab.graph import EVENT_TABLES_SIZE, JointModel
 from latentlab.models import random_model
 from latentlab.rng import stream
-from latentlab.tasks import EventSpec, make_reward_tag_task, success_event
+from latentlab.tasks import (
+    EventSpec,
+    compile_event,
+    full_event,
+    make_carry_addition_task,
+    make_reward_tag_task,
+    success_event,
+)
 from latentlab.trie import STACKS_SIZE
 
 PACKAGE = Path(latentlab.__file__).parent
-ALLOWED = {"tasks.py": {"obs_probs"}, "verification.py": None}
-# the observation table and its two accessors in tasks.py
-OBS_TABLE = {"obs_probs", "_obs_table", "_prompt_obs"}
+ALLOWED = {"tasks.py": {"success"}, "verification.py": None}
+# the success table and its accessor in tasks.py
+OBS_TABLE = {"success", "_success_table"}
 # its readers: the accessor reads the table, and the compiled event's mass
 # table, which its mass rows return, reads the accessor
-OBS_READERS = {"_obs_table", "CompiledEvent._table"}
+OBS_READERS = {"_success_table", "CompiledEvent._table"}
 JOINT_INDEX_MODULES = ("esteps.py", "graph.py", "planner.py", "training.py")
 BATCHED = {"graph.py": {"averaged_event_logprob", "averaged_grad"},
            "training.py": {"_averaged_kl", "mstep", "latent_dpo_loss_and_grad",
@@ -98,12 +106,31 @@ def test_only_the_table_compile_and_oracles_call_the_evaluator():
         for func, line in _attribute_calls(ast.parse(path.read_text()), "evaluator"):
             if allowed is not None and func not in allowed:
                 offenders.append(f"{path.name}:{line} in {func}")
-    assert not offenders, "evaluator called outside the table compile: " + ", ".join(offenders)
+    assert not offenders, "evaluator called outside the table build: " + ", ".join(offenders)
 
 
 def test_guard_sees_a_call():
-    tree = ast.parse("def f(task):\n    return task.evaluator(0, 0, 0, 1)\n")
+    tree = ast.parse("def f(task):\n    return task.evaluator(0, 0, 0)\n")
     assert _attribute_calls(tree, "evaluator") == [("f", 2)]
+
+
+def test_one_evaluator_call_per_task_made_on_first_read():
+    # wrapped on the instance after construction, as the benchmark counts
+    # calls: a table built during construction would escape the count
+    task = make_carry_addition_task(1, 3, evaluator="soft")
+    calls = []
+    evaluator = task.evaluator
+
+    def counted(*args):
+        calls.append(args)
+        return evaluator(*args)
+
+    task.evaluator = counted
+    events = [compile_event(task, success_event()), compile_event(task, full_event())]
+    assert calls == []
+    for event in events:
+        assert event.mass_all().shape == (task.n_prompts, task.n_joint)
+    assert len(calls) == 1
 
 
 def _reads(tree: ast.AST, names: set[str]) -> list[tuple[str, int]]:
@@ -140,13 +167,13 @@ def test_only_the_mass_rows_read_the_observation_table():
 
 def test_table_guard_sees_a_read_elsewhere():
     source = ("class CompiledEvent:\n"
-              "    def _table(self):\n        return _obs_table(self.task)\n"
-              "    def triple_probs(self, x):\n"
-              "        return _prompt_obs(self.task, x)[self.joint]\n"
-              "def event_terms(task):\n    return np.log(task.obs_probs)\n")
+              "    def _table(self):\n        return _success_table(self.task)\n"
+              "    def pair_probs(self, x):\n"
+              "        return _success_table(self.task)[x, self.pair_joint]\n"
+              "def event_terms(task):\n    return np.log(task.success)\n")
     found = [read for read in _reads(ast.parse(source), OBS_TABLE)
              if read[0] not in OBS_READERS]
-    assert found == [("CompiledEvent.triple_probs", 5), ("event_terms", 7)]
+    assert found == [("CompiledEvent.pair_probs", 5), ("event_terms", 7)]
 
 
 def test_joint_index_path_never_unindexes():

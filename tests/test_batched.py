@@ -18,6 +18,7 @@ from latentlab.graph import JointModel
 from latentlab.logspace import LOG_CLAMP
 from latentlab.models import LogitModel, NgramFeatures, TabularFeatures
 from latentlab.tasks import (
+    OBSERVATIONS,
     EventSpec,
     make_automaton_trace_task,
     make_carry_addition_task,
@@ -67,7 +68,7 @@ def models(draw):
     a, b = model(), model()
     zs = draw(st.sets(st.integers(0, task.n_latents - 1), min_size=1))
     ys = draw(st.sets(st.integers(0, task.n_responses - 1), min_size=1))
-    obs = draw(st.sets(st.sampled_from(task.obs_values), min_size=1))
+    obs = draw(st.sets(st.sampled_from(OBSERVATIONS), min_size=1))
     event = draw(st.sampled_from([
         success_event(), EventSpec(latents=tuple(zs), responses=tuple(ys), obs=tuple(obs)),
     ]))

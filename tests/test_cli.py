@@ -197,3 +197,40 @@ def test_run_rejects_bad_values_before_making_a_run_directory(
     err = capsys.readouterr().err
     assert err.startswith(f"error: {error}")
     assert not out.exists()
+
+
+def _edit_cell(run: Path, column: int, value: str | None) -> None:
+    """Set one cell of the record's line 3 (the row t = 1) to `value`, or
+    cut that line short before the cell when `value` is None."""
+    path = run / "record.seed0.tsv"
+    lines = path.read_text().splitlines()
+    cells = lines[2].split("\t")
+    lines[2] = "\t".join(cells[:column] if value is None else
+                         cells[:column] + [value] + cells[column + 1:])
+    path.write_text("\n".join(lines) + "\n")
+
+
+# a damage to a run directory, the file the error line names and what it says
+@pytest.mark.parametrize("damage, name, error", [
+    pytest.param(lambda run: _edit_cell(run, 3, None), "record.seed0.tsv",
+                 "line 3: 3 cells, expected ", id="short-row"),
+    pytest.param(lambda run: _edit_cell(run, 2, "abc"), "record.seed0.tsv",
+                 "line 3: could not convert string to float: 'abc'", id="non-numeric-cell"),
+    pytest.param(lambda run: (run / "record.seed0-old.tsv").write_text(
+                     (run / "record.seed0.tsv").read_text()),
+                 "record.seed0-old.tsv", "not a per-seed record", id="stray-record"),
+])
+@pytest.mark.parametrize("command", ["report", "compare"])
+def test_damaged_run_directory_prints_an_error_line(
+    tmp_path, config_path, capsys, command, damage, name, error
+):
+    run = tmp_path / "run"
+    assert main(["run", str(config_path), "--out", str(run)]) == 0
+    damage(run)
+    capsys.readouterr()
+    # a comparison needs two run directories: the damaged one twice
+    runs = [str(run)] * (2 if command == "compare" else 1)
+    assert main([command, *runs]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {run / name}: {error}")
+    assert "Traceback" not in err

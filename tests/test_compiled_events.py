@@ -3,7 +3,7 @@
 Random non-empty subsets of the latent, response and observation spaces of
 small factory tasks are compiled once per value.  Their index arrays are
 compared with a nested-loop enumeration sorted by token ids, and their
-per-prompt event mass with direct evaluator calls.  Under
+per-prompt event mass with evaluator calls, one entry at a time.  Under
 random models, the posterior row, total variation and closed-form
 M-step built on them are compared with the same computations in (z, y)
 pair form, and the closed-form comparator of the 1/T certificate with the
@@ -24,6 +24,7 @@ from latentlab.graph import JointModel
 from latentlab.logspace import LOG_CLAMP
 from latentlab.models import random_model, uniform_model
 from latentlab.tasks import (
+    OBSERVATIONS,
     SPEC_EVENTS_SIZE,
     EventSpec,
     compile_event,
@@ -40,7 +41,13 @@ from latentlab.training import (
     reference_optimum,
     run_em,
 )
-from latentlab.verification import _posterior_pairs, _union_tv, event_logprob, joint_logprob
+from latentlab.verification import (
+    _posterior_pairs,
+    _union_tv,
+    evaluator_entry,
+    event_logprob,
+    joint_logprob,
+)
 
 TASKS = (
     make_reward_tag_task(3, 4, seed=1),
@@ -56,7 +63,7 @@ def events(draw):
     task = draw(st.sampled_from(TASKS))
     zs = draw(st.sets(st.integers(0, task.n_latents - 1), min_size=1))
     ys = draw(st.sets(st.integers(0, task.n_responses - 1), min_size=1))
-    obs = draw(st.sets(st.sampled_from(task.obs_values), min_size=1))
+    obs = draw(st.sets(st.sampled_from(OBSERVATIONS), min_size=1))
     z_seqs = {task.latents[i] for i in zs}
     y_seqs = {task.responses[i] for i in ys}
     as_predicate = draw(st.tuples(st.booleans(), st.booleans(), st.booleans()))
@@ -81,14 +88,14 @@ def test_compiled_event_matches_brute_force(case):
         key=lambda t: (task.latents[t[0]].ids, task.responses[t[1]].ids, t[2]),
     )
     pairs = list(dict.fromkeys((z, y) for z, y, _ in triples))
-    assert compiled.obs == tuple(sorted(task.obs_values.index(o) for o in obs))
+    assert compiled.obs == tuple(sorted(obs))
     assert compiled.pair_joint.tolist() == [task.zy_index(z, y) for z, y in pairs]
 
     in_event = {task.zy_index(z, y) for z, y in pairs}
     for x in range(task.n_prompts):
         row = compiled.mass(x)
         for z, y in pairs:
-            assert row[task.zy_index(z, y)] == sum(task.evaluator(x, z, y, o) for o in obs)
+            assert row[task.zy_index(z, y)] == sum(evaluator_entry(task, x, z, y, o) for o in obs)
         assert all(row[k] == 0.0 for k in range(task.n_joint) if k not in in_event)
     assert np.array_equal(compiled.mass_all(),
                           [compiled.mass(x) for x in range(task.n_prompts)])
@@ -245,7 +252,7 @@ def test_closed_form_comparator_certifies_one_over_t(case, scale, seed, iteratio
     supremum = kl_to_init = 0.0
     for x in range(task.n_prompts):
         mass = {
-            task.zy_index(z, y): sum(task.evaluator(x, z, y, o) for o in obs)
+            task.zy_index(z, y): sum(evaluator_entry(task, x, z, y, o) for o in obs)
             for z in zs
             for y in ys
         }

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latentlab.errors import (
     CapExceededError,
@@ -12,6 +14,7 @@ from latentlab.errors import (
 )
 from latentlab.logspace import total_variation
 from latentlab.tasks import (
+    OBSERVATIONS,
     EventSpec,
     GenerativeTask,
     TokenSequence,
@@ -25,11 +28,7 @@ from latentlab.tasks import (
     success_event,
 )
 from latentlab.harness import build_task, parse_config, resolved_text
-from latentlab.verification import (
-    _event_triples,
-    evaluator_normalization_gap,
-    evaluator_prob,
-)
+from latentlab.verification import _event_triples, evaluator_prob, factory_success
 
 
 def test_carry_counts():
@@ -74,9 +73,9 @@ def test_rho_normalized(tag_task):
 
 
 def test_evaluator_rows_normalize(tag_task):
-    assert evaluator_normalization_gap(tag_task) <= 1e-12
-    soft = make_reward_tag_task(2, 3, evaluator="soft")
-    assert evaluator_normalization_gap(soft) <= 1e-12
+    # P(o = 0) + P(o = 1) is the mass row of the full event
+    for task in (tag_task, make_reward_tag_task(2, 3, evaluator="soft")):
+        assert np.abs(compile_event(task, full_event()).mass_all() - 1.0).max() <= 1e-12
 
 
 def test_truth_is_verified(tag_task):
@@ -124,6 +123,30 @@ def test_out_of_space_raises(tag_task):
             evaluator_prob(tag_task, x, 0, 0, 0)
 
 
+@pytest.mark.parametrize("event", [
+    EventSpec(latents=(0.7,)),
+    EventSpec(obs=(1.9,)),
+    EventSpec(responses=("1",)),
+    EventSpec(latents=(True,)),
+], ids=["float-latent", "float-obs", "string-response", "bool-latent"])
+def test_event_entries_must_be_integers(event):
+    task = make_reward_tag_task(3, 5, seed=2)
+    # the integer events these entries would be mistaken for, compiled first
+    for same in (EventSpec(latents=(0,)), EventSpec(latents=(1,)), EventSpec(obs=(1,)),
+                 EventSpec(responses=(1,))):
+        compile_event(task, same)
+    with pytest.raises(OutOfSpaceError, match="are not integer indices$"):
+        compile_event(task, event)
+
+
+def test_event_entries_accept_numpy_integers(tag_task):
+    event = EventSpec(latents=(np.int64(1),), responses=tuple(np.arange(2)),
+                      obs=(np.int32(1),))
+    assert materialize_event(tag_task, event) == ((1,), (0, 1), (1,))
+    assert compile_event(tag_task, event) is compile_event(
+        tag_task, EventSpec(latents=(1,), responses=(0, 1), obs=(1,)))
+
+
 def test_cap_enforced():
     with pytest.raises(CapExceededError):
         make_carry_addition_task(2, 10, cap=10_000)
@@ -137,11 +160,7 @@ def test_document_roundtrip(tag_task):
     assert again.name == tag_task.name
     assert again.truth == tag_task.truth
     assert np.array_equal(again.rho, tag_task.rho)
-    for x in range(tag_task.n_prompts):
-        for z in range(tag_task.n_latents):
-            for y in range(tag_task.n_responses):
-                for o in tag_task.obs_values:
-                    assert again.evaluator(x, z, y, o) == tag_task.evaluator(x, z, y, o)
+    assert again.success.tobytes() == tag_task.success.tobytes()
 
 
 def test_seed_changes_truth():
@@ -154,7 +173,7 @@ def test_rebuild_is_identical():
     a = make_automaton_trace_task(3, 2, seed=1)
     b = make_automaton_trace_task(3, 2, seed=1)
     assert a.prompts == b.prompts and a.truth == b.truth
-    assert np.array_equal(a.obs_probs, b.obs_probs)
+    assert np.array_equal(a.success, b.success)
 
 
 def test_joint_sequence_beyond_the_horizon_raises_typed_error():
@@ -162,8 +181,8 @@ def test_joint_sequence_beyond_the_horizon_raises_typed_error():
     with pytest.raises(HorizonViolationError, match="length 4 > horizon 3"):
         GenerativeTask(
             name="probe", vocab=Vocabulary(size=4, eos=3), prompts=("p",),
-            rho=np.array([1.0]), latents=(z,), responses=(y,), obs_values=(0, 1),
-            evaluator=lambda x, zi, yi, o: float(o == 1), evaluator_kind="binary",
+            rho=np.array([1.0]), latents=(z,), responses=(y,),
+            evaluator=lambda x, zi, yi: 1.0, evaluator_kind="binary",
             horizon=3,
         )
 
@@ -177,8 +196,8 @@ def test_horizon_pairs_the_longest_latent_with_the_longest_response():
     def build(horizon):
         return GenerativeTask(
             name="probe", vocab=Vocabulary(size=4, eos=3), prompts=("p",),
-            rho=np.array([1.0]), latents=latents, responses=responses, obs_values=(0, 1),
-            evaluator=lambda x, zi, yi, o: float(o == 1), evaluator_kind="binary",
+            rho=np.array([1.0]), latents=latents, responses=responses,
+            evaluator=lambda x, zi, yi: 1.0, evaluator_kind="binary",
             horizon=horizon,
         )
 
@@ -194,8 +213,8 @@ def test_rho_must_be_a_finite_distribution(rho):
     with pytest.raises(TaskDefinitionError, match="rho must be a probability distribution"):
         GenerativeTask(
             name="probe", vocab=Vocabulary(size=4, eos=3), prompts=("p", "q"),
-            rho=np.array(rho), latents=(z,), responses=(y,), obs_values=(0, 1),
-            evaluator=lambda x, zi, yi, o: float(o == 1), evaluator_kind="binary",
+            rho=np.array(rho), latents=(z,), responses=(y,),
+            evaluator=lambda x, zi, yi: 1.0, evaluator_kind="binary",
             horizon=4,
         )
 
@@ -204,8 +223,8 @@ def _probe_task(**overrides):
     z, y = TokenSequence((0, 3)), TokenSequence((1, 3))
     fields = dict(
         name="probe", vocab=Vocabulary(size=4, eos=3), prompts=("p",), rho=np.array([1.0]),
-        latents=(z,), responses=(y,), obs_values=(0, 1),
-        evaluator=lambda x, zi, yi, o: float(o == 1), evaluator_kind="binary", horizon=4,
+        latents=(z,), responses=(y,),
+        evaluator=lambda x, zi, yi: 1.0, evaluator_kind="binary", horizon=4,
     )
     fields.update(overrides)
     return GenerativeTask(**fields)
@@ -225,9 +244,65 @@ def _probe_task(**overrides):
     (lambda: _probe_task(latents=(TokenSequence((0, 3)),) * 2), "duplicate latent sequences"),
     (lambda: _probe_task(responses=(TokenSequence((1, 3)),) * 2), "duplicate response sequences"),
     (lambda: total_variation([0.5, 0.5], [1.0]), r"shape mismatch: \(2,\) vs \(1,\)"),
+    (lambda: _probe_task(evaluator=lambda x, z, y: np.ones(7)).success,
+     r"evaluator returned shape \(7,\), which does not broadcast to \(1, 1, 1\)"),
+    (lambda: _probe_task(evaluator=lambda x, z, y: np.nan + x).success,
+     "evaluator returned a non-finite success probability"),
+    (lambda: _probe_task(evaluator=lambda x, z, y: 1.5 - z).success,
+     r"evaluator returned a success probability outside \[0, 1\]"),
 ])
 def test_malformed_definitions_raise_typed_errors(build, message):
     with pytest.raises(TaskDefinitionError, match=f"^{message}$") as raised:
         build()
     assert isinstance(raised.value, LatentLabError)
     assert isinstance(raised.value, ValueError)
+
+
+@st.composite
+def factory_tasks(draw):
+    """A small factory task of any kind, binary or soft, with the soft
+    arguments it was built with."""
+    kind = draw(st.sampled_from(["carry", "automaton", "tag"]))
+    kwargs = dict(
+        seed=draw(st.integers(0, 2**16)),
+        evaluator=draw(st.sampled_from(["binary", "soft"])),
+        soft_beta=draw(st.floats(0.05, 5.0)),
+        wrong_penalty=draw(st.floats(-10.0, 0.0)),
+    )
+    if kind != "tag":
+        kwargs["prompt_limit"] = draw(st.none() | st.integers(1, 6))
+    if kind == "carry":
+        digits = draw(st.integers(1, 2))
+        task = make_carry_addition_task(digits, draw(st.integers(2, 4 if digits == 1 else 2)),
+                                        **kwargs)
+    elif kind == "automaton":
+        task = make_automaton_trace_task(draw(st.integers(2, 3)), draw(st.integers(1, 3)),
+                                         **kwargs)
+    else:
+        task = make_reward_tag_task(draw(st.integers(1, 5)), draw(st.integers(2, 6)), **kwargs)
+    return task, kwargs["soft_beta"], kwargs["wrong_penalty"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(factory_tasks(), st.data())
+def test_success_table_and_mass_rows_match_the_truth_oracle(case, data):
+    task, beta, penalty = case
+    oracle = np.array([
+        [factory_success(task, x, z, y, beta, penalty)
+         for z in range(task.n_latents) for y in range(task.n_responses)]
+        for x in range(task.n_prompts)
+    ])
+    assert task.success.shape == (task.n_prompts, task.n_joint)
+    assert task.success.tobytes() == oracle.tobytes()
+    assert not task.success.flags.writeable
+    zs = data.draw(st.sets(st.integers(0, task.n_latents - 1), min_size=1))
+    ys = data.draw(st.sets(st.integers(0, task.n_responses - 1), min_size=1))
+    inside = np.zeros((task.n_latents, task.n_responses), dtype=bool)
+    inside[np.ix_(sorted(zs), sorted(ys))] = True
+    inside = inside.ravel()
+    expected = {(1,): oracle, (0,): 1.0 - oracle, OBSERVATIONS: (1.0 - oracle) + oracle}
+    for obs, rows in expected.items():
+        mass = compile_event(task, EventSpec(latents=tuple(zs), responses=tuple(ys),
+                                             obs=obs)).mass_all()
+        assert mass[:, inside].tobytes() == rows[:, inside].tobytes()
+        assert not mass[:, ~inside].any()

@@ -54,6 +54,7 @@ from latentlab.training import (
     run_restem,
 )
 from latentlab.verification import (
+    evaluator_entry,
     evaluator_prob,
     preference_loss_by_prompt,
     success_weights,
@@ -445,7 +446,7 @@ def test_reference_optimum_improves(tag_task, tag_model):
         ev = EventSpec(obs=(o,))
         supremum = sum(
             tag_task.rho[x] * math.log(max(
-                tag_task.evaluator(x, z, y, o)
+                evaluator_entry(tag_task, x, z, y, o)
                 for z in range(tag_task.n_latents)
                 for y in range(tag_task.n_responses)
             ))

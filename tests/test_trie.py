@@ -291,8 +291,7 @@ def prompt_tasks(draw):
     task = GenerativeTask(
         name="stacked", vocab=Vocabulary(size=5, eos=4),
         prompts=tuple(f"p{x}" for x in range(n_prompts)), rho=np.full(n_prompts, 1 / n_prompts),
-        latents=latents, responses=responses, obs_values=(0, 1),
-        evaluator=lambda x, z, y, o: success[x, z, y] if o == 1 else 1.0 - success[x, z, y],
+        latents=latents, responses=responses, evaluator=lambda x, z, y: success[x, z, y],
         evaluator_kind="soft", horizon=max(map(len, latents)) + 2,
     )
     theta = np.array(draw(st.lists(st.floats(-8.0, 8.0), min_size=n_prompts * joint,

@@ -25,7 +25,7 @@ FLIPS = {
     "trie-upward": ("models.autoregressive_consistency", "planner.trajectory_softmax",
                     "planner.bellman_consistency"),
     "obs-table": ("graph.factorization", "graph.posterior_oracle",
-                  "planner.shaping_telescoping"),
+                  "planner.shaping_telescoping", "tasks.evaluator_normalization"),
     "joint-marginal": ("esteps.backend_agreement", "graph.gradient_identity"),
     "batched-rows": ("graph.batched_averages", "graph.gradient_identity",
                      "models.partition_oracle"),
