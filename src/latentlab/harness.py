@@ -22,6 +22,7 @@ import yaml
 
 from .errors import (
     ConfigError,
+    LatentLabError,
     RecordFormatError,
     TaskMismatchError,
     require_integer,
@@ -474,7 +475,10 @@ def _load_run(run_dir: Path) -> tuple[dict, dict[int, list]]:
     resolved = run_dir / "config.resolved"
     if not resolved.exists():
         raise ConfigError(f"{run_dir} has no config.resolved; not a run directory")
-    data = yaml.safe_load(resolved.read_text())
+    try:
+        data = parse_config(resolved.read_text()).data
+    except LatentLabError as exc:
+        raise type(exc)(f"{resolved}: {exc}") from None
     records = {}
     for p in sorted(run_dir.glob("record.seed*.tsv")):
         try:

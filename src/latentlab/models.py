@@ -241,8 +241,9 @@ def _slot_counts(run_sums: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def _token_tables(trie, log_probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Read-only token tables of every row of a [copies, leaves] matrix of
-    joint log probabilities, in one stacked pass over the trie: [copies,
-    nodes] conditionals `logp` and [copies, nodes + 1] running sums `cum`."""
+    joint log probabilities, in one pass per kernel over the trie's
+    [copies, nodes] arrays: conditionals `logp` and [copies, nodes + 1]
+    running sums `cum`."""
     logp = trie.child_minus_parent(trie.upward(log_probs))
     cum = np.empty((len(logp), trie.n_nodes + 1))
     with np.errstate(under="ignore"):
@@ -265,10 +266,11 @@ class AutoregressiveView:
     sampling walks the trie by inverse CDF with one `rng.random()` per
     node, so a fixed generator state fixes the draw.
 
-    A view built from one row of joint log probabilities runs the stacked
-    kernels with one copy; `stacked` builds the views of every row of a
-    [prompts, joint] matrix in one pass, each view holding rows of one
-    `[prompts, nodes]` and one `[prompts, nodes + 1]` table.
+    A view built from one row of joint log probabilities runs the trie
+    kernels on a one-row array; `stacked` builds the views of every row of
+    a [prompts, joint] matrix in one pass, each view holding rows of one
+    `[prompts, nodes]` and one `[prompts, nodes + 1]` table.  Either way
+    the kernels index by one copy's tables, so the rows are the same bits.
     """
 
     def __init__(self, task: GenerativeTask, joint_log_probs: np.ndarray):

@@ -12,56 +12,54 @@ leaves to the root at temperature beta.  Over leaf log probabilities at
 beta = 1 it yields every prefix's log mass; over edge rewards it is soft
 value iteration (the control-as-inference identity, Levine 2018).  It and
 the two per-node kernels beside it, `child_minus_parent` and
-`run_cumsum`, take any number of stacked copies of the node values (one
-row per prompt, say) and run over all of them in one flat pass.
+`run_cumsum`, take a [copies, nodes] array (one row per prompt, say) and
+run over every row at once, along the node axis, with one copy's index
+tables.
 """
 
 from __future__ import annotations
 
-import math
 from functools import cached_property
 from itertools import chain
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import TrajectorySetError
 
-# most copy counts a trie keeps stacked indices for, oldest dropped first
-STACKS_SIZE = 4
-
 
 def _segment_sum(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Sum of every run values[starts[i]:starts[i + 1]] (the last to the end)."""
-    return np.add.reduceat(values, starts)
+    """Sum of every run values[..., starts[i]:starts[i + 1]] (the last to
+    the end), along the node axis."""
+    return np.add.reduceat(values, starts, axis=-1)
 
 
-def _tile(index: np.ndarray, stride: int, copies: int) -> np.ndarray:
-    """`index` once per copy, copy c's entries offset by c * stride."""
-    return (np.arange(copies)[:, None] * stride + index).ravel()
+def _run_logsumexp(q: np.ndarray, starts: np.ndarray, run: np.ndarray) -> np.ndarray:
+    """Log-sum-exp of every run of `q` along the node axis, shifted by the
+    run's maximum (0 for a run that is -inf throughout); a function, so
+    that its temporaries are freed before the next level's."""
+    peak = np.maximum.reduceat(q, starts, axis=-1)
+    peak[peak == -np.inf] = 0.0
+    shifted = peak.take(run, axis=-1)
+    np.subtract(q, shifted, out=shifted)
+    total = _segment_sum(np.exp(shifted, out=shifted), starts)
+    return peak + np.log(total)
 
 
-def _stacked_leaves(leaf_node: np.ndarray, n_nodes: int, copies: int) -> np.ndarray:
-    """Flat positions of every copy's leaves: leaf k of copy c at
-    c * n_nodes + leaf_node[k]."""
-    return _tile(leaf_node, n_nodes, copies)
+def _leaf_rows(leaf_values: np.ndarray, leaves, n_nodes: int) -> np.ndarray:
+    """A [copies, nodes] array of zeros with row c's leaf values written
+    at `leaves` in row c."""
+    v = np.zeros((len(leaf_values), n_nodes))
+    v[:, leaves] = leaf_values
+    return v
 
 
-class _Stack(NamedTuple):
-    """Index arrays over `copies` stacked copies of a trie's node values,
-    held in one flat array with node n of copy c at c * n_nodes + n.
-
-    `levels` holds, deepest first, each level's (node range of one copy's
-    children, their parents at the start of each sibling run, run starts
-    within every copy's children, run of each child); `ranks` holds the
-    nodes at each position k >= 1 of their sibling run.
-    """
-
-    leaves: np.ndarray
-    roots: np.ndarray
-    parents: np.ndarray
-    levels: list
-    ranks: list
+def _as_slice(index: np.ndarray):
+    """`index` as a slice when it is one run of consecutive nodes, so that
+    a row-wise write through it is a strided copy, else `index` itself."""
+    if (np.diff(index) == 1).all():
+        return slice(int(index[0]), int(index[-1]) + 1)
+    return index
 
 
 class Trie:
@@ -82,9 +80,10 @@ class Trie:
 
     The kernels `upward`, `child_minus_parent` and `run_cumsum` take
     [..., n] arrays, each row one copy of the node (or leaf) values, and
-    run over all copies at once in one flat array.  The index arrays of
-    a copy count (`_Stack`) are built on first use and kept for at most
-    `STACKS_SIZE` copy counts.
+    index their [copies, n] form along the node axis.  Their index tables
+    (`_leaves`, `_levels` and `_ranks`) are one copy's, built on first use
+    and kept for the trie's life; a run of consecutive nodes among them is
+    kept as a slice.
     """
 
     def __init__(self, sequences: Sequence[Sequence[int]]):
@@ -129,8 +128,6 @@ class Trie:
         self.internal = np.flatnonzero(self.child_hi > self.child_lo)
         self.depth = np.repeat(np.arange(top + 1), sizes)
         self.level_start = np.concatenate(([0], np.cumsum(sizes)))
-        # copy count -> its `_Stack`, built on first use
-        self._stacks: dict[int, _Stack] = {}
         # plain lists for the per-token walks of sampling and greedy decoding
         self.walk = (self.child_lo.tolist(), self.child_hi.tolist(), self.node_seq.tolist())
         # depth shared by every leaf (None if they differ)
@@ -152,43 +149,31 @@ class Trie:
             out.append(out[par] + (tok,))
         return out
 
-    def _stack(self, copies: int) -> _Stack:
-        """The stacked index arrays of `copies` copies, built on first use
-        and kept for at most `STACKS_SIZE` copy counts."""
-        stack = self._stacks.get(copies)
-        if stack is not None:
-            return stack
-        n = self.n_nodes
+    @cached_property
+    def _leaves(self):
+        """Every leaf's node, in sequence order."""
+        return _as_slice(self.leaf_node)
+
+    @cached_property
+    def _levels(self) -> list[tuple]:
+        """Deepest level first: each level's node range, the parents at
+        the starts of its sibling runs, and the run starts within the level
+        with the run of each of its nodes (None where every run is one
+        node)."""
         levels = []
         for d in range(len(self.level_start) - 2, 0, -1):
             lo, hi = int(self.level_start[d]), int(self.level_start[d + 1])
             par = self.parent[lo:hi]
             new_run = np.r_[True, par[1:] != par[:-1]]
-            starts = np.flatnonzero(new_run)
-            levels.append((
-                slice(lo, hi),
-                _tile(par[new_run], n, copies),
-                _tile(starts, hi - lo, copies),
-                _tile(np.cumsum(new_run) - 1, len(starts), copies),
-            ))
-        rank = np.arange(1, n) - self.child_lo[self.parent[1:]]
-        ranks = [_tile(np.flatnonzero(rank == k) + 1, n, copies)
-                 for k in range(1, int(rank.max()) + 1)]
-        stack = _Stack(
-            leaves=_stacked_leaves(self.leaf_node, n, copies),
-            roots=np.arange(copies) * n,
-            parents=_tile(np.r_[0, self.parent[1:]], n, copies),
-            levels=levels,
-            ranks=ranks,
-        )
-        if len(self._stacks) >= STACKS_SIZE:
-            del self._stacks[next(iter(self._stacks))]
-        self._stacks[copies] = stack
-        return stack
+            runs = None if new_run.all() else (np.flatnonzero(new_run), np.cumsum(new_run) - 1)
+            levels.append((slice(lo, hi), _as_slice(par[new_run]), runs))
+        return levels
 
-    def _stack_of(self, values: np.ndarray) -> _Stack:
-        """The stack for [..., n] values: one copy per row."""
-        return self._stack(math.prod(values.shape[:-1]))
+    @cached_property
+    def _ranks(self) -> list[np.ndarray]:
+        """The nodes at each position k >= 1 of their sibling run."""
+        rank = np.arange(1, self.n_nodes) - self.child_lo[self.parent[1:]]
+        return [np.flatnonzero(rank == k) + 1 for k in range(1, int(rank.max()) + 1)]
 
     def upward(
         self, leaf_values: np.ndarray, edge: np.ndarray | None = None, beta: float = 1.0
@@ -201,25 +186,21 @@ class Trie:
         each row is one copy, and the [..., nodes] result is computed for
         every copy in one pass per level."""
         leaf_values = np.asarray(leaf_values, dtype=np.float64)
-        stack = self._stack_of(leaf_values)
-        v = np.zeros(len(stack.roots) * self.n_nodes)
-        v[stack.leaves] = leaf_values.ravel()
-        # every copy's nodes of one level, copy after copy, as one flat run
-        rows = v.reshape(len(stack.roots), self.n_nodes)
-        edge = None if edge is None else np.reshape(edge, rows.shape)
+        v = _leaf_rows(leaf_values.reshape(-1, leaf_values.shape[-1]), self._leaves,
+                       self.n_nodes)
+        edge = None if edge is None else np.reshape(edge, v.shape)
         with np.errstate(divide="ignore", under="ignore"):
-            for children, owners, starts, run in stack.levels:
-                q = rows[:, children].ravel()
+            for children, owners, runs in self._levels:
+                q = v[:, children]
                 if edge is not None:
-                    q = edge[:, children].ravel() + q
+                    q = edge[:, children] + q
                 # scaling by beta = 1 changes no bit, so it is skipped
                 if beta != 1.0:
                     q = q / beta
-                peak = np.maximum.reduceat(q, starts)
-                peak[peak == -np.inf] = 0.0
-                total = _segment_sum(np.exp(q - peak[run]), starts)
-                value = peak + np.log(total)
-                v[owners] = value if beta == 1.0 else beta * value
+                # the log-sum-exp of one child is the child, + 0.0 as the
+                # reduction gives (-0.0 becomes 0.0)
+                value = q + 0.0 if runs is None else _run_logsumexp(q, *runs)
+                v[:, owners] = value if beta == 1.0 else beta * value
         return v.reshape(leaf_values.shape[:-1] + (self.n_nodes,))
 
     def downward(self, edge: np.ndarray, start: int = 0) -> np.ndarray:
@@ -235,13 +216,13 @@ class Trie:
         """child[n] - parent[parent node of n]; -inf where both are -inf,
         0 at the root.  Both are [..., nodes], one copy per row."""
         child = np.asarray(child, dtype=np.float64)
-        parent = child if parent is None else parent
-        stack = self._stack_of(child)
+        parent = child if parent is None else np.asarray(parent)
+        # the root's entry reads node -1 and is then overwritten
         with np.errstate(invalid="ignore"):
-            out = child.ravel() - np.ravel(parent)[stack.parents]
+            out = child - parent.take(self.parent, axis=-1)
         out[np.isnan(out)] = -np.inf
-        out[stack.roots] = 0.0
-        return out.reshape(child.shape)
+        out[..., 0] = 0.0
+        return out
 
     def run_cumsum(self, values: np.ndarray) -> np.ndarray:
         """Running sums of `values` within each sibling run, in token order;
@@ -249,6 +230,9 @@ class Trie:
         [..., nodes], one copy per row."""
         out = np.array(values, dtype=np.float64)
         flat = out.reshape(-1)
-        for nodes in self._stack_of(out).ranks:
-            flat[nodes] += flat[nodes - 1]
+        # each row's offset into the flat view
+        rows = np.arange(0, flat.size, self.n_nodes)[:, None]
+        for nodes in self._ranks:
+            at = rows + nodes
+            flat[at] += flat[at - 1]
         return out

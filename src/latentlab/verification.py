@@ -17,6 +17,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -128,7 +129,7 @@ def _negated_bonus_rewards(
 
 def _misaligned_segment_sum(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """'trie-upward': the trie's run sums with each boundary one child late."""
-    return np.add.reduceat(values, np.minimum(starts + 1, len(values) - 1))
+    return np.add.reduceat(values, np.minimum(starts + 1, values.shape[-1] - 1), axis=-1)
 
 
 def _next_prompt_success(task: GenerativeTask) -> np.ndarray:
@@ -181,11 +182,11 @@ def _short_slot_counts(run_sums: np.ndarray, u: np.ndarray) -> np.ndarray:
     return _CLEAN["level-walk"](run_sums[:, 1:], u)
 
 
-def _next_copy_leaves(leaf_node: np.ndarray, n_nodes: int, copies: int) -> np.ndarray:
-    """'stacked-offset': the stacked leaf positions with each copy's leaves
-    written into the next copy's nodes (the last copy's into the first)."""
-    clean = _CLEAN["stacked-offset"](leaf_node, n_nodes, copies)
-    return np.roll(clean.reshape(copies, -1), -1, axis=0).ravel()
+def _next_row_leaves(leaf_values: np.ndarray, leaves, n_nodes: int) -> np.ndarray:
+    """'stacked-offset': the [copies, nodes] leaf rows rolled down one row,
+    each copy's leaf values written into the next copy's row (the last
+    copy's into the first)."""
+    return np.roll(_CLEAN["stacked-offset"](leaf_values, leaves, n_nodes), 1, axis=0)
 
 
 # fault -> (module, attribute, faulty replacement): `run_checks` swaps one in
@@ -200,7 +201,7 @@ FAULTS = {
     "stale-fisher": (esteps_kernel, "_fisher_step", _stale_fisher_step),
     "ngram-counts": (model_kernel, "_merged_entries", _unit_count_entries),
     "level-walk": (model_kernel, "_slot_counts", _short_slot_counts),
-    "stacked-offset": (trie_kernel, "_stacked_leaves", _next_copy_leaves),
+    "stacked-offset": (trie_kernel, "_leaf_rows", _next_row_leaves),
 }
 FAULT_NAMES = tuple(FAULTS)
 # the clean kernels, captured before any swap
@@ -1191,9 +1192,15 @@ def check_models_batched_draws_match_walks() -> CheckResult:
     return _ok(f"{n} draws equal {n} walks on 4 tasks, 3 models each")
 
 
+# a prefix-free set in shuffled order with leaves at depths 2 and 3: its
+# leaves and its depth-2 owners are index arrays, not runs of nodes
+SHUFFLED_SET = ((2, 0, 1), (0, 2), (1, 0, 2), (0, 0), (1, 1), (0, 1), (2, 0, 0))
+
+
 def check_models_stacked_tables_match_rows() -> CheckResult:
     """All-prompt token tables, planner passes and posterior rows equal
-    their one-row oracles bit for bit."""
+    their one-row oracles bit for bit, on four tasks and on a shuffled set
+    with leaves at two depths."""
     for k, name in enumerate(("carry-d1-b3", "tag-4-5", "carry-d2-b3-lim",
                               "automaton-3-4-soft")):
         inst = instance_by_name(name)
@@ -1236,8 +1243,27 @@ def check_models_stacked_tables_match_rows() -> CheckResult:
                         jm, x, event).tobytes():
                     return _fail(f"{name}: the posterior row of prompt {x} differs "
                                  f"from its one-row form")
+    trie = Trie(SHUFFLED_SET)
+    rng = stream(SEED, "stacked", "shuffled")
+    rows = np.where(rng.random((4, len(trie.sequences))) < 1 / 3, -np.inf,
+                    rng.normal(0.0, 3.0, (4, len(trie.sequences))))
+    rows[-1] = -np.inf
+    rows[-1, rng.integers(len(trie.sequences))] = 0.0
+    for x, view in enumerate(AutoregressiveView.stacked(SimpleNamespace(trie=trie), rows)):
+        logp, cum = row_token_tables(trie, rows[x])
+        if view.logp.tobytes() != logp.tobytes() or view.cum.tobytes() != cum.tobytes():
+            return _fail(f"shuffled set: row {x}'s tables differ from its row's")
+    edge = rng.normal(0.0, 2.0, (len(rows), trie.n_nodes))
+    for beta in (1.0, 0.3):
+        soft = trie.upward(np.zeros(rows.shape), edge, beta)
+        for x in range(len(rows)):
+            if soft[x].tobytes() != row_upward(trie, np.zeros(len(trie.sequences)), edge[x],
+                                               beta).tobytes():
+                return _fail(f"shuffled set: row {x}'s planner pass at beta {beta} differs "
+                             f"from its row's")
     return _ok("4 tasks: tables of 3 stacked and 1 one-row build, planner passes "
-               "and posterior rows bit-exact")
+               "and posterior rows bit-exact; shuffled two-depth set: stacked tables "
+               "and planner passes bit-exact")
 
 
 def check_models_kl_forms_agree() -> CheckResult:
@@ -2615,8 +2641,8 @@ def run_checks(
     """Run every check whose name matches, with every entry of `FAULTS` set
     to its clean kernel, or to its faulty one for `inject_fault`; the values
     found on entry are put back afterwards.  The suite tasks' compiled
-    events and their tries' stacked indices are dropped on both swaps, so
-    no mass table or index array outlives the kernel that built it.
+    events are dropped on both swaps, so no mass table outlives the kernel
+    that built it.
 
     A check that raises is reported as a failure rather than aborting the
     battery, so one broken invariant cannot hide the state of the rest.
@@ -2645,16 +2671,13 @@ def run_checks(
 
 
 def _forget_cached_tables() -> None:
-    """Drop the suite tasks' compiled events and their tries' stacked
-    indices: the mass tables were read through whichever observation-table
-    kernel was installed, the leaf indices built by whichever stacking
-    kernel.  Models, with their views and event tables, live inside one
-    check."""
+    """Drop the suite tasks' compiled events: their mass tables were read
+    through whichever observation-table kernel was installed.  A trie's
+    index tables hold no kernel output, and models, with their views and
+    event tables, live inside one check."""
     for inst in _SUITE or ():
         inst.task.compiled_events.clear()
         inst.task.spec_events.clear()
-        if "trie" in vars(inst.task):
-            inst.task.trie._stacks.clear()
 
 
 # -- acceptance battery --------------------------------------------------------------

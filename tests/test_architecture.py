@@ -17,8 +17,10 @@ Every function of a production module (every module but
 production function takes a fault switch (faults are built in
 `verification.py`), a training run imports no scipy module, a run through
 the harness imports neither `numpy.ma`, scipy nor the oracles, and every
-name the benchmark wraps exists.  The caches behind the stacked passes
-are bounded, and a model's views and event tables go with the model.
+name the benchmark wraps exists.  A trie keeps one copy's index tables
+whatever the number of copies its kernels run over, one all-prompt pass
+allocates a bounded multiple of its output, the caches behind the stacked
+passes are bounded, and a model's views and event tables go with the model.
 """
 
 import ast
@@ -26,6 +28,7 @@ import gc
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -44,7 +47,7 @@ from latentlab.tasks import (
     make_reward_tag_task,
     success_event,
 )
-from latentlab.trie import STACKS_SIZE
+from latentlab.trie import Trie
 
 PACKAGE = Path(latentlab.__file__).parent
 ALLOWED = {"tasks.py": {"success"}, "verification.py": None}
@@ -514,12 +517,42 @@ def test_wrap_site_check_sees_a_missing_name():
     assert "KeyError: 'restem_update'" in done.stderr
 
 
-def test_stacked_indices_are_bounded_per_trie():
+def _nbytes(value) -> int:
+    """Bytes held by the numpy arrays in `value`, through lists, tuples and dicts."""
+    if isinstance(value, np.ndarray):
+        return value.nbytes
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return sum(map(_nbytes, value))
+    return 0
+
+
+def test_trie_state_does_not_grow_with_copy_counts():
     trie = make_reward_tag_task(2, 3, seed=1).trie
+    state = None
     for copies in range(1, 101):
+        values = np.zeros((copies, trie.n_nodes))
         trie.upward(np.zeros((copies, len(trie.sequences))))
-        assert len(trie._stacks) <= STACKS_SIZE
-    assert list(trie._stacks) == list(range(101 - STACKS_SIZE, 101))
+        trie.child_minus_parent(values)
+        trie.run_cumsum(values)
+        now = set(vars(trie)), _nbytes(vars(trie))
+        assert state is None or now == state
+        state = now
+
+
+def test_one_all_prompt_pass_allocates_at_most_four_outputs():
+    task = make_carry_addition_task(2, 3)
+    trie = Trie(task.joint_sequences)
+    leaves = stream(5, "pass").normal(size=(task.n_prompts, len(trie.sequences)))
+    tracemalloc.start()
+    try:
+        out = trie.upward(leaves)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (81, trie.n_nodes)
+    assert peak / out.nbytes <= 4
 
 
 def test_event_tables_are_bounded_per_model():

@@ -234,3 +234,23 @@ def test_damaged_run_directory_prints_an_error_line(
     err = capsys.readouterr().err
     assert err.startswith(f"error: {run / name}: {error}")
     assert "Traceback" not in err
+
+
+# a damaged config.resolved, the command that reads it and what the error says
+@pytest.mark.parametrize("resolved, command, error", [
+    pytest.param("task: [unclosed\n", "report", "config is not valid yaml", id="report-bad-yaml"),
+    pytest.param("algorithm: em\n", "compare", "config needs a 'task' section",
+                 id="compare-no-task"),
+])
+def test_damaged_resolved_config_prints_an_error_line(
+    tmp_path, config_path, capsys, resolved, command, error
+):
+    runs = [tmp_path / "a", tmp_path / "b"][: 2 if command == "compare" else 1]
+    for run in runs:
+        assert main(["run", str(config_path), "--out", str(run)]) == 0
+        (run / "config.resolved").write_text(resolved)
+    capsys.readouterr()
+    assert main([command, *map(str, runs)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {runs[0] / 'config.resolved'}: {error}")
+    assert "Traceback" not in err
